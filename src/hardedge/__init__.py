@@ -42,12 +42,10 @@ from .experiments import (
 )
 from .mp import (
     DeltaBoundsReport,
-    LawEval,
     SpectralPoint,
     Window,
     check_delta_bounds,
     fixed_point_residual,
-    law_eval,
     mp_cdf,
     mp_density,
     mp_moment_quadrature,
@@ -69,11 +67,9 @@ from .resolvent import (
     trace_kernel_norm,
 )
 from .spectral import (
-    CountResult,
     DecompositionError,
     IdentityResidual,
     SpectralDecomposition,
-    count_in_window,
     counting_bound,
     decompose,
     eigenvalue_count,
@@ -82,7 +78,6 @@ from .spectral import (
     eigenvector_identity_scan,
     interlacing_check,
     minor_eigenvalues,
-    near_zero_count,
 )
 
 try:
@@ -95,18 +90,18 @@ except PackageNotFoundError:  # pragma: no cover - source tree without install
 __all__ = [
     "__version__",
     # mp
-    "SpectralPoint", "Window", "LawEval", "DeltaBoundsReport",
-    "mp_density", "mp_cdf", "law_eval", "mp_window_mass", "mp_stieltjes",
+    "SpectralPoint", "Window", "DeltaBoundsReport",
+    "mp_density", "mp_cdf", "mp_window_mass", "mp_stieltjes",
     "fixed_point_residual", "check_delta_bounds", "mp_moment_quadrature",
     # ensemble
     "KINDS", "EntryDistribution", "EnsembleSpec", "MatrixSample",
     "derive_trial_seed", "sample_matrix", "check_entry_statistics",
     "write_sample", "read_sample",
     # spectral
-    "SpectralDecomposition", "DecompositionError", "CountResult", "IdentityResidual",
+    "SpectralDecomposition", "DecompositionError", "IdentityResidual",
     "decompose", "eigenvalues_only", "minor_eigenvalues", "eigenvalue_count",
-    "count_in_window", "counting_bound", "interlacing_check",
-    "eigenvector_identity_scan", "eigenvector_identity_residual", "near_zero_count",
+    "counting_bound", "interlacing_check",
+    "eigenvector_identity_scan", "eigenvector_identity_residual",
     # resolvent
     "ResolventDiagonal", "ErrorTerms", "KernelStats",
     "empirical_stieltjes", "resolvent_diagonal", "resolvent_diag_leave_one_out",

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 experiment ran but a threshold failed, 2 usage or
 config error.  Reports land in --out, defaulting to $HARDEDGE_OUT and then
-./reports.  --threads is a parallelism hint only; every report is
-byte-identical for any thread count because trial seeds are derived from
-(seed, trial index), never from scheduling.
+./reports.  --threads is a parallelism hint only (>= 1, capped at the CPU
+count); every report is byte-identical for any thread count because trial
+seeds are derived from (seed, trial index), never from scheduling.
 """
 
 from __future__ import annotations
@@ -87,6 +87,25 @@ def _emit(report, out) -> int:
     verdict = "PASS" if report.passed else "FAIL"
     print(f"{report.theorem}: {verdict} ({len(report.rows)} rows) -> {paths['csv']}")
     return 0 if report.passed else 1
+
+
+def _spectra_experiments() -> tuple:
+    """The experiments that reduce one shared spectra pass, in the order `all` runs them.
+
+    Looked up per call, not bound at import, so a module attribute replaced at
+    run time (a tracing wrapper, a test double) is the one that runs.
+    """
+    return (
+        ("apriori", run_apriori),
+        ("locallaw", run_local_law),
+        ("wegner", run_wegner),
+        ("hardedge", run_hard_edge_scaling),
+    )
+
+
+def _cmd_all(args) -> int:
+    cfg = _config_from(args)
+    return max(_emit(runner(cfg, threads=args.threads), args.out) for _, runner in _spectra_experiments())
 
 
 def _cmd_mp(args) -> int:
@@ -196,16 +215,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--out", required=True, metavar="PATH")
     sample.set_defaults(func=_cmd_sample)
 
-    for name, runner in (
-        ("apriori", run_apriori),
-        ("locallaw", run_local_law),
-        ("deloc", run_delocalization),
-        ("wegner", run_wegner),
-        ("hardedge", run_hard_edge_scaling),
-    ):
+    for name, runner in (*_spectra_experiments(), ("deloc", run_delocalization)):
         sub = subs.add_parser(name, help=f"run the {name} experiment")
         _add_experiment_flags(sub)
         sub.set_defaults(func=lambda args, r=runner: _emit(r(_config_from(args), threads=args.threads), args.out))
+    every = subs.add_parser("all", help="run apriori, locallaw, wegner and hardedge on one spectra pass")
+    _add_experiment_flags(every)
+    every.set_defaults(func=_cmd_all)
 
     hw = subs.add_parser("hw", help="quadratic-form tail shape experiment")
     hw.add_argument("--dist", choices=KINDS, default="complex-gaussian")

@@ -67,12 +67,11 @@ _MIX2 = 0x94D049BB133111EB
 _MAGIC = b"HESAMP01"
 _HEADER = struct.Struct("<8sQIIQQ")
 
-# kind -> (code, bounded part density, sub-gaussian delta0 metadata,
-#          Var(|x|^2) of one unscaled entry)
+# kind -> (code, bounded part density, Var(|x|^2) of one unscaled entry)
 _KIND_TABLE = {
-    "complex-gaussian": (0, True, 0.9, 1.0),
-    "rademacher-pair": (1, False, 0.9, 0.0),
-    "uniform-symmetric": (2, True, 0.9, 0.4),
+    "complex-gaussian": (0, True, 1.0),
+    "rademacher-pair": (1, False, 0.0),
+    "uniform-symmetric": (2, True, 0.4),
 }
 KINDS = tuple(_KIND_TABLE)
 
@@ -105,14 +104,9 @@ class EntryDistribution:
         return _KIND_TABLE[self.kind][1]
 
     @property
-    def subgaussian_delta0(self) -> float:
-        """Documented delta0 with E exp(delta0 |x|^2) finite (metadata only)."""
-        return _KIND_TABLE[self.kind][2]
-
-    @property
     def modsq_variance(self) -> float:
         """Var(|x|^2) for one unscaled entry."""
-        return _KIND_TABLE[self.kind][3]
+        return _KIND_TABLE[self.kind][2]
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,16 @@ seeds O(1), 2026-08.
 Every experiment derives one sub-seed per matrix size and one seed per trial
 below that, so trials are order- and schedule-independent; reports aggregate
 in trial-index order and are reproducible bit for bit from (config, seed).
+
+The apriori, local-law, near-zero and hard-edge experiments are reducers over
+one spectra pass (`_spectra`): each trial is drawn and decomposed once per
+process, however many of them run on the same config.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -250,11 +255,46 @@ def _ensemble_for(cfg: ExperimentConfig, size: int) -> EnsembleSpec:
     )
 
 
+def _workers(threads: int) -> int:
+    if threads < 1:
+        raise ConfigError(f"threads: must be >= 1, got {threads}")
+    return min(threads, os.cpu_count() or 1)
+
+
 def _map_trials(fn, trials: int, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = _workers(threads)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, range(trials)))
     return [fn(t) for t in range(trials)]
+
+
+# (distribution, seed, sizes, trials) -> spectra of the most recent config only
+_SPECTRA: dict[tuple, dict[int, np.ndarray]] = {}
+
+
+def _spectra(cfg: ExperimentConfig, threads: int) -> dict[int, np.ndarray]:
+    """Ascending eigenvalues of every trial as {size: read-only (trials, N) array}.
+
+    Only the distribution, seed, sizes and trial count decide the draws, so the
+    experiments on one config share a single pass; a different config evicts it.
+    """
+    _workers(threads)  # a bad thread count is rejected even when the pass is cached
+    key = (cfg.distribution, cfg.seed, tuple(cfg.sizes), cfg.trials)
+    cached = _SPECTRA.get(key)
+    if cached is not None:
+        return cached
+    _SPECTRA.clear()
+    spectra = {}
+    for size in cfg.sizes:
+        spec = _ensemble_for(cfg, size)
+        eigs = np.array(
+            _map_trials(lambda t: eigenvalues_only(sample_matrix(spec, t)), cfg.trials, threads)
+        )
+        eigs.flags.writeable = False
+        spectra[size] = eigs
+    _SPECTRA[key] = spectra
+    return spectra
 
 
 def derived_windows(cfg: ExperimentConfig, size: int) -> tuple[Window, ...]:
@@ -303,23 +343,17 @@ def _pfx(size: int, w: Window) -> str:
 
 def run_apriori(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     """Tail of the window eigenvalue count against thresholds K * N*eta/sqrt(E)."""
-    per_size: dict[int, tuple[tuple[Window, ...], list[list[int]]]] = {}
-    for size in cfg.sizes:
-        windows = _windows_for(cfg, size, enforce_scale=True)
-        spec = _ensemble_for(cfg, size)
-
-        def one_trial(t: int, spec=spec, windows=windows) -> list[int]:
-            eigs = eigenvalues_only(sample_matrix(spec, t))
-            return [eigenvalue_count(eigs, w) for w in windows]
-
-        per_size[size] = (windows, _map_trials(one_trial, cfg.trials, threads))
+    windows_by_size = {size: _windows_for(cfg, size, enforce_scale=True) for size in cfg.sizes}
+    spectra = _spectra(cfg, threads)
 
     rows = []
     failures = []
     reference_cells = []
     for size in cfg.sizes:
-        windows, counts = per_size[size]
-        counts_arr = np.asarray(counts)
+        windows = windows_by_size[size]
+        counts_arr = np.asarray(
+            [[eigenvalue_count(eigs, w) for w in windows] for eigs in spectra[size]]
+        )
         for j, w in enumerate(windows):
             scale = size * w.eta / math.sqrt(w.energy)
             previous = None
@@ -376,39 +410,31 @@ def run_local_law(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     _require_bounded_density(cfg, "local-law")
     eps_grid = tuple(sorted(set(cfg.epsilon_grid) | {cfg.thresholds.locallaw_epsilon}))
 
-    per_size: dict[int, tuple[tuple[Window, ...], np.ndarray, np.ndarray]] = {}
-    for size in cfg.sizes:
-        windows = _windows_for(cfg, size, enforce_scale=False)
-        spec = _ensemble_for(cfg, size)
-        limits = [mp_stieltjes(w.point) for w in windows]
-        masses = [mp_window_mass(w) for w in windows]
-
-        def one_trial(t: int, spec=spec, windows=windows, limits=limits, masses=masses):
-            eigs = eigenvalues_only(sample_matrix(spec, t))
-            size_n = spec.size
-            transform = []
-            counting = []
-            for w, limit, mass in zip(windows, limits, masses):
-                sqrt_e = math.sqrt(w.energy)
-                delta_n = empirical_stieltjes(eigs, w.point)
-                transform.append(sqrt_e * abs(delta_n - limit))
-                count = eigenvalue_count(eigs, w)
-                counting.append(sqrt_e * abs(count / (size_n * w.eta) - mass / w.eta))
-            return transform, counting
-
-        results = _map_trials(one_trial, cfg.trials, threads)
-        per_size[size] = (
-            windows,
-            np.asarray([r[0] for r in results]),
-            np.asarray([r[1] for r in results]),
-        )
+    windows_by_size = {size: _windows_for(cfg, size, enforce_scale=False) for size in cfg.sizes}
+    spectra = _spectra(cfg, threads)
 
     rows = []
     failures = []
     eps_star = cfg.thresholds.locallaw_epsilon
     reference: dict[tuple[str, float, float, int], tuple[int, float]] = {}
     for size in cfg.sizes:
-        windows, transform_devs, counting_devs = per_size[size]
+        windows = windows_by_size[size]
+        laws = [(w, math.sqrt(w.energy), mp_stieltjes(w.point), mp_window_mass(w)) for w in windows]
+        transform_devs = np.asarray(
+            [
+                [sqrt_e * abs(empirical_stieltjes(eigs, w.point) - limit) for w, sqrt_e, limit, _ in laws]
+                for eigs in spectra[size]
+            ]
+        )
+        counting_devs = np.asarray(
+            [
+                [
+                    sqrt_e * abs(eigenvalue_count(eigs, w) / (size * w.eta) - mass / w.eta)
+                    for w, sqrt_e, _, mass in laws
+                ]
+                for eigs in spectra[size]
+            ]
+        )
         for j, w in enumerate(windows):
             scale = size * w.eta / math.sqrt(w.energy)
             for form, devs in (("transform", transform_devs), ("count", counting_devs)):
@@ -565,18 +591,13 @@ def run_wegner(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     only where the data can show it.
     """
     _require_bounded_density(cfg, "near-zero counting")
+    spectra = _spectra(cfg, threads)
     rows = []
     failures = []
     slopes = {}
     for size in cfg.sizes:
-        spec = _ensemble_for(cfg, size)
         windows = [Window(0.0, k / size**2) for k in cfg.k_grid]
-
-        def one_trial(t: int, spec=spec, windows=windows) -> list[int]:
-            eigs = eigenvalues_only(sample_matrix(spec, t))
-            return [eigenvalue_count(eigs, w) for w in windows]
-
-        counts = np.asarray(_map_trials(one_trial, cfg.trials, threads))
+        counts = np.asarray([[eigenvalue_count(eigs, w) for w in windows] for eigs in spectra[size]])
         for j, k in enumerate(cfg.k_grid):
             levels = list(cfg.l_grid)
             hit_list = []
@@ -631,25 +652,17 @@ def run_wegner(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
 def run_hard_edge_scaling(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     """N^2 scaling of the smallest eigenvalue and the 1/(N rho) bulk spacing near E=2."""
     rho2 = mp_density(2.0)
+    spectra = _spectra(cfg, threads)
     rows = []
     failures = []
     medians = {}
     for size in cfg.sizes:
-        spec = _ensemble_for(cfg, size)
-
-        def one_trial(t: int, spec=spec) -> tuple[float, float]:
-            eigs = eigenvalues_only(sample_matrix(spec, t))
-            scaled_min = float(eigs[0]) * spec.size**2
+        scaled = spectra[size][:, 0] * size**2
+        spacing = []
+        for eigs in spectra[size]:
             center = int(np.argmin(np.abs(eigs - 2.0)))
-            lo = max(0, center - 5)
-            hi = min(len(eigs), center + 6)
-            gaps = np.diff(eigs[lo:hi])
-            spacing = float(np.mean(gaps)) * spec.size * rho2
-            return scaled_min, spacing
-
-        results = _map_trials(one_trial, cfg.trials, threads)
-        scaled = np.asarray([r[0] for r in results])
-        spacing = np.asarray([r[1] for r in results])
+            gaps = np.diff(eigs[max(0, center - 5) : min(len(eigs), center + 6)])
+            spacing.append(float(np.mean(gaps)) * size * rho2)
         if np.any(scaled <= 0):
             failures.append(f"N={size}: nonpositive smallest eigenvalue observed")
         median = float(np.median(scaled))

@@ -32,11 +32,9 @@ __all__ = [
     "SUPPORT_RIGHT",
     "SpectralPoint",
     "Window",
-    "LawEval",
     "DeltaBoundsReport",
     "mp_density",
     "mp_cdf",
-    "law_eval",
     "mp_window_mass",
     "mp_stieltjes",
     "fixed_point_residual",
@@ -100,15 +98,6 @@ class Window:
         return SpectralPoint(self.energy, self.eta)
 
 
-@dataclass(frozen=True)
-class LawEval:
-    """Density and CDF of the limiting law at one energy."""
-
-    energy: float
-    density: float
-    cdf: float
-
-
 def mp_density(energy: float) -> float:
     """Limiting spectral density (1/2pi) sqrt((4-E)/E) on (0, 4], else 0.
 
@@ -133,10 +122,6 @@ def mp_cdf(energy: float) -> float:
         return 1.0
     t = math.acos(1.0 - energy / 2.0)
     return (t + math.sin(t)) / math.pi
-
-
-def law_eval(energy: float) -> LawEval:
-    return LawEval(energy=energy, density=mp_density(energy), cdf=mp_cdf(energy))
 
 
 def mp_window_mass(window: Window) -> float:

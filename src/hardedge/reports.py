@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,30 +107,42 @@ class Manifest:
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def write_report(report: TheoremReport, outdir, name: str | None = None) -> dict:
     """Write {name}.json, {name}.csv, and manifest.json under outdir.
 
-    Returns {"json": path, "csv": path, "manifest": path}.  The manifest is
-    rewritten per call; multi-report runs merge by calling with the same
-    outdir and letting the caller collect digests instead.
+    Returns {"json": path, "csv": path, "manifest": path}.  The manifest's
+    artifact digests are merged with those of earlier reports in the same
+    directory; run id and config are the latest report's.  Every file is
+    written to a temporary name and renamed into place.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    manifest_path = outdir / "manifest.json"
+    artifacts = {}
+    if manifest_path.exists():
+        try:
+            artifacts = dict(json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{manifest_path}: cannot merge into an unreadable manifest: {exc}") from exc
     base = name if name is not None else report.theorem
     json_path = outdir / f"{base}.json"
     csv_path = outdir / f"{base}.csv"
-    json_path.write_text(render_json(report), encoding="utf-8")
-    csv_path.write_text(render_csv(report), encoding="utf-8")
+    _write_atomic(json_path, render_json(report))
+    _write_atomic(csv_path, render_csv(report))
+    artifacts[json_path.name] = file_digest(json_path)
+    artifacts[csv_path.name] = file_digest(csv_path)
     manifest = Manifest(
         run_id=run_id_for(report.config),
         tool="hardedge",
         version=_VERSION,
         config=report.config,
-        artifacts={
-            json_path.name: file_digest(json_path),
-            csv_path.name: file_digest(csv_path),
-        },
+        artifacts=artifacts,
     )
-    manifest_path = outdir / "manifest.json"
-    manifest_path.write_text(manifest.render(), encoding="utf-8")
+    _write_atomic(manifest_path, manifest.render())
     return {"json": json_path, "csv": csv_path, "manifest": manifest_path}

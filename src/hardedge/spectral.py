@@ -22,18 +22,15 @@ from .mp import Window
 __all__ = [
     "DecompositionError",
     "SpectralDecomposition",
-    "CountResult",
     "IdentityResidual",
     "decompose",
     "eigenvalues_only",
     "minor_eigenvalues",
     "eigenvalue_count",
-    "count_in_window",
     "counting_bound",
     "interlacing_check",
     "eigenvector_identity_residual",
     "eigenvector_identity_scan",
-    "near_zero_count",
 ]
 
 DEFAULT_GAP_TOL = 1e-6
@@ -97,12 +94,6 @@ class SpectralDecomposition:
 
 
 @dataclass(frozen=True)
-class CountResult:
-    window: Window
-    count: int
-
-
-@dataclass(frozen=True)
 class IdentityResidual:
     """Residual of the minor-spectrum identity for one (alpha, k), with the
     coverage flag that gates it on a nondegenerate gap."""
@@ -151,9 +142,6 @@ def eigenvalue_count(eigenvalues: np.ndarray, window: Window) -> int:
     left = int(np.searchsorted(eigenvalues, window.energy, side="left"))
     right = int(np.searchsorted(eigenvalues, window.right, side="right"))
     return right - left
-
-def count_in_window(decomposition: SpectralDecomposition, window: Window) -> CountResult:
-    return CountResult(window=window, count=eigenvalue_count(decomposition.eigenvalues, window))
 
 
 def counting_bound(eigenvalues: np.ndarray, window: Window) -> float:
@@ -242,10 +230,3 @@ def eigenvector_identity_residual(
         raise IndexError(f"eigenvalue index {alpha} out of range for size {sample.size}")
     return eigenvector_identity_scan(sample, k, gap_tol, decomposition)[alpha]
 
-
-def near_zero_count(decomposition: SpectralDecomposition, K: float) -> CountResult:
-    """Count in the hard-edge window [0, K/N^2]."""
-    if K <= 0:
-        raise ValueError(f"K must be positive, got {K}")
-    n = decomposition.size
-    return count_in_window(decomposition, Window(0.0, K / n**2))

@@ -41,6 +41,7 @@ from hardedge import (
     sample_matrix,
     write_report,
 )
+from hardedge import experiments
 from hardedge.mp import density_quadrature
 
 GAUSS = EntryDistribution("complex-gaussian")
@@ -262,6 +263,7 @@ def test_criterion_13_deterministic_reports(tmp_path):
     cfg = ExperimentConfig(sizes=(128,), trials=30, seed=11, scale_min=20.0)
     digests = []
     for label, threads in (("serial", 1), ("serial-again", 1), ("pooled", 3)):
+        experiments._SPECTRA.clear()  # each run computes its own spectra
         report = run_apriori(cfg, threads=threads)
         paths = write_report(report, tmp_path / label)
         digests.append(file_digest(paths["csv"]))

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from hardedge import EnsembleSpec, EntryDistribution, file_digest, sample_matrix
+from hardedge import EnsembleSpec, EntryDistribution, experiments, file_digest, sample_matrix
 from hardedge.cli import main
 from hardedge.ensemble import read_sample
 
@@ -141,6 +141,62 @@ def test_config_error_exits_2_and_names_field(tmp_path, capsys):
     code, _, err = run(capsys, ["apriori", "--config", cfg])
     assert code == 2
     assert err.startswith("config error: kappa:")
+
+
+def test_all_matches_single_commands_and_merges_manifest(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    code, out, _ = run(capsys, ["all", "--config", cfg, "--out", str(tmp_path / "all")])
+    verdicts = [line.split(":")[0] for line in out.splitlines() if not line.startswith("FAIL ")]
+    assert verdicts == ["apriori-counting", "local-law", "near-zero-counting", "hard-edge-scaling"]
+    single_codes = []
+    experiments._SPECTRA.clear()  # as in a fresh process per single command
+    for name in ("apriori", "locallaw", "wegner", "hardedge"):
+        single_codes.append(run(capsys, [name, "--config", cfg, "--out", str(tmp_path / name)])[0])
+        (report,) = (tmp_path / name).glob("*.csv")
+        for suffix in (".json", ".csv"):
+            path = report.with_suffix(suffix)
+            assert file_digest(tmp_path / "all" / path.name) == file_digest(path)
+    assert code == max(single_codes)
+    manifest = json.loads((tmp_path / "all" / "manifest.json").read_text())
+    assert len(manifest["artifacts"]) == 8
+    for name, digest in manifest["artifacts"].items():
+        assert file_digest(tmp_path / "all" / name) == digest
+
+
+def test_experiment_commands_call_the_current_module_attribute(tmp_path, capsys, monkeypatch):
+    import hardedge.cli as cli
+
+    seen = []
+    real = cli.run_wegner
+
+    def recording(cfg, threads):
+        seen.append(threads)
+        return real(cfg, threads=threads)
+
+    monkeypatch.setattr(cli, "run_wegner", recording)
+    cfg = write_config(tmp_path, BASE)
+    run(capsys, ["wegner", "--config", cfg, "--out", str(tmp_path / "w")])
+    run(capsys, ["all", "--config", cfg, "--threads", "2", "--out", str(tmp_path / "a")])
+    assert seen == [1, 2]
+
+
+def test_all_exit_codes(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**BASE, "thresholds": {"apriori_tail": 1e-9, "apriori_reference_k": 0.25}})
+    code, out, _ = run(capsys, ["all", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert "apriori-counting: FAIL" in out
+    cfg = write_config(tmp_path, {**BASE, "distribution": "rademacher-pair"})
+    code, _, err = run(capsys, ["all", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert err.startswith("config error: distribution:")
+
+
+@pytest.mark.parametrize("command", ["apriori", "all", "deloc"])
+def test_threads_below_one_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, BASE)
+    code, _, err = run(capsys, [command, "--config", cfg, "--threads", "0", "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("config error: threads:")
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

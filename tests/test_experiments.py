@@ -8,8 +8,10 @@ deterministic because every runner derives its stream from (seed, size).
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from hardedge import experiments
 from hardedge import (
     ConfigError,
     ExperimentConfig,
@@ -172,7 +174,9 @@ def test_apriori_small(small_cfg):
 
 
 def test_apriori_thread_count_invisible(small_cfg):
+    experiments._SPECTRA.clear()
     serial = run_apriori(small_cfg, threads=1)
+    experiments._SPECTRA.clear()
     pooled = run_apriori(small_cfg, threads=3)
     assert serial.rows == pooled.rows
     assert serial.summary == pooled.summary
@@ -181,6 +185,103 @@ def test_apriori_thread_count_invisible(small_cfg):
 def test_report_config_survives_from_dict(small_cfg):
     rep = run_apriori(small_cfg)
     assert ExperimentConfig.from_dict(rep.config) == small_cfg
+
+
+# --- spectra engine and thread pool ---------------------------------------
+
+
+@pytest.fixture
+def draw_counter(monkeypatch):
+    calls = []
+    real = experiments.sample_matrix
+
+    def counting(spec, t):
+        calls.append((spec.size, spec.master_seed, t))
+        return real(spec, t)
+
+    monkeypatch.setattr(experiments, "sample_matrix", counting)
+    experiments._SPECTRA.clear()
+    return calls
+
+
+def test_spectra_drawn_once_per_config(small_cfg, draw_counter):
+    run_apriori(small_cfg)
+    assert len(draw_counter) == len(small_cfg.sizes) * small_cfg.trials
+    assert len(set(draw_counter)) == len(draw_counter)
+    for runner in (run_local_law, run_wegner, run_hard_edge_scaling):
+        runner(small_cfg)
+    assert len(draw_counter) == len(small_cfg.sizes) * small_cfg.trials
+
+
+def test_spectra_are_read_only_and_ascending(small_cfg):
+    spectra = experiments._spectra(small_cfg, threads=1)
+    assert sorted(spectra) == sorted(small_cfg.sizes)
+    for size, eigs in spectra.items():
+        assert eigs.shape == (small_cfg.trials, size)
+        assert eigs.dtype == np.float64
+        assert not eigs.flags.writeable
+        assert np.all(np.diff(eigs, axis=1) >= 0)
+        with pytest.raises(ValueError):
+            eigs[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"seed": 6}, {"trials": 31}, {"sizes": (96,)}, {"distribution": "uniform-symmetric"}],
+)
+def test_spectra_recomputed_and_old_entry_evicted(small_cfg, draw_counter, change):
+    experiments._spectra(small_cfg, threads=1)
+    before = len(draw_counter)
+    other = dataclasses.replace(small_cfg, **change)
+    experiments._spectra(other, threads=1)
+    assert len(draw_counter) == before + len(other.sizes) * other.trials
+    assert list(experiments._SPECTRA) == [
+        (other.distribution, other.seed, tuple(other.sizes), other.trials)
+    ]
+    # fields that do not decide the draws share the pass
+    experiments._spectra(dataclasses.replace(other, kappa=0.3, scale_min=30.0), threads=2)
+    assert len(draw_counter) == before + len(other.sizes) * other.trials
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize(
+    "runner",
+    [run_apriori, run_local_law, run_wegner, run_hard_edge_scaling, run_delocalization],
+)
+def test_threads_below_one_rejected(small_cfg, runner, threads):
+    with pytest.raises(ConfigError) as err:
+        runner(small_cfg, threads=threads)
+    assert str(err.value).startswith("threads:")
+
+
+def test_identity_suite_rejects_zero_threads():
+    with pytest.raises(ConfigError, match="^threads:"):
+        run_identity_suite(sizes=(8,), trials=1, threads=0)
+
+
+def test_thread_pool_clamped_to_cpu_count(monkeypatch):
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", FakePool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    assert experiments._map_trials(lambda t: t * t, 5, threads=64) == [0, 1, 4, 9, 16]
+    assert pools == [2]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+    assert experiments._map_trials(lambda t: t, 3, threads=8) == [0, 1, 2]
+    assert pools == [2]
 
 
 # --- local law ----------------------------------------------------------

@@ -16,7 +16,6 @@ from hardedge import (
     Window,
     check_delta_bounds,
     fixed_point_residual,
-    law_eval,
     mp_cdf,
     mp_density,
     mp_moment_quadrature,
@@ -70,13 +69,6 @@ def test_window_mass():
     assert mp_window_mass(Window(0.0, 4.0)) == pytest.approx(1.0, abs=1e-14)
     # beyond the support contributes nothing
     assert mp_window_mass(Window(4.0, 1.0)) == 0.0
-
-
-def test_law_eval_bundles_density_and_cdf():
-    out = law_eval(1.0)
-    assert out.energy == 1.0
-    assert out.density == mp_density(1.0)
-    assert out.cdf == mp_cdf(1.0)
 
 
 def test_normalization_by_quadrature():

@@ -5,6 +5,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from hardedge import TheoremReport, file_digest, render_csv, render_json, write_report
 from hardedge.reports import run_id_for
@@ -67,6 +68,34 @@ def test_write_report_and_manifest(tmp_path):
     assert manifest["artifacts"]["toy.json"] == file_digest(paths["json"])
     raw = paths["csv"].read_bytes()
     assert file_digest(paths["csv"]) == hashlib.sha256(raw).hexdigest()
+
+
+def test_manifest_merges_reports_in_one_directory(tmp_path):
+    first = write_report(toy_report(), tmp_path)
+    second = write_report(toy_report(theorem="other", config={"seed": 2}), tmp_path)
+    manifest = json.loads(second["manifest"].read_text())
+    assert manifest["artifacts"] == {
+        "toy.json": file_digest(first["json"]),
+        "toy.csv": file_digest(first["csv"]),
+        "other.json": file_digest(second["json"]),
+        "other.csv": file_digest(second["csv"]),
+    }
+    assert manifest["config"] == {"seed": 2}
+    # rewriting a report replaces its digests and leaves no temporary file
+    write_report(toy_report(summary={"count": 3}), tmp_path)
+    manifest = json.loads(second["manifest"].read_text())
+    assert manifest["artifacts"]["toy.json"] == file_digest(first["json"])
+    assert len(manifest["artifacts"]) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["manifest.json", "toy.json", "toy.csv", "other.json", "other.csv"]
+    )
+
+
+def test_unreadable_manifest_is_not_overwritten(tmp_path):
+    (tmp_path / "manifest.json").write_text("{not json", encoding="utf-8")
+    with pytest.raises(ValueError, match="manifest"):
+        write_report(toy_report(), tmp_path)
+    assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == "{not json"
 
 
 def test_write_report_custom_name(tmp_path):

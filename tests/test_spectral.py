@@ -15,7 +15,6 @@ from hardedge import (
     SpectralDecomposition,
     Window,
     counting_bound,
-    count_in_window,
     decompose,
     eigenvalue_count,
     eigenvalues_only,
@@ -23,7 +22,6 @@ from hardedge import (
     eigenvector_identity_scan,
     interlacing_check,
     minor_eigenvalues,
-    near_zero_count,
     sample_matrix,
 )
 from hardedge.spectral import DecompositionError
@@ -87,19 +85,6 @@ def test_eigenvalue_count_inclusive_endpoints():
     assert eigenvalue_count(eigs, Window(0.2, 0.1)) == 2
     assert eigenvalue_count(eigs, Window(0.05, 0.01)) == 0
     assert eigenvalue_count(eigs, Window(0.0, 2.0)) == 5
-
-
-def test_count_in_window_and_near_zero():
-    d = decompose(make_sample(48, seed=2))
-    w = Window(0.5, 1.0)
-    assert count_in_window(d, w).count == eigenvalue_count(d.eigenvalues, w)
-    # K/N^2 interval, compare against a direct scan
-    result = near_zero_count(d, 4.0)
-    cutoff = 4.0 / 48**2
-    assert result.count == int(np.sum(d.eigenvalues <= cutoff))
-    assert result.window.energy == 0.0
-    with pytest.raises(ValueError):
-        near_zero_count(d, 0.0)
 
 
 def test_counting_bound_single_eigenvalue():
