@@ -54,21 +54,16 @@ from .mp import (
 )
 from .reports import Manifest, file_digest, render_csv, render_json, write_report
 from .resolvent import (
-    ErrorTerms,
-    KernelStats,
     ResolventDiagonal,
-    consistency_residual,
     empirical_stieltjes,
-    leave_one_out_errors,
     resolvent_diag_leave_one_out,
     resolvent_diag_schur,
     resolvent_diagonal,
-    self_consistency_residual,
-    trace_kernel_norm,
 )
 from .spectral import (
     DecompositionError,
     IdentityResidual,
+    MinorBasis,
     SpectralDecomposition,
     counting_bound,
     decompose,
@@ -77,6 +72,7 @@ from .spectral import (
     eigenvector_identity_residual,
     eigenvector_identity_scan,
     interlacing_check,
+    minor_basis,
     minor_eigenvalues,
 )
 
@@ -98,15 +94,14 @@ __all__ = [
     "derive_trial_seed", "sample_matrix", "check_entry_statistics",
     "write_sample", "read_sample",
     # spectral
-    "SpectralDecomposition", "DecompositionError", "IdentityResidual",
-    "decompose", "eigenvalues_only", "minor_eigenvalues", "eigenvalue_count",
+    "SpectralDecomposition", "DecompositionError", "IdentityResidual", "MinorBasis",
+    "decompose", "eigenvalues_only", "minor_eigenvalues", "minor_basis", "eigenvalue_count",
     "counting_bound", "interlacing_check",
     "eigenvector_identity_scan", "eigenvector_identity_residual",
     # resolvent
-    "ResolventDiagonal", "ErrorTerms", "KernelStats",
+    "ResolventDiagonal",
     "empirical_stieltjes", "resolvent_diagonal", "resolvent_diag_leave_one_out",
-    "resolvent_diag_schur", "leave_one_out_errors", "trace_kernel_norm",
-    "consistency_residual", "self_consistency_residual",
+    "resolvent_diag_schur",
     # concentration
     "TailCurve", "MassProbe", "wilson_interval", "hw_tail_curve", "projection_mass_probe",
     # experiments

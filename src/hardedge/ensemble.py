@@ -187,8 +187,10 @@ def check_entry_statistics(sample: MatrixSample) -> tuple[float, float]:
     """Soft sanity check on the unscaled entries.
 
     |mean| <= 5/sqrt(2 N^2) and |mean(|x|^2) - 1| <= 10/N hold with
-    overwhelming probability; a violation raises at N >= 64 and only logs
-    below, where the bands are routinely crossed by honest draws.
+    overwhelming probability; a violation logs a warning.  It raises only at
+    N >= 64, and there only past the modulus band or past twice the mean band
+    (10 sigma): honest draws cross the 5-sigma mean band with probability
+    about exp(-12.5) ~ 4e-6 per matrix, which a long sweep does meet.
     Returns the two measured deviations.
     """
     n = sample.size
@@ -204,7 +206,7 @@ def check_entry_statistics(sample: MatrixSample) -> tuple[float, float]:
             f"|mean|={mean_dev:.3e} (band {mean_band:.3e}), "
             f"|mean|x|^2 - 1|={modsq_dev:.3e} (band {modsq_band:.3e})"
         )
-        if n >= 64:
+        if n >= 64 and (mean_dev > 2.0 * mean_band or modsq_dev > modsq_band):
             raise ValueError(msg)
         logger.warning(msg)
     return float(mean_dev), float(modsq_dev)

@@ -47,6 +47,7 @@ from .spectral import (
     eigenvalues_only,
     eigenvector_identity_scan,
     interlacing_check,
+    minor_basis,
 )
 
 __all__ = [
@@ -733,33 +734,34 @@ def run_identity_suite(
             sample = sample_matrix(spec, t)
             d = decompose(sample)
             n = spec.size
-            gram = sample.entries.conj().T @ sample.entries
-            loo_dev = 0.0
-            schur_dev = 0.0
-            mean_dev = 0.0
-            for p in points:
-                dense = np.linalg.inv(gram - p.theta * np.eye(n))
-                loo = np.array(
-                    [resolvent_diag_leave_one_out(sample, k, p) for k in range(n)]
-                )
-                schur = np.array(
-                    [resolvent_diag_schur(sample, k, p) for k in range(n)]
-                )
-                loo_dev = max(loo_dev, float(np.max(np.abs(loo - np.diag(dense)))))
-                schur_dev = max(schur_dev, float(np.max(np.abs(schur - np.diag(dense)))))
-                mean_dev = max(
-                    mean_dev, abs(np.mean(loo) - empirical_stieltjes(d, p))
-                )
-            inter = max(interlacing_check(d, k) for k in range(n))
+            # one minor SVD per column serves every theta and both identities
+            loo = np.empty((len(points), n), dtype=complex)
+            schur = np.empty_like(loo)
             resid = 0.0
             covered = 0
             total = 0
             for k in range(n):
-                for r in eigenvector_identity_scan(sample, k, decomposition=d):
+                minor = minor_basis(sample, k)
+                for i, p in enumerate(points):
+                    loo[i, k] = resolvent_diag_leave_one_out(minor, p)
+                    schur[i, k] = resolvent_diag_schur(minor, p)
+                for r in eigenvector_identity_scan(minor, decomposition=d):
                     total += 1
                     if r.covered:
                         covered += 1
                         resid = max(resid, r.residual)
+            gram = sample.entries.conj().T @ sample.entries
+            loo_dev = 0.0
+            schur_dev = 0.0
+            mean_dev = 0.0
+            for i, p in enumerate(points):
+                dense = np.diag(np.linalg.inv(gram - p.theta * np.eye(n)))
+                loo_dev = max(loo_dev, float(np.max(np.abs(loo[i] - dense))))
+                schur_dev = max(schur_dev, float(np.max(np.abs(schur[i] - dense))))
+                mean_dev = max(
+                    mean_dev, abs(np.mean(loo[i]) - empirical_stieltjes(d, p))
+                )
+            inter = max(interlacing_check(d, k) for k in range(n))
             count_ok = all(
                 eigenvalue_count(d.eigenvalues, w) <= counting_bound(d.eigenvalues, w)
                 for w in _IDENTITY_WINDOWS

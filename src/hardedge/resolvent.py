@@ -1,34 +1,19 @@
-"""Resolvent diagonals, leave-one-out identities, and their error terms.
+"""Resolvent diagonals and the leave-one-out identities behind them.
 
 The Gram matrices of X and of X with one column removed differ in a way the
-resolvent sees exactly:
+resolvent sees exactly: diagonal entries obey
 
-* diagonal entries obey
   G_kk = 1/(|w_k|^2 - theta - w_k* W_k (W_k*W_k - theta)^(-1) W_k* w_k)
        = -1/(theta (1 + w_k* (W_k W_k* - theta)^(-1) w_k)),
-  with W_k the matrix minus column k and w_k the removed (scaled) column;
 
-* the two Gram orderings of the minor share a spectrum except for one null
-  direction, so Tr (W_k W_k* - theta)^(-1) = -1/theta + Tr (W_k*W_k - theta)^(-1);
+with W_k the matrix minus column k and w_k the removed (scaled) column.
 
-* the minor trace follows from the full decomposition alone through
-  Tr (W_k*W_k - theta)^(-1) = Tr G - (G^2)_kk / G_kk.
-
-The quadratic form in the first identity is evaluated by expanding w_k in the
-complete left singular basis of W_k: the N-1 range directions carry the minor
-eigenvalues and the one extra (null) direction carries eigenvalue 0, whose
+Both forms are evaluated from the minor's complete left singular basis
+(`spectral.minor_basis`, one SVD per column, shared by every spectral point).
+The two Gram orderings of the minor share a spectrum except for one null
+direction, so the second form runs over the N-1 range directions with the
+minor eigenvalues and the one extra (null) direction with eigenvalue 0, whose
 contribution |<null, w_k>|^2 / (0 - theta) must not be dropped.
-
-Error terms for the self-consistency analysis, one per column,
-
-    value_k = sqrt(E) * (w_k* (W_k W_k* - theta)^(-1) w_k - (1/N) Tr (W_k W_k* - theta)^(-1))
-            + sqrt(E) * ((1/N) Tr (W_k W_k* - theta)^(-1) - (1/N) Tr G)
-
-are computed for all k at once from one full decomposition via the exact
-identities above (cost O(N^2) after the SVD instead of N minor SVDs).  The
-second summand equals sqrt(E)/N * (-1/theta - (G^2)_kk/G_kk) and is capped
-deterministically by 4 sqrt(E)/(N eta), since |1/theta| <= 1/eta and
-|(G^2)_kk| <= Im(G_kk)/eta <= |G_kk|/eta.
 """
 
 from __future__ import annotations
@@ -38,25 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import MatrixSample, column_vector, remove_column
 from .mp import SpectralPoint
-from .spectral import DecompositionError, SpectralDecomposition, decompose
+from .spectral import MinorBasis, SpectralDecomposition
 
 __all__ = [
     "ResolventDiagonal",
-    "ErrorTerms",
-    "KernelStats",
     "empirical_stieltjes",
     "resolvent_diagonal",
     "resolvent_diag_leave_one_out",
     "resolvent_diag_schur",
-    "leave_one_out_errors",
-    "trace_kernel_norm",
-    "consistency_residual",
-    "self_consistency_residual",
 ]
-
-TRACE_GAP_CONSTANT = 4.0
 
 
 def _eigs_of(d) -> np.ndarray:
@@ -79,43 +55,6 @@ class ResolventDiagonal:
         return _csum(self.values) / len(self.values)
 
 
-@dataclass(frozen=True)
-class ErrorTerms:
-    """Per-column error terms at one spectral point.
-
-    trace_terms is the deterministic trace-gap summand of each value;
-    every |trace_terms[k]| is capped by trace_bound.
-    """
-
-    point: SpectralPoint
-    values: np.ndarray
-    trace_terms: np.ndarray
-    trace_bound: float
-
-    @property
-    def trace_bound_ok(self) -> bool:
-        return bool(np.max(np.abs(self.trace_terms)) <= self.trace_bound)
-
-
-@dataclass(frozen=True)
-class KernelStats:
-    """Exact squared Frobenius norm (E/N^2) sum 1/|t - theta|^2 of the
-    leave-one-out kernel, split over the three hard-edge/middle/bulk regions."""
-
-    point: SpectralPoint
-    size: int
-    trace_aa: float
-    region_hard: float
-    region_middle: float
-    region_bulk: float
-    hard_cutoff: float
-    b: float
-
-    @property
-    def split_sum(self) -> float:
-        return self.region_hard + self.region_middle + self.region_bulk
-
-
 def empirical_stieltjes(d, point: SpectralPoint) -> complex:
     """(1/N) sum 1/(s_a - theta), exactly-rounded summation in index order."""
     eigs = _eigs_of(d)
@@ -132,122 +71,22 @@ def resolvent_diagonal(d: SpectralDecomposition, point: SpectralPoint) -> Resolv
     return ResolventDiagonal(point=point, values=values)
 
 
-def _left_basis_full(sample: MatrixSample, k: int):
-    """Complete left singular basis of the k-minor: (minor eigenvalues,
-    range vectors, null vector)."""
-    minor = remove_column(sample, k)
-    try:
-        u, sing, _ = np.linalg.svd(minor, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(sample, exc) from exc
-    n = sample.size
-    return sing**2, u[:, : n - 1], u[:, n - 1] if n > 1 else None
-
-
-def resolvent_diag_leave_one_out(sample: MatrixSample, k: int, point: SpectralPoint) -> complex:
+def resolvent_diag_leave_one_out(minor: MinorBasis, point: SpectralPoint) -> complex:
     """G_kk through the removed-column identity, never touching the full matrix.
 
     The quadratic form runs over the complete left basis of the minor,
     null direction included.
     """
     theta = point.theta
-    w = column_vector(sample, k)
-    t, basis, null_vec = _left_basis_full(sample, k)
-    quad = 0j
-    if len(t):
-        coeff = np.abs(basis.conj().T @ w) ** 2
-        quad += _csum(coeff / (t - theta))
-    if null_vec is not None:
-        quad += abs(np.vdot(null_vec, w)) ** 2 / (0.0 - theta)
-    elif len(t) == 0:
-        # N = 1: the minor is empty, w lies entirely in the null space
-        quad += abs(w[0]) ** 2 / (0.0 - theta)
+    quad = _csum(minor.weights / (minor.eigenvalues - theta))
+    quad += minor.null_weight / (0.0 - theta)
     return -1.0 / (theta * (1.0 + quad))
 
 
-def resolvent_diag_schur(sample: MatrixSample, k: int, point: SpectralPoint) -> complex:
+def resolvent_diag_schur(minor: MinorBasis, point: SpectralPoint) -> complex:
     """G_kk through the Schur complement form 1/(|w|^2 - theta - w* W (W*W - theta)^(-1) W* w)."""
     theta = point.theta
-    w = column_vector(sample, k)
-    t, basis, _ = _left_basis_full(sample, k)
-    norm_sq = float(np.sum(np.abs(w) ** 2))
-    form = 0j
-    if len(t):
-        coeff = np.abs(basis.conj().T @ w) ** 2
-        form = _csum(coeff * t / (t - theta))
+    t = minor.eigenvalues
+    norm_sq = float(np.sum(np.abs(minor.column) ** 2))
+    form = _csum(minor.weights * t / (t - theta))
     return 1.0 / (norm_sq - theta - form)
-
-
-def leave_one_out_errors(
-    sample: MatrixSample,
-    point: SpectralPoint,
-    decomposition: SpectralDecomposition | None = None,
-) -> ErrorTerms:
-    """Error terms for every column from one full decomposition (exact algebra)."""
-    d = decomposition if decomposition is not None else decompose(sample)
-    n = d.size
-    theta = point.theta
-    sqrt_e = math.sqrt(point.energy)
-    g = 1.0 / (d.eigenvalues - theta)
-    weights = np.abs(d.eigenvectors) ** 2
-    g_kk = weights @ g
-    g2_kk = weights @ (g * g)
-    tr_g = _csum(g)
-    quad = -1.0 / (theta * g_kk) - 1.0
-    trace_terms = (sqrt_e / n) * (-1.0 / theta - g2_kk / g_kk)
-    values = sqrt_e * (quad - tr_g / n)
-    return ErrorTerms(
-        point=point,
-        values=values,
-        trace_terms=trace_terms,
-        trace_bound=TRACE_GAP_CONSTANT * sqrt_e / (n * point.eta),
-    )
-
-
-def trace_kernel_norm(
-    minor_eigenvalues: np.ndarray, point: SpectralPoint, b: float = 4.0
-) -> KernelStats:
-    """Exact kernel norm (E/N^2) sum_a |t_a - theta|^(-2) over a minor spectrum,
-    with its three-region split (hard edge, dyadic middle, bulk above E/2).
-
-    N is the full matrix size, i.e. one more than the minor length.
-    """
-    t = np.asarray(minor_eigenvalues, dtype=float)
-    if t.ndim != 1 or len(t) == 0:
-        raise ValueError("minor spectrum must be a nonempty 1-d array")
-    if b <= 0:
-        raise ValueError(f"b must be positive, got {b}")
-    n = len(t) + 1
-    energy = point.energy
-    if energy <= 0:
-        raise ValueError(f"kernel norm needs E > 0, got {energy}")
-    terms = (energy / n**2) / np.abs(t - point.theta) ** 2
-    cutoff = math.log(n) ** b / n**2
-    # strict partition even when the hard cutoff reaches past E/2 (tiny N)
-    hard = t <= cutoff
-    bulk = (t > energy / 2.0) & ~hard
-    middle = ~hard & ~bulk
-    return KernelStats(
-        point=point,
-        size=n,
-        trace_aa=math.fsum(terms),
-        region_hard=math.fsum(terms[hard]),
-        region_middle=math.fsum(terms[middle]),
-        region_bulk=math.fsum(terms[bulk]),
-        hard_cutoff=cutoff,
-        b=b,
-    )
-
-
-def consistency_residual(delta_n: complex, point: SpectralPoint) -> float:
-    """|Delta_N + 1/(theta (Delta_N + 1))|, the defect in the law's fixed-point equation."""
-    if abs(delta_n + 1.0) <= 1e-12:
-        raise ValueError(
-            f"empirical transform {delta_n} is within 1e-12 of the pole at -1; "
-            "the residual is not defined there"
-        )
-    return abs(delta_n + 1.0 / (point.theta * (delta_n + 1.0)))
-
-
-def self_consistency_residual(d, point: SpectralPoint) -> float:
-    return consistency_residual(empirical_stieltjes(d, point), point)

@@ -16,16 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import MatrixSample, remove_column, unscaled_column
+from .ensemble import MatrixSample, column_vector, remove_column, unscaled_column
 from .mp import Window
 
 __all__ = [
     "DecompositionError",
     "SpectralDecomposition",
     "IdentityResidual",
+    "MinorBasis",
     "decompose",
     "eigenvalues_only",
     "minor_eigenvalues",
+    "minor_basis",
     "eigenvalue_count",
     "counting_bound",
     "interlacing_check",
@@ -105,6 +107,27 @@ class IdentityResidual:
     min_gap: float
 
 
+@dataclass(frozen=True)
+class MinorBasis:
+    """Left spectral data of the k-minor W_k (X with column k removed) from
+    one full SVD, shared by every spectral point and identity at column k.
+
+    eigenvalues holds the N-1 minor eigenvalues in LAPACK's descending order;
+    vectors is the complete N x N left basis, whose first N-1 columns match
+    them and whose last column spans the null direction.  weights and
+    null_weight are |<v_b, w_k>|^2 for the range and null vectors, w_k being
+    the removed scaled column.
+    """
+
+    source: MatrixSample
+    k: int
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    column: np.ndarray
+    weights: np.ndarray
+    null_weight: float
+
+
 def decompose(sample: MatrixSample) -> SpectralDecomposition:
     """Full decomposition of X*X via the SVD of X (eigenvalues ascending)."""
     try:
@@ -135,6 +158,26 @@ def minor_eigenvalues(sample: MatrixSample, k: int) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(sample, exc) from exc
     return (sing[::-1] ** 2).copy()
+
+
+def minor_basis(sample: MatrixSample, k: int) -> MinorBasis:
+    """The k-minor's eigenvalues, complete left basis and removed column."""
+    minor = remove_column(sample, k)
+    try:
+        u, sing, _ = np.linalg.svd(minor, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(sample, exc) from exc
+    n = sample.size
+    w = column_vector(sample, k)
+    return MinorBasis(
+        source=sample,
+        k=k,
+        eigenvalues=sing**2,
+        vectors=u,
+        column=w,
+        weights=np.abs(u[:, : n - 1].conj().T @ w) ** 2,
+        null_weight=abs(np.vdot(u[:, n - 1], w)) ** 2,
+    )
 
 
 def eigenvalue_count(eigenvalues: np.ndarray, window: Window) -> int:
@@ -168,35 +211,26 @@ def interlacing_check(decomposition: SpectralDecomposition, k: int) -> float:
     return max(below, above, 0.0)
 
 
-def _minor_left_basis(sample: MatrixSample, k: int):
-    """Thin SVD pieces of the k-minor: ascending eigenvalues and the matching
-    left singular vectors (columns, in C^N)."""
-    minor = remove_column(sample, k)
-    try:
-        u, sing, _ = np.linalg.svd(minor, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(sample, exc) from exc
-    order = np.argsort(sing**2, kind="stable")
-    return (sing**2)[order], u[:, order]
-
-
 def eigenvector_identity_scan(
-    sample: MatrixSample,
-    k: int,
+    minor: MinorBasis,
     gap_tol: float = DEFAULT_GAP_TOL,
     decomposition: SpectralDecomposition | None = None,
 ) -> list[IdentityResidual]:
-    """Identity residuals for every eigenvector at one removed column.
+    """Identity residuals for every eigenvector at the minor's removed column.
 
     |u_a(k)|^2 must equal 1/(1 + (1/N) sum_b t_b |<v_b, x_k>|^2 / (s_a - t_b)^2)
     where (t_b, v_b) is the left spectral data of the k-minor and x_k the
     unscaled removed column.  Pairs whose full/minor gap falls below
     gap_tol * (1 + s_max) are reported uncovered and carry no accuracy claim.
     """
+    sample, k = minor.source, minor.k
     d = decomposition if decomposition is not None else decompose(sample)
     n = sample.size
-    t, basis = _minor_left_basis(sample, k)
-    weights = t * np.abs(basis.conj().T @ unscaled_column(sample, k)) ** 2
+    # ascending order kept on purpose: BLAS rounds each entry of basis^H x
+    # differently by column position, and the reports pin these bits
+    order = np.argsort(minor.eigenvalues, kind="stable")
+    t = minor.eigenvalues[order]
+    weights = t * np.abs(minor.vectors[:, order].conj().T @ unscaled_column(sample, k)) ** 2
     cutoff = gap_tol * (1.0 + d.top)
     out = []
     for alpha in range(n):
@@ -228,5 +262,5 @@ def eigenvector_identity_residual(
 ) -> IdentityResidual:
     if not 0 <= alpha < sample.size:
         raise IndexError(f"eigenvalue index {alpha} out of range for size {sample.size}")
-    return eigenvector_identity_scan(sample, k, gap_tol, decomposition)[alpha]
+    return eigenvector_identity_scan(minor_basis(sample, k), gap_tol, decomposition)[alpha]
 

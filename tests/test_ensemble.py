@@ -147,6 +147,24 @@ def test_entry_statistics_reject_doctored_large_n():
         check_entry_statistics(doctored)
 
 
+def test_entry_statistics_six_sigma_mean_warns_without_raising(caplog):
+    # an honest N=64 draw shifted so its mean sits at 6 sigma: rare (about
+    # exp(-18) per matrix) but no defect; only 10 sigma or a bad modulus raises
+    n = 64
+    sigma = 1.0 / math.sqrt(2 * n * n)
+    x = sample_matrix(spec_of(n), 2).entries * math.sqrt(n)
+    doctored = MatrixSample(
+        entries=(x - np.mean(x) + 6.0 * sigma) / math.sqrt(n),
+        spec=spec_of(n),
+        trial_index=0,
+    )
+    with caplog.at_level(logging.WARNING):
+        mean_dev, modsq_dev = check_entry_statistics(doctored)
+    assert mean_dev == pytest.approx(6.0 * sigma)
+    assert modsq_dev <= 10.0 / n
+    assert any("entry statistics" in r.message for r in caplog.records)
+
+
 def test_entry_statistics_warn_below_threshold(caplog):
     doctored = MatrixSample(
         entries=np.full((8, 8), 0.9 + 0.0j) / math.sqrt(8),

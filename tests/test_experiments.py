@@ -394,6 +394,22 @@ def test_identity_suite_thread_count_invisible(identity_report):
     assert pooled.rows == identity_report.rows
 
 
+def test_identity_suite_one_minor_svd_per_column(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    run_identity_suite(sizes=(8,), trials=2, seed=7)
+    # per trial: the decomposition, then per column one full minor SVD shared
+    # by every theta and identity, and one sigma-only SVD for interlacing
+    assert len(calls) == 2 * (1 + 8 + 8)
+    assert calls.count(False) == 2 * 8
+
+
 def test_identity_suite_rejects_zero_trials():
     with pytest.raises(ConfigError, match="trials"):
         run_identity_suite(sizes=(8,), trials=0)

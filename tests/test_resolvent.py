@@ -1,33 +1,22 @@
 """Resolvent identities against dense-inversion oracles.
 
-Everything here is exact linear algebra, so tolerances are rounding-level;
-the one Monte Carlo check (kernel norm magnitude) uses the calibrated
-constant 8 documented in the experiments module.
+Everything here is exact linear algebra, so tolerances are rounding-level.
 """
 
-import math
-
 import numpy as np
-import pytest
 
 from hardedge import (
     EnsembleSpec,
     EntryDistribution,
     SpectralPoint,
-    consistency_residual,
     decompose,
     empirical_stieltjes,
-    leave_one_out_errors,
-    mp_stieltjes,
+    minor_basis,
     resolvent_diag_leave_one_out,
     resolvent_diag_schur,
     resolvent_diagonal,
     sample_matrix,
-    self_consistency_residual,
-    trace_kernel_norm,
 )
-from hardedge.ensemble import remove_column, column_vector
-from hardedge.spectral import minor_eigenvalues
 
 GAUSS = EntryDistribution("complex-gaussian")
 
@@ -83,8 +72,9 @@ def test_leave_one_out_diagonal_matches_dense():
         for p in THETA_GRID:
             dense_diag = np.diag(dense_resolvent(s, p))
             for k in range(n):
-                loo = resolvent_diag_leave_one_out(s, k, p)
-                schur = resolvent_diag_schur(s, k, p)
+                minor = minor_basis(s, k)
+                loo = resolvent_diag_leave_one_out(minor, p)
+                schur = resolvent_diag_schur(minor, p)
                 assert abs(loo - dense_diag[k]) < 1e-9, (n, k, p)
                 assert abs(schur - dense_diag[k]) < 1e-9, (n, k, p)
 
@@ -93,130 +83,6 @@ def test_leave_one_out_size_one():
     s = make_sample(1, seed=9)
     p = SpectralPoint(1.0, 0.5)
     expected = 1.0 / (abs(s.entries[0, 0]) ** 2 - p.theta)
-    assert abs(resolvent_diag_leave_one_out(s, 0, p) - expected) < 1e-14
-    assert abs(resolvent_diag_schur(s, 0, p) - expected) < 1e-14
-
-
-def direct_error_terms(sample, point):
-    """Oracle: build the minor explicitly and evaluate both summands."""
-    n = sample.size
-    theta = point.theta
-    sqrt_e = math.sqrt(point.energy)
-    tr_full = np.trace(dense_resolvent(sample, point))
-    values = np.empty(n, dtype=complex)
-    traces = np.empty(n, dtype=complex)
-    for k in range(n):
-        minor = remove_column(sample, k)
-        left = np.linalg.inv(minor @ minor.conj().T - theta * np.eye(n))
-        w = column_vector(sample, k)
-        quad = w.conj() @ left @ w
-        values[k] = sqrt_e * (quad - tr_full / n)
-        traces[k] = (sqrt_e / n) * (np.trace(left) - tr_full)
-    return values, traces
-
-
-@pytest.mark.parametrize("n,seed", [(10, 6), (16, 7)])
-def test_error_terms_dual_route(n, seed):
-    s = make_sample(n, seed=seed)
-    for p in (SpectralPoint(0.5, 0.05), SpectralPoint(2.0, 0.1), SpectralPoint(3.5, 0.4)):
-        terms = leave_one_out_errors(s, p)
-        oracle_values, oracle_traces = direct_error_terms(s, p)
-        assert np.max(np.abs(terms.values - oracle_values)) < 1e-9
-        assert np.max(np.abs(terms.trace_terms - oracle_traces)) < 1e-9
-
-
-def test_trace_term_deterministic_bound_thousand_trials():
-    # constant 4 in the bound |trace term| <= 4 sqrt(E)/(N eta)
-    p = SpectralPoint(2.0, 0.1)
-    spec = EnsembleSpec(size=8, distribution=GAUSS, master_seed=123)
-    worst_ratio = 0.0
-    for trial in range(1000):
-        terms = leave_one_out_errors(sample_matrix(spec, trial), p)
-        top = float(np.max(np.abs(terms.trace_terms)))
-        worst_ratio = max(worst_ratio, top / terms.trace_bound)
-        assert terms.trace_bound_ok
-    assert worst_ratio <= 1.0
-    # the bound is doing work: the biggest observed term is within a factor 8 of it
-    assert worst_ratio > 1.0 / 8.0
-
-
-def test_trace_bound_formula():
-    s = make_sample(20, seed=8)
-    p = SpectralPoint(1.5, 0.25)
-    terms = leave_one_out_errors(s, p)
-    assert terms.trace_bound == pytest.approx(4.0 * math.sqrt(1.5) / (20 * 0.25))
-
-
-def test_kernel_norm_single_eigenvalue():
-    # one minor eigenvalue exactly at E: (E/N^2)/eta^2 with N = 2
-    stats = trace_kernel_norm(np.array([1.0]), SpectralPoint(1.0, 0.2))
-    assert stats.size == 2
-    assert stats.trace_aa == pytest.approx((1.0 / 4.0) / 0.04)
-
-
-def test_kernel_norm_region_partition():
-    # crafted spectrum: one hard-edge value, one middle, one bulk
-    point = SpectralPoint(2.0, 0.5)
-    spectrum = np.array([1e-9, 0.4, 3.0])
-    stats = trace_kernel_norm(spectrum, point, b=4.0)
-    n = 4
-    assert stats.hard_cutoff == pytest.approx(math.log(n) ** 4 / n**2)
-    assert spectrum[0] <= stats.hard_cutoff < spectrum[1]
-    terms = (2.0 / n**2) / np.abs(spectrum - point.theta) ** 2
-    assert stats.region_hard == pytest.approx(terms[0])
-    assert stats.region_middle == pytest.approx(terms[1])
-    assert stats.region_bulk == pytest.approx(terms[2])
-    assert stats.split_sum == pytest.approx(stats.trace_aa, abs=1e-18)
-
-
-def test_kernel_norm_partition_when_cutoff_crosses_bulk():
-    # at tiny N the hard cutoff can exceed E/2; regions must stay a partition
-    point = SpectralPoint(0.2, 0.1)
-    spectrum = np.array([0.15, 0.19])
-    stats = trace_kernel_norm(spectrum, point, b=4.0)
-    assert stats.split_sum == pytest.approx(stats.trace_aa, abs=1e-18)
-
-
-def test_kernel_norm_validation():
-    with pytest.raises(ValueError):
-        trace_kernel_norm(np.array([]), SpectralPoint(1.0, 0.1))
-    with pytest.raises(ValueError):
-        trace_kernel_norm(np.array([1.0]), SpectralPoint(1.0, 0.1), b=0.0)
-    with pytest.raises(ValueError):
-        trace_kernel_norm(np.array([1.0]), SpectralPoint(0.0, 0.1))
-
-
-def test_kernel_norm_matches_real_minor():
-    s = make_sample(32, seed=10)
-    p = SpectralPoint(2.0, 0.1)
-    t = minor_eigenvalues(s, 0)
-    stats = trace_kernel_norm(t, p)
-    direct = (2.0 / 32**2) * math.fsum(1.0 / abs(x - p.theta) ** 2 for x in t)
-    assert stats.trace_aa == pytest.approx(direct, rel=1e-14)
-
-
-def test_kernel_norm_calibrated_magnitude():
-    # N=512 at theta = 2 + 0.1i: trace_AA <= 8 sqrt(E)/(N eta) in >= 99% of 500 trials
-    p = SpectralPoint(2.0, 0.1)
-    spec = EnsembleSpec(size=512, distribution=GAUSS, master_seed=2024)
-    cap = 8.0 * math.sqrt(2.0) / (512 * 0.1)
-    hits = 0
-    for trial in range(500):
-        t = minor_eigenvalues(sample_matrix(spec, trial), 0)
-        if trace_kernel_norm(t, p).trace_aa <= cap:
-            hits += 1
-    assert hits >= 495
-
-
-def test_consistency_residual():
-    s = make_sample(256, seed=11)
-    d = decompose(s)
-    p = SpectralPoint(2.0, 0.1)
-    delta_n = empirical_stieltjes(d, p)
-    r = self_consistency_residual(d, p)
-    assert r == pytest.approx(abs(delta_n + 1.0 / (p.theta * (delta_n + 1.0))))
-    assert r < 0.5
-    # the limit itself has zero residual
-    assert consistency_residual(mp_stieltjes(p), p) < 1e-14
-    with pytest.raises(ValueError):
-        consistency_residual(-1.0 + 1e-13j, p)
+    minor = minor_basis(s, 0)
+    assert abs(resolvent_diag_leave_one_out(minor, p) - expected) < 1e-14
+    assert abs(resolvent_diag_schur(minor, p) - expected) < 1e-14

@@ -21,9 +21,11 @@ from hardedge import (
     eigenvector_identity_residual,
     eigenvector_identity_scan,
     interlacing_check,
+    minor_basis,
     minor_eigenvalues,
     sample_matrix,
 )
+from hardedge.ensemble import remove_column
 from hardedge.spectral import DecompositionError
 
 GAUSS = EntryDistribution("complex-gaussian")
@@ -115,12 +117,29 @@ def test_minor_eigenvalues_shape():
     assert np.all(np.diff(t) >= 0.0)
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_minor_basis_reuses_thin_svd_bits(n):
+    # the identity suite's report rows rely on the full SVD repeating the
+    # thin SVD's eigenvalues and range vectors bit for bit
+    for trial in range(2):
+        s = make_sample(n, seed=n, trial=trial)
+        for k in range(n):
+            minor = minor_basis(s, k)
+            w_minor = remove_column(s, k)
+            u, sing, _ = np.linalg.svd(w_minor, full_matrices=False)
+            assert np.array_equal(minor.eigenvalues, sing**2)
+            assert np.array_equal(minor.vectors[:, : n - 1], u)
+            assert np.array_equal(minor.column, s.entries[:, k])
+            null = minor.vectors[:, n - 1]
+            assert np.max(np.abs(null.conj() @ w_minor)) < 1e-12
+
+
 def test_eigenvector_identity_full_scan():
     s = make_sample(16, seed=6)
     total = 0
     covered = 0
     for k in range(16):
-        for r in eigenvector_identity_scan(s, k):
+        for r in eigenvector_identity_scan(minor_basis(s, k)):
             total += 1
             if r.covered:
                 covered += 1
@@ -141,7 +160,7 @@ def test_eigenvector_identity_single():
 
 def test_eigenvector_identity_size_one():
     s = make_sample(1, seed=2)
-    (r,) = eigenvector_identity_scan(s, 0)
+    (r,) = eigenvector_identity_scan(minor_basis(s, 0))
     # empty minor: |u(0)|^2 = 1 and the identity right side is 1
     assert r.covered
     assert r.residual < 1e-15
