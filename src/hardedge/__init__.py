@@ -55,10 +55,12 @@ from .mp import (
 from .reports import Manifest, file_digest, render_csv, render_json, write_report
 from .resolvent import (
     ResolventDiagonal,
+    consistency_residual,
     empirical_stieltjes,
     resolvent_diag_leave_one_out,
     resolvent_diag_schur,
     resolvent_diagonal,
+    self_consistency_residual,
 )
 from .spectral import (
     DecompositionError,
@@ -101,7 +103,7 @@ __all__ = [
     # resolvent
     "ResolventDiagonal",
     "empirical_stieltjes", "resolvent_diagonal", "resolvent_diag_leave_one_out",
-    "resolvent_diag_schur",
+    "resolvent_diag_schur", "consistency_residual", "self_consistency_residual",
     # concentration
     "TailCurve", "MassProbe", "wilson_interval", "hw_tail_curve", "projection_mass_probe",
     # experiments

@@ -32,6 +32,8 @@ __all__ = [
     "resolvent_diagonal",
     "resolvent_diag_leave_one_out",
     "resolvent_diag_schur",
+    "consistency_residual",
+    "self_consistency_residual",
 ]
 
 
@@ -90,3 +92,17 @@ def resolvent_diag_schur(minor: MinorBasis, point: SpectralPoint) -> complex:
     norm_sq = float(np.sum(np.abs(minor.column) ** 2))
     form = _csum(minor.weights * t / (t - theta))
     return 1.0 / (norm_sq - theta - form)
+
+
+def consistency_residual(delta_n: complex, point: SpectralPoint) -> float:
+    """|Delta_N + 1/(theta (Delta_N + 1))|, the defect in the law's fixed-point equation."""
+    if abs(delta_n + 1.0) <= 1e-12:
+        raise ValueError(
+            f"empirical transform {delta_n} is within 1e-12 of the pole at -1; "
+            "the residual is not defined there"
+        )
+    return abs(delta_n + 1.0 / (point.theta * (delta_n + 1.0)))
+
+
+def self_consistency_residual(d, point: SpectralPoint) -> float:
+    return consistency_residual(empirical_stieltjes(d, point), point)

@@ -4,18 +4,22 @@ Everything here is exact linear algebra, so tolerances are rounding-level.
 """
 
 import numpy as np
+import pytest
 
 from hardedge import (
     EnsembleSpec,
     EntryDistribution,
     SpectralPoint,
+    consistency_residual,
     decompose,
     empirical_stieltjes,
     minor_basis,
+    mp_stieltjes,
     resolvent_diag_leave_one_out,
     resolvent_diag_schur,
     resolvent_diagonal,
     sample_matrix,
+    self_consistency_residual,
 )
 
 GAUSS = EntryDistribution("complex-gaussian")
@@ -86,3 +90,17 @@ def test_leave_one_out_size_one():
     minor = minor_basis(s, 0)
     assert abs(resolvent_diag_leave_one_out(minor, p) - expected) < 1e-14
     assert abs(resolvent_diag_schur(minor, p) - expected) < 1e-14
+
+
+def test_consistency_residual():
+    s = make_sample(256, seed=11)
+    d = decompose(s)
+    p = SpectralPoint(2.0, 0.1)
+    delta_n = empirical_stieltjes(d, p)
+    r = self_consistency_residual(d, p)
+    assert r == pytest.approx(abs(delta_n + 1.0 / (p.theta * (delta_n + 1.0))))
+    assert r < 0.5
+    # the limit itself has zero residual
+    assert consistency_residual(mp_stieltjes(p), p) < 1e-14
+    with pytest.raises(ValueError):
+        consistency_residual(-1.0 + 1e-13j, p)
