@@ -9,7 +9,8 @@ resolvent sees exactly: diagonal entries obey
 with W_k the matrix minus column k and w_k the removed (scaled) column.
 
 Both forms are evaluated from the minor's complete left singular basis
-(`spectral.minor_basis`, one SVD per column, shared by every spectral point).
+(`spectral.minor_basis`, one SVD per column, shared by every spectral point);
+each takes a sequence of points and evaluates them in one pass.
 The two Gram orderings of the minor share a spectrum except for one null
 direction, so the second form runs over the N-1 range directions with the
 minor eigenvalues and the one extra (null) direction with eigenvalue 0, whose
@@ -19,6 +20,7 @@ contribution |<null, w_k>|^2 / (0 - theta) must not be dropped.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +45,7 @@ def _eigs_of(d) -> np.ndarray:
 
 def _csum(values: np.ndarray) -> complex:
     """Exactly-rounded complex sum (fsum per part), fixed index order."""
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
 @dataclass(frozen=True)
@@ -73,25 +75,39 @@ def resolvent_diagonal(d: SpectralDecomposition, point: SpectralPoint) -> Resolv
     return ResolventDiagonal(point=point, values=values)
 
 
-def resolvent_diag_leave_one_out(minor: MinorBasis, point: SpectralPoint) -> complex:
-    """G_kk through the removed-column identity, never touching the full matrix.
+def _thetas(points: Sequence[SpectralPoint]) -> np.ndarray:
+    return np.array([p.theta for p in points], dtype=complex)[:, None]
+
+
+def resolvent_diag_leave_one_out(
+    minor: MinorBasis, points: Sequence[SpectralPoint]
+) -> np.ndarray:
+    """G_kk at each point through the removed-column identity, never touching
+    the full matrix.
 
     The quadratic form runs over the complete left basis of the minor,
-    null direction included.
+    null direction included.  The per-point tail stays in Python complex
+    arithmetic, whose division rounds differently from numpy's.
     """
-    theta = point.theta
-    quad = _csum(minor.weights / (minor.eigenvalues - theta))
-    quad += minor.null_weight / (0.0 - theta)
-    return -1.0 / (theta * (1.0 + quad))
+    quads = minor.weights / (minor.eigenvalues - _thetas(points))
+    out = np.empty(len(points), dtype=complex)
+    for i, p in enumerate(points):
+        theta = p.theta
+        quad = _csum(quads[i]) + minor.null_weight / (0.0 - theta)
+        out[i] = -1.0 / (theta * (1.0 + quad))
+    return out
 
 
-def resolvent_diag_schur(minor: MinorBasis, point: SpectralPoint) -> complex:
-    """G_kk through the Schur complement form 1/(|w|^2 - theta - w* W (W*W - theta)^(-1) W* w)."""
-    theta = point.theta
+def resolvent_diag_schur(minor: MinorBasis, points: Sequence[SpectralPoint]) -> np.ndarray:
+    """G_kk at each point through the Schur complement form
+    1/(|w|^2 - theta - w* W (W*W - theta)^(-1) W* w)."""
     t = minor.eigenvalues
     norm_sq = float(np.sum(np.abs(minor.column) ** 2))
-    form = _csum(minor.weights * t / (t - theta))
-    return 1.0 / (norm_sq - theta - form)
+    forms = minor.weights * t / (t - _thetas(points))
+    out = np.empty(len(points), dtype=complex)
+    for i, p in enumerate(points):
+        out[i] = 1.0 / (norm_sq - p.theta - _csum(forms[i]))
+    return out
 
 
 def consistency_residual(delta_n: complex, point: SpectralPoint) -> float:

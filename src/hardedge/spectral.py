@@ -232,19 +232,24 @@ def eigenvector_identity_scan(
     t = minor.eigenvalues[order]
     weights = t * np.abs(minor.vectors[:, order].conj().T @ unscaled_column(sample, k)) ** 2
     cutoff = gap_tol * (1.0 + d.top)
+    # one (alpha, b) grid per column; each covered row keeps its own fsum
+    gaps = d.eigenvalues[:, None] - t[None, :]
+    min_gaps = np.min(np.abs(gaps), axis=1).tolist() if len(t) else [math.inf] * n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # rows that divide by a zero gap are the uncovered ones, never summed
+        terms = weights / gaps**2
+    # squared in Python (C pow), which rounds unlike numpy's array square
+    lhs = [a**2 for a in np.abs(d.eigenvectors[k, :]).tolist()]
     out = []
-    for alpha in range(n):
-        gaps = d.eigenvalues[alpha] - t
-        min_gap = float(np.min(np.abs(gaps))) if len(t) else math.inf
+    for alpha, min_gap in enumerate(min_gaps):
         covered = min_gap >= cutoff
-        if covered and len(t):
-            rhs = 1.0 / (1.0 + math.fsum(weights / gaps**2) / n)
-        elif len(t) == 0:
-            rhs = 1.0
+        if len(t) == 0:
+            # empty minor: the right side is exactly 1
+            residual = abs(lhs[alpha] - 1.0)
+        elif covered:
+            residual = abs(lhs[alpha] - 1.0 / (1.0 + math.fsum(terms[alpha].tolist()) / n))
         else:
-            rhs = math.nan
-        lhs = float(np.abs(d.eigenvectors[k, alpha]) ** 2)
-        residual = abs(lhs - rhs) if covered or len(t) == 0 else math.inf
+            residual = math.inf
         out.append(
             IdentityResidual(
                 alpha=alpha, column=k, residual=residual, covered=covered, min_gap=min_gap

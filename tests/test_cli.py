@@ -136,6 +136,16 @@ def test_failed_verdict_exits_1(tmp_path, capsys):
     assert data["passed"] is False
 
 
+def test_deloc_empty_window_exits_1_with_nan_row(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"sizes": [2], "trials": 30, "kappa": 0.999, "scale_min": 2.447})
+    outdir = tmp_path / "reports"
+    code, out, _ = run(capsys, ["deloc", "--config", cfg, "--out", str(outdir)])
+    assert code == 1
+    assert any(line.startswith("FAIL N=2: no trial") for line in out.splitlines())
+    data = json.loads((outdir / "delocalization.json").read_text())
+    assert data["rows"][0]["median_over_ln"] == "nan"
+
+
 def test_config_error_exits_2_and_names_field(tmp_path, capsys):
     cfg = write_config(tmp_path, {**BASE, "kappa": 1.5})
     code, _, err = run(capsys, ["apriori", "--config", cfg])

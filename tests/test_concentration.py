@@ -14,10 +14,12 @@ from scipy.special import gammainc
 
 from hardedge import (
     EntryDistribution,
+    derive_trial_seed,
     hw_tail_curve,
     projection_mass_probe,
     wilson_interval,
 )
+from hardedge.ensemble import draw_entries
 
 GAUSS = EntryDistribution("complex-gaussian")
 RADEMACHER = EntryDistribution("rademacher-pair")
@@ -198,6 +200,25 @@ def test_projmass_deterministic():
     b = projection_mass_probe(3, 12, UNIFORM, 500, seed=13)
     assert a.probability == b.probability
     assert (a.ci_lo, a.ci_hi) == (b.ci_lo, b.ci_hi)
+
+
+def _haar_hits_per_trial(m, size, dist, trials, seed):
+    """Haar hit count one trial at a time, projecting through a QR basis."""
+    hits = 0
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=derive_trial_seed(seed, trial)))
+        x = draw_entries(rng, dist.kind, (size,))
+        q, _ = np.linalg.qr(rng.standard_normal((size, m)) + 1j * rng.standard_normal((size, m)))
+        hits += float(np.sum(np.abs(q.conj().T @ x) ** 2)) <= m / 2
+    return hits
+
+
+@pytest.mark.parametrize("dist", [UNIFORM, RADEMACHER], ids=lambda d: d.kind)
+@pytest.mark.parametrize("m, size, trials", [(1, 8, 33), (4, 16, 65), (8, 8, 40), (2, 2, 40)])
+def test_projmass_haar_chunks_match_per_trial_qr(dist, m, size, trials):
+    # trial counts off the chunk grid, m = 1 and m = size
+    probe = projection_mass_probe(m, size, dist, trials, seed=size + m, family="haar")
+    assert probe.probability == _haar_hits_per_trial(m, size, dist, trials, size + m) / trials
 
 
 def test_projmass_rejects_bad_arguments():

@@ -330,6 +330,20 @@ def test_delocalization_cap_failure(small_cfg):
     assert any("cap" in f for f in rep.failures)
 
 
+def test_delocalization_empty_window_reports_nan_row():
+    # at N=2 the window [lower, 4 - kappa] is about 1e-3 wide: no trial lands in it
+    cfg = ExperimentConfig(sizes=(2,), trials=30, kappa=0.999, scale_min=2.447)
+    rep = run_delocalization(cfg)
+    assert not rep.passed
+    assert any(f.startswith("N=2: no trial") for f in rep.failures)
+    (row,) = rep.rows
+    assert row["size"] == 2 and row["trials"] == 30
+    for column in ("median_max_supsq", "median_over_ln", "q95_over_ln", "max_over_ln",
+                   "statistic", "ci_lo", "ci_hi"):
+        assert math.isnan(row[column]), column
+    assert rep.summary["medians_over_ln"] == {}
+
+
 def test_delocalization_rejects_atomic_entries(small_cfg):
     cfg = dataclasses.replace(small_cfg, distribution="rademacher-pair")
     with pytest.raises(ConfigError, match="excluded"):

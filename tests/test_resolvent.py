@@ -3,6 +3,8 @@
 Everything here is exact linear algebra, so tolerances are rounding-level.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,14 +75,14 @@ def test_resolvent_diagonal_matches_dense():
 def test_leave_one_out_diagonal_matches_dense():
     for n, seed in ((12, 4), (16, 5)):
         s = make_sample(n, seed=seed)
-        for p in THETA_GRID:
-            dense_diag = np.diag(dense_resolvent(s, p))
-            for k in range(n):
-                minor = minor_basis(s, k)
-                loo = resolvent_diag_leave_one_out(minor, p)
-                schur = resolvent_diag_schur(minor, p)
-                assert abs(loo - dense_diag[k]) < 1e-9, (n, k, p)
-                assert abs(schur - dense_diag[k]) < 1e-9, (n, k, p)
+        dense_diags = [np.diag(dense_resolvent(s, p)) for p in THETA_GRID]
+        for k in range(n):
+            minor = minor_basis(s, k)
+            loo = resolvent_diag_leave_one_out(minor, THETA_GRID)
+            schur = resolvent_diag_schur(minor, THETA_GRID)
+            for i, p in enumerate(THETA_GRID):
+                assert abs(loo[i] - dense_diags[i][k]) < 1e-9, (n, k, p)
+                assert abs(schur[i] - dense_diags[i][k]) < 1e-9, (n, k, p)
 
 
 def test_leave_one_out_size_one():
@@ -88,8 +90,41 @@ def test_leave_one_out_size_one():
     p = SpectralPoint(1.0, 0.5)
     expected = 1.0 / (abs(s.entries[0, 0]) ** 2 - p.theta)
     minor = minor_basis(s, 0)
-    assert abs(resolvent_diag_leave_one_out(minor, p) - expected) < 1e-14
-    assert abs(resolvent_diag_schur(minor, p) - expected) < 1e-14
+    (loo,) = resolvent_diag_leave_one_out(minor, [p])
+    (schur,) = resolvent_diag_schur(minor, [p])
+    assert abs(loo - expected) < 1e-14
+    assert abs(schur - expected) < 1e-14
+
+
+def _scalar_leave_one_out(minor, point):
+    theta = point.theta
+    quad = _fsum_complex(minor.weights / (minor.eigenvalues - theta))
+    quad += minor.null_weight / (0.0 - theta)
+    return -1.0 / (theta * (1.0 + quad))
+
+
+def _scalar_schur(minor, point):
+    theta = point.theta
+    t = minor.eigenvalues
+    norm_sq = float(np.sum(np.abs(minor.column) ** 2))
+    return 1.0 / (norm_sq - theta - _fsum_complex(minor.weights * t / (t - theta)))
+
+
+def _fsum_complex(values):
+    return complex(math.fsum(values.real), math.fsum(values.imag))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_batched_points_equal_scalar_reference(n):
+    # one pass over the theta grid must repeat the per-point values bit for bit
+    for seed in range(3):
+        s = make_sample(n, seed=seed)
+        for k in range(n):
+            minor = minor_basis(s, k)
+            loo = resolvent_diag_leave_one_out(minor, THETA_GRID)
+            schur = resolvent_diag_schur(minor, THETA_GRID)
+            assert np.array_equal(loo, [_scalar_leave_one_out(minor, p) for p in THETA_GRID])
+            assert np.array_equal(schur, [_scalar_schur(minor, p) for p in THETA_GRID])
 
 
 def test_consistency_residual():

@@ -5,6 +5,7 @@ gram matrix) serves as the independent oracle for the SVD route.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from hardedge import (
     minor_eigenvalues,
     sample_matrix,
 )
-from hardedge.ensemble import remove_column
-from hardedge.spectral import DecompositionError
+from hardedge.ensemble import MatrixSample, remove_column, unscaled_column
+from hardedge.spectral import DecompositionError, IdentityResidual
 
 GAUSS = EntryDistribution("complex-gaussian")
 
@@ -164,6 +165,61 @@ def test_eigenvector_identity_size_one():
     # empty minor: |u(0)|^2 = 1 and the identity right side is 1
     assert r.covered
     assert r.residual < 1e-15
+
+
+def _per_alpha_scan(minor, gap_tol, d):
+    """The identity scan one eigenvalue index at a time."""
+    s, k, n = minor.source, minor.k, minor.source.size
+    order = np.argsort(minor.eigenvalues, kind="stable")
+    t = minor.eigenvalues[order]
+    weights = t * np.abs(minor.vectors[:, order].conj().T @ unscaled_column(s, k)) ** 2
+    cutoff = gap_tol * (1.0 + d.top)
+    out = []
+    for alpha in range(n):
+        gaps = d.eigenvalues[alpha] - t
+        min_gap = float(np.min(np.abs(gaps))) if len(t) else math.inf
+        covered = min_gap >= cutoff
+        lhs = float(np.abs(d.eigenvectors[k, alpha]) ** 2)
+        if len(t) == 0:
+            residual = abs(lhs - 1.0)
+        elif covered:
+            residual = abs(lhs - 1.0 / (1.0 + math.fsum(weights / gaps**2) / n))
+        else:
+            residual = math.inf
+        out.append(IdentityResidual(alpha, k, residual, covered, min_gap))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_eigenvector_identity_scan_matches_per_alpha(n):
+    for trial in range(3):
+        s = make_sample(n, seed=n + 1, trial=trial)
+        d = decompose(s)
+        for k in range(n):
+            minor = minor_basis(s, k)
+            for gap_tol in (1e-6, 0.05):
+                assert eigenvector_identity_scan(minor, gap_tol, d) == _per_alpha_scan(
+                    minor, gap_tol, d
+                )
+
+
+def test_eigenvector_identity_scan_uncovered_pair():
+    # a diagonal X shares every eigenvalue but one with its minor: those
+    # pairs are uncovered (residual inf) and their zero gaps raise no warning
+    spec = EnsembleSpec(size=4, distribution=GAUSS, master_seed=0)
+    entries = np.diag([0.5, 0.9, 1.3, 1.7]).astype(complex)
+    s = MatrixSample(entries=entries, spec=spec, trial_index=0)
+    d = decompose(s)
+    minor = minor_basis(s, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = eigenvector_identity_scan(minor, decomposition=d)
+    assert scan == _per_alpha_scan(minor, 1e-6, d)
+    uncovered = [r for r in scan if not r.covered]
+    assert len(uncovered) == 3
+    assert all(math.isinf(r.residual) for r in uncovered)
+    (covered,) = [r for r in scan if r.covered]
+    assert covered.residual < 1e-15
 
 
 def test_decomposition_error_carries_trial_identity():
