@@ -54,12 +54,10 @@ from .mp import (
 )
 from .reports import Manifest, file_digest, render_csv, render_json, write_report
 from .resolvent import (
-    ResolventDiagonal,
     consistency_residual,
     empirical_stieltjes,
     resolvent_diag_leave_one_out,
     resolvent_diag_schur,
-    resolvent_diagonal,
     self_consistency_residual,
 )
 from .spectral import (
@@ -71,7 +69,6 @@ from .spectral import (
     decompose,
     eigenvalue_count,
     eigenvalues_only,
-    eigenvector_identity_residual,
     eigenvector_identity_scan,
     interlacing_check,
     minor_basis,
@@ -99,10 +96,9 @@ __all__ = [
     "SpectralDecomposition", "DecompositionError", "IdentityResidual", "MinorBasis",
     "decompose", "eigenvalues_only", "minor_eigenvalues", "minor_basis", "eigenvalue_count",
     "counting_bound", "interlacing_check",
-    "eigenvector_identity_scan", "eigenvector_identity_residual",
+    "eigenvector_identity_scan",
     # resolvent
-    "ResolventDiagonal",
-    "empirical_stieltjes", "resolvent_diagonal", "resolvent_diag_leave_one_out",
+    "empirical_stieltjes", "resolvent_diag_leave_one_out",
     "resolvent_diag_schur", "consistency_residual", "self_consistency_residual",
     # concentration
     "TailCurve", "MassProbe", "wilson_interval", "hw_tail_curve", "projection_mass_probe",

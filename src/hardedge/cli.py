@@ -103,6 +103,25 @@ def _spectra_experiments() -> tuple:
     )
 
 
+def _direct_experiments() -> dict:
+    """The experiments that take their parameters as flags, looked up per call
+    like `_spectra_experiments`."""
+    return {
+        "hw": run_hw_experiment,
+        "projmass": run_projection_mass_experiment,
+        "identities": run_identity_suite,
+    }
+
+
+def _cmd_direct(args) -> int:
+    params = {
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in vars(args).items()
+        if key not in ("command", "func", "out")
+    }
+    return _emit(_direct_experiments()[args.command](**params), args.out)
+
+
 def _cmd_all(args) -> int:
     cfg = _config_from(args)
     return max(_emit(runner(cfg, threads=args.threads), args.out) for _, runner in _spectra_experiments())
@@ -155,39 +174,16 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_hw(args) -> int:
-    report = run_hw_experiment(
-        distribution=args.dist,
-        trials=args.trials,
-        seed=args.seed,
-        size=args.size,
-        deltas=tuple(args.deltas) if args.deltas else (1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0),
-        spectrum=args.spectrum,
-    )
-    return _emit(report, args.out)
-
-
-def _cmd_projmass(args) -> int:
-    report = run_projection_mass_experiment(
-        distribution=args.dist,
-        trials=args.trials,
-        seed=args.seed,
-        size=args.size,
-        m_grid=tuple(args.m_grid) if args.m_grid else (4, 9, 16, 25),
-        family=args.family,
-    )
-    return _emit(report, args.out)
-
-
-def _cmd_identities(args) -> int:
-    report = run_identity_suite(
-        sizes=tuple(args.n),
-        trials=args.trials,
-        seed=args.seed,
-        distribution=args.dist,
-        threads=args.threads,
-    )
-    return _emit(report, args.out)
+def _add_direct_parser(subs, name: str, help: str) -> argparse.ArgumentParser:
+    """Subcommand whose flags are named after the runner's parameters; an unset
+    flag stays out of the namespace, so the runner's signature holds the defaults."""
+    sub = subs.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+    sub.add_argument("--dist", dest="distribution", choices=KINDS)
+    sub.add_argument("--trials", type=int)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--out", default=_default_out(), metavar="DIR")
+    sub.set_defaults(func=_cmd_direct)
+    return sub
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -223,34 +219,19 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(every)
     every.set_defaults(func=_cmd_all)
 
-    hw = subs.add_parser("hw", help="quadratic-form tail shape experiment")
-    hw.add_argument("--dist", choices=KINDS, default="complex-gaussian")
-    hw.add_argument("--trials", type=int, default=10_000)
-    hw.add_argument("--seed", type=int, default=1)
-    hw.add_argument("--size", type=int, default=64)
+    hw = _add_direct_parser(subs, "hw", "quadratic-form tail shape experiment")
+    hw.add_argument("--size", type=int)
     hw.add_argument("--deltas", type=float, nargs="+")
     hw.add_argument("--spectrum", type=float, nargs="+")
-    hw.add_argument("--out", default=_default_out(), metavar="DIR")
-    hw.set_defaults(func=_cmd_hw)
 
-    projmass = subs.add_parser("projmass", help="projection mass lower-tail experiment")
-    projmass.add_argument("--dist", choices=KINDS, default="complex-gaussian")
-    projmass.add_argument("--trials", type=int, default=40_000)
-    projmass.add_argument("--seed", type=int, default=1)
-    projmass.add_argument("--size", type=int, default=64)
+    projmass = _add_direct_parser(subs, "projmass", "projection mass lower-tail experiment")
+    projmass.add_argument("--size", type=int)
     projmass.add_argument("--m-grid", type=int, nargs="+", dest="m_grid")
-    projmass.add_argument("--family", choices=("auto", "coordinate", "haar"), default="auto")
-    projmass.add_argument("--out", default=_default_out(), metavar="DIR")
-    projmass.set_defaults(func=_cmd_projmass)
+    projmass.add_argument("--family", choices=("auto", "coordinate", "haar"))
 
-    identities = subs.add_parser("identities", help="exact finite-N identity suite")
-    identities.add_argument("--n", type=int, nargs="+", default=[16, 32])
-    identities.add_argument("--trials", type=int, default=20)
-    identities.add_argument("--seed", type=int, default=1)
-    identities.add_argument("--dist", choices=KINDS, default="complex-gaussian")
-    identities.add_argument("--threads", type=int, default=1)
-    identities.add_argument("--out", default=_default_out(), metavar="DIR")
-    identities.set_defaults(func=_cmd_identities)
+    identities = _add_direct_parser(subs, "identities", "exact finite-N identity suite")
+    identities.add_argument("--n", type=int, nargs="+", dest="sizes", metavar="N")
+    identities.add_argument("--threads", type=int)
 
     return parser
 

@@ -98,6 +98,14 @@ def _as_operator(a) -> tuple[np.ndarray | None, np.ndarray | None, float, comple
     raise ValueError(f"matrix descriptor must be square 2-d or 1-d, got shape {arr.shape}")
 
 
+def _chunked_draws(kind: str, trials: int, width: int, seed: int):
+    """Yield trials x width entry draws in blocks of _CHUNK rows; block i has
+    its own stream, seeded derive_trial_seed(seed, i)."""
+    for index, start in enumerate(range(0, trials, _CHUNK)):
+        rng = np.random.Generator(np.random.Philox(key=derive_trial_seed(seed, index)))
+        yield draw_entries(rng, kind, (min(_CHUNK, trials - start), width))
+
+
 def hw_tail_curve(
     a,
     dist: EntryDistribution,
@@ -120,20 +128,12 @@ def hw_tail_curve(
     if deltas.ndim != 1 or len(deltas) == 0 or np.any(deltas < 0):
         raise ValueError("deltas must be a nonempty grid of nonnegative reals")
 
-    stats = np.empty(trials)
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        take = min(_CHUNK, trials - done)
-        rng = np.random.Generator(np.random.Philox(key=derive_trial_seed(seed, chunk_index)))
-        x = draw_entries(rng, dist.kind, (take, n))
+    def centered(x: np.ndarray) -> np.ndarray:
         if lam is not None:
-            s = (np.abs(x) ** 2 - 1.0) @ lam
-        else:
-            s = np.sum((x @ dense) * x.conj(), axis=1) - trace_a
-        stats[done : done + take] = np.abs(s)
-        done += take
-        chunk_index += 1
+            return (np.abs(x) ** 2 - 1.0) @ lam
+        return np.sum((x @ dense) * x.conj(), axis=1) - trace_a
+
+    stats = np.concatenate([np.abs(centered(x)) for x in _chunked_draws(dist.kind, trials, n, seed)])
 
     hits = np.array([int(np.sum(stats >= d)) for d in deltas])
     exceedance = hits / trials
@@ -188,18 +188,8 @@ def projection_mass_probe(
     threshold = m / 2.0
     hits = 0
     if family == "coordinate":
-        done = 0
-        chunk_index = 0
-        while done < trials:
-            take = min(_CHUNK, trials - done)
-            rng = np.random.Generator(
-                np.random.Philox(key=derive_trial_seed(seed, chunk_index))
-            )
-            x = draw_entries(rng, dist.kind, (take, m))
-            mass = np.sum(np.abs(x) ** 2, axis=1)
-            hits += int(np.sum(mass <= threshold))
-            done += take
-            chunk_index += 1
+        for x in _chunked_draws(dist.kind, trials, m, seed):
+            hits += int(np.sum(np.sum(np.abs(x) ** 2, axis=1) <= threshold))
     else:
         # each trial keeps its own stream: x first, then the family's draws;
         # the mass is the projection of x onto span(G), |P x|^2 = b^H (G^H G)^-1 b

@@ -25,9 +25,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import integrate
-
 __all__ = [
     "SUPPORT_RIGHT",
     "SpectralPoint",
@@ -232,6 +229,8 @@ def density_quadrature(
     integrates the density itself.  This is the independent oracle the
     closed forms are tested against.
     """
+    from scipy import integrate  # only the quadrature oracles need scipy
+
     lo = min(max(lo, 0.0), SUPPORT_RIGHT)
     hi = min(max(hi, 0.0), SUPPORT_RIGHT)
     if hi <= lo:

@@ -113,8 +113,8 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_report(report: TheoremReport, outdir, name: str | None = None) -> dict:
-    """Write {name}.json, {name}.csv, and manifest.json under outdir.
+def write_report(report: TheoremReport, outdir) -> dict:
+    """Write {theorem}.json, {theorem}.csv, and manifest.json under outdir.
 
     Returns {"json": path, "csv": path, "manifest": path}.  The manifest's
     artifact digests are merged with those of earlier reports in the same
@@ -130,9 +130,8 @@ def write_report(report: TheoremReport, outdir, name: str | None = None) -> dict
             artifacts = dict(json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{manifest_path}: cannot merge into an unreadable manifest: {exc}") from exc
-    base = name if name is not None else report.theorem
-    json_path = outdir / f"{base}.json"
-    csv_path = outdir / f"{base}.csv"
+    json_path = outdir / f"{report.theorem}.json"
+    csv_path = outdir / f"{report.theorem}.csv"
     _write_atomic(json_path, render_json(report))
     _write_atomic(csv_path, render_csv(report))
     artifacts[json_path.name] = file_digest(json_path)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +28,7 @@ from .mp import SpectralPoint
 from .spectral import MinorBasis, SpectralDecomposition
 
 __all__ = [
-    "ResolventDiagonal",
     "empirical_stieltjes",
-    "resolvent_diagonal",
     "resolvent_diag_leave_one_out",
     "resolvent_diag_schur",
     "consistency_residual",
@@ -48,31 +45,11 @@ def _csum(values: np.ndarray) -> complex:
     return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
-@dataclass(frozen=True)
-class ResolventDiagonal:
-    """All N diagonal resolvent entries of X*X at one spectral point."""
-
-    point: SpectralPoint
-    values: np.ndarray
-
-    def mean(self) -> complex:
-        return _csum(self.values) / len(self.values)
-
-
 def empirical_stieltjes(d, point: SpectralPoint) -> complex:
     """(1/N) sum 1/(s_a - theta), exactly-rounded summation in index order."""
     eigs = _eigs_of(d)
     theta = point.theta
     return _csum(1.0 / (eigs - theta)) / len(eigs)
-
-
-def resolvent_diagonal(d: SpectralDecomposition, point: SpectralPoint) -> ResolventDiagonal:
-    """All diagonal entries from the spectral route G_kk = sum_a |u_a(k)|^2/(s_a - theta)."""
-    g = 1.0 / (d.eigenvalues - point.theta)
-    values = (np.abs(d.eigenvectors) ** 2) @ g
-    if not np.all(values.imag > 0.0):
-        raise ArithmeticError(f"resolvent diagonal left the upper half plane at {point.theta}")
-    return ResolventDiagonal(point=point, values=values)
 
 
 def _thetas(points: Sequence[SpectralPoint]) -> np.ndarray:

@@ -31,7 +31,6 @@ __all__ = [
     "eigenvalue_count",
     "counting_bound",
     "interlacing_check",
-    "eigenvector_identity_residual",
     "eigenvector_identity_scan",
 ]
 
@@ -256,16 +255,4 @@ def eigenvector_identity_scan(
             )
         )
     return out
-
-
-def eigenvector_identity_residual(
-    sample: MatrixSample,
-    alpha: int,
-    k: int,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    decomposition: SpectralDecomposition | None = None,
-) -> IdentityResidual:
-    if not 0 <= alpha < sample.size:
-        raise IndexError(f"eigenvalue index {alpha} out of range for size {sample.size}")
-    return eigenvector_identity_scan(minor_basis(sample, k), gap_tol, decomposition)[alpha]
 

@@ -5,10 +5,15 @@ success, 1 a failed experiment verdict, 2 a usage or config error.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardedge
 from hardedge import EnsembleSpec, EntryDistribution, experiments, file_digest, sample_matrix
 from hardedge.cli import main
 from hardedge.ensemble import read_sample
@@ -27,6 +32,18 @@ def test_mp_single_value_is_bare(capsys):
     code, out, _ = run(capsys, ["mp", "--density", "2"])
     assert code == 0
     assert out == "0.159155\n"
+
+
+def test_cli_import_defers_scipy_integrate(capsys):
+    # only the quadrature oracles need scipy.integrate; importing the CLI must not load it
+    src = str(Path(hardedge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, hardedge.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
+    code, out, _ = run(capsys, ["mp", "--moment", "5"])
+    assert code == 0
+    assert out == "42\n"
 
 
 def test_mp_multiple_values_are_labelled(capsys):
@@ -151,6 +168,15 @@ def test_config_error_exits_2_and_names_field(tmp_path, capsys):
     code, _, err = run(capsys, ["apriori", "--config", cfg])
     assert code == 2
     assert err.startswith("config error: kappa:")
+
+
+def test_zero_energy_window_exits_2_and_names_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**BASE, "windows": [{"energy": 0.0, "eta": 0.1}]})
+    for command in ("apriori", "locallaw"):
+        code, _, err = run(capsys, [command, "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert err.startswith("config error: windows[0]: energy must be > 0")
+    assert not (tmp_path / "r").exists()
 
 
 def test_all_matches_single_commands_and_merges_manifest(tmp_path, capsys):

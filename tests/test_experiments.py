@@ -27,6 +27,7 @@ from hardedge import (
     run_projection_mass_experiment,
     run_wegner,
 )
+from hardedge.reports import render_csv
 
 SMALL = dict(sizes=(96, 128), trials=30, seed=5, scale_min=20.0)
 
@@ -319,6 +320,20 @@ def test_delocalization_small(small_cfg):
         assert row["lower_edge"] < row["upper_edge"] == 3.5
     sizes = [row["size"] for row in rep.rows]
     assert sizes == sorted(sizes)
+
+
+def test_delocalization_thread_count_invisible(small_cfg):
+    assert render_csv(run_delocalization(small_cfg, threads=2)) == render_csv(
+        run_delocalization(small_cfg, threads=1)
+    )
+
+
+def test_delocalization_checks_every_window_before_drawing(draw_counter):
+    # N=64 hosts the window, N=2 does not: the config fails before any draw
+    cfg = ExperimentConfig(sizes=(64, 2), trials=30, scale_min=5.0)
+    with pytest.raises(ConfigError, match="^sizes: N=2 leaves no eigenvalue window"):
+        run_delocalization(cfg)
+    assert draw_counter == []
 
 
 def test_delocalization_cap_failure(small_cfg):

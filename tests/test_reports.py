@@ -21,7 +21,6 @@ def toy_report(**overrides):
             {"size": np.int64(16), "statistic": np.float64(0.25), "ok": False},
         ),
         summary={"worst": math.nan, "count": 2},
-        passed=True,
         failures=(),
     )
     base.update(overrides)
@@ -96,9 +95,3 @@ def test_unreadable_manifest_is_not_overwritten(tmp_path):
     with pytest.raises(ValueError, match="manifest"):
         write_report(toy_report(), tmp_path)
     assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == "{not json"
-
-
-def test_write_report_custom_name(tmp_path):
-    paths = write_report(toy_report(), tmp_path, name="renamed")
-    assert paths["json"].name == "renamed.json"
-    assert paths["csv"].name == "renamed.csv"

@@ -19,7 +19,6 @@ from hardedge import (
     mp_stieltjes,
     resolvent_diag_leave_one_out,
     resolvent_diag_schur,
-    resolvent_diagonal,
     sample_matrix,
     self_consistency_residual,
 )
@@ -60,16 +59,6 @@ def test_empirical_stieltjes_far_field():
     p = SpectralPoint(0.0, 1e6)
     # |Delta_N + 1/theta| <= max(s)/|theta|^2
     assert abs(empirical_stieltjes(d, p) + 1.0 / p.theta) <= d.top / 1e12
-
-
-def test_resolvent_diagonal_matches_dense():
-    s = make_sample(14, seed=3)
-    d = decompose(s)
-    for p in THETA_GRID:
-        dense = dense_resolvent(s, p)
-        diag = resolvent_diagonal(d, p)
-        assert np.max(np.abs(diag.values - np.diag(dense))) < 1e-11
-        assert abs(diag.mean() - empirical_stieltjes(d, p)) < 1e-13
 
 
 def test_leave_one_out_diagonal_matches_dense():

@@ -19,7 +19,6 @@ from hardedge import (
     decompose,
     eigenvalue_count,
     eigenvalues_only,
-    eigenvector_identity_residual,
     eigenvector_identity_scan,
     interlacing_check,
     minor_basis,
@@ -148,15 +147,6 @@ def test_eigenvector_identity_full_scan():
             else:
                 assert math.isinf(r.residual)
     assert covered / total >= 0.95
-
-
-def test_eigenvector_identity_single():
-    s = make_sample(12, seed=8)
-    r = eigenvector_identity_residual(s, 5, 2)
-    assert r.alpha == 5 and r.column == 2
-    assert r.min_gap > 0.0
-    with pytest.raises(IndexError):
-        eigenvector_identity_residual(s, 12, 2)
 
 
 def test_eigenvector_identity_size_one():
