@@ -7,13 +7,7 @@ delocalization, near-zero eigenvalue repulsion, and the concentration
 inequalities behind them.
 """
 
-from .concentration import (
-    MassProbe,
-    TailCurve,
-    hw_tail_curve,
-    projection_mass_probe,
-    wilson_interval,
-)
+from .concentration import hw_tail_curve, projection_mass_probe, wilson_interval
 from .ensemble import (
     KINDS,
     EnsembleSpec,
@@ -101,7 +95,7 @@ __all__ = [
     "empirical_stieltjes", "resolvent_diag_leave_one_out",
     "resolvent_diag_schur", "consistency_residual", "self_consistency_residual",
     # concentration
-    "TailCurve", "MassProbe", "wilson_interval", "hw_tail_curve", "projection_mass_probe",
+    "wilson_interval", "hw_tail_curve", "projection_mass_probe",
     # experiments
     "ConfigError", "Thresholds", "ExperimentConfig", "TheoremReport", "derived_windows",
     "run_apriori", "run_local_law", "run_delocalization", "run_wegner",

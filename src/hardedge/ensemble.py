@@ -17,6 +17,9 @@ master (GOLDEN is odd) and mix64 is a bijection on 64-bit words, so distinct
 indices never collide.  The derived word keys a Philox4x64-10 counter-based
 bit generator; the real-part matrix is drawn first, then the imaginary-part
 matrix, each row-major in a single call, which pins the byte stream.
+`stream` hands out these keyed streams: each thread keeps one Philox and
+resets its whole state to the key, which draws the same bits as a freshly
+built generator without seeding an unused SeedSequence from OS entropy.
 
 Binary dump layout (documented external interface, little endian):
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +51,7 @@ __all__ = [
     "EnsembleSpec",
     "MatrixSample",
     "derive_trial_seed",
+    "stream",
     "draw_entries",
     "sample_matrix",
     "check_entry_statistics",
@@ -153,8 +158,28 @@ def derive_trial_seed(master_seed: int, index: int) -> int:
     return _mix64(z)
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+_STREAMS = threading.local()
+
+
+def stream(master_seed: int, index: int) -> np.random.Generator:
+    """Generator at the start of the Philox stream keyed derive_trial_seed(master_seed, index).
+
+    The generator is this thread's one Philox, re-keyed in place, so it is
+    valid only until the next call to stream on the same thread.
+    """
+    key = derive_trial_seed(master_seed, index)
+    rng = getattr(_STREAMS, "rng", None)
+    if rng is None:
+        rng = _STREAMS.rng = np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([key, 0], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def draw_entries(rng: np.random.Generator, kind: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -176,7 +201,7 @@ def draw_entries(rng: np.random.Generator, kind: str, shape: tuple[int, ...]) ->
 def sample_matrix(spec: EnsembleSpec, trial_index: int) -> MatrixSample:
     """Draw trial `trial_index` of the family: deterministic in (spec, index)."""
     n = spec.size
-    rng = _generator(derive_trial_seed(spec.master_seed, trial_index))
+    rng = stream(spec.master_seed, trial_index)
     entries = draw_entries(rng, spec.distribution.kind, (n, n)) / math.sqrt(n)
     sample = MatrixSample(entries=entries, spec=spec, trial_index=trial_index)
     check_entry_statistics(sample)

@@ -101,8 +101,55 @@ class Thresholds:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (_is_number(value) and math.isfinite(value) and value > 0):
                 raise ConfigError(f"thresholds.{f.name}: must be a positive real, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not bool (which Python counts as an int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(path: str, value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _number(path: str, value) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _list_of(item):
+    def parse(path: str, value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return tuple(item(f"{path}[{i}]", v) for i, v in enumerate(value))
+
+    return parse
+
+
+def _window(path: str, value) -> Window:
+    if not isinstance(value, dict) or set(value) != {"energy", "eta"}:
+        raise ConfigError(f"{path}: expected an object with keys energy, eta, got {value!r}")
+    energy = _number(f"{path}.energy", value["energy"])
+    eta = _number(f"{path}.eta", value["eta"])
+    try:
+        return Window(energy, eta)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _thresholds(path: str, value) -> Thresholds:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {value!r}")
+    bad = sorted(set(value) - {f.name for f in fields(Thresholds)})
+    if bad:
+        raise ConfigError(f"{path}.{bad[0]}: unknown key")
+    # values keep their JSON type (the report echoes them); validate() checks them
+    return Thresholds(**value)
 
 
 @dataclass(frozen=True)
@@ -168,48 +215,12 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config: expected a JSON object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - set(_FIELD_PARSERS))
         if unknown:
-            raise ConfigError(f"{unknown[0]}: unknown config key (known keys: {sorted(known)})")
-        kwargs: dict = {}
-        for name, value in data.items():
-            if name == "windows":
-                if value is None:
-                    kwargs[name] = None
-                    continue
-                if not isinstance(value, list):
-                    raise ConfigError(f"windows: expected a list of objects, got {value!r}")
-                parsed = []
-                for i, w in enumerate(value):
-                    if not isinstance(w, dict) or set(w) != {"energy", "eta"}:
-                        raise ConfigError(
-                            f"windows[{i}]: expected an object with keys energy, eta, got {w!r}"
-                        )
-                    try:
-                        parsed.append(Window(float(w["energy"]), float(w["eta"])))
-                    except ValueError as exc:
-                        raise ConfigError(f"windows[{i}]: {exc}") from exc
-                kwargs[name] = tuple(parsed)
-            elif name == "thresholds":
-                if not isinstance(value, dict):
-                    raise ConfigError(f"thresholds: expected an object, got {value!r}")
-                tnames = {f.name for f in fields(Thresholds)}
-                bad = sorted(set(value) - tnames)
-                if bad:
-                    raise ConfigError(f"thresholds.{bad[0]}: unknown key")
-                kwargs[name] = Thresholds(**value)
-            elif name in ("sizes", "epsilon_grid", "k_grid", "l_grid"):
-                if not isinstance(value, (list, tuple)):
-                    raise ConfigError(f"{name}: expected a list, got {value!r}")
-                kwargs[name] = tuple(int(v) if name in ("sizes", "l_grid") else float(v) for v in value)
-            elif name in ("trials", "seed", "n_windows"):
-                kwargs[name] = int(value)
-            elif name in ("b", "kappa", "scale_min"):
-                kwargs[name] = float(value)
-            else:
-                kwargs[name] = value
-        return cls(**kwargs)
+            raise ConfigError(
+                f"{unknown[0]}: unknown config key (known keys: {sorted(_FIELD_PARSERS)})"
+            )
+        return cls(**{name: _FIELD_PARSERS[name](name, value) for name, value in data.items()})
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -223,6 +234,25 @@ class ExperimentConfig:
         out["k_grid"] = list(self.k_grid)
         out["l_grid"] = list(self.l_grid)
         return out
+
+
+# JSON key -> parser(path, value) of that ExperimentConfig field; range checks
+# stay in ExperimentConfig.__post_init__
+_FIELD_PARSERS = {
+    "sizes": _list_of(_integer),
+    "trials": _integer,
+    "distribution": lambda path, value: value,
+    "b": _number,
+    "kappa": _number,
+    "epsilon_grid": _list_of(_number),
+    "k_grid": _list_of(_number),
+    "l_grid": _list_of(_integer),
+    "seed": _integer,
+    "scale_min": _number,
+    "n_windows": _integer,
+    "windows": lambda path, value: None if value is None else _list_of(_window)(path, value),
+    "thresholds": _thresholds,
+}
 
 
 @dataclass(frozen=True)
@@ -816,29 +846,30 @@ def run_hw_experiment(
     """Quadratic-form tail shape on the identity (or a given spectrum)."""
     dist = EntryDistribution(distribution)
     operator = np.ones(size) if spectrum is None else np.asarray(spectrum, dtype=float)
-    curve = hw_tail_curve(operator, dist, trials, deltas, seed)
+    hits, norm = hw_tail_curve(operator, dist, trials, deltas, seed)
+    grid = np.asarray(deltas, dtype=float)
     rows = []
     failures = []
     previous = None
-    for i, delta in enumerate(curve.deltas):
-        p = float(curve.exceedance[i])
-        rows.append(
-            {
-                "delta": float(delta),
-                "shape": float(
-                    min(delta / math.sqrt(curve.normalizer), delta**2 / curve.normalizer)
-                ),
-                "statistic": p,
-                "ci_lo": float(curve.ci_lo[i]),
-                "ci_hi": float(curve.ci_hi[i]),
-                "trials": trials,
-            }
-        )
-        if previous is not None and p > previous:
+    for delta, h in zip(grid, hits):
+        tail = _exceedance(int(h), trials)
+        shape = float(min(delta / math.sqrt(norm), delta**2 / norm))
+        rows.append({"delta": float(delta), "shape": shape, **tail})
+        if previous is not None and tail["statistic"] > previous:
             failures.append(f"delta={delta:g}: exceedance rose along the grid")
-        previous = p
-    if not (math.isfinite(curve.slope) and curve.slope > 0):
-        failures.append(f"fitted decay rate {curve.slope} not positive")
+        previous = tail["statistic"]
+    # least-squares decay rate of -log(exceedance) against min(delta/sqrt(T),
+    # delta^2/T), fitted on the grid points whose exceedance lies strictly
+    # inside (0, 1); nan when fewer than two such points exist
+    exceedance = hits / trials
+    shapes = np.minimum(grid / math.sqrt(norm), grid**2 / norm)
+    inside = (exceedance > 0.0) & (exceedance < 1.0)
+    if int(np.sum(inside)) >= 2:
+        slope = float(np.polyfit(shapes[inside], -np.log(exceedance[inside]), 1)[0])
+    else:
+        slope = math.nan
+    if not (math.isfinite(slope) and slope > 0):
+        failures.append(f"fitted decay rate {slope} not positive")
     return TheoremReport(
         theorem="quadratic-form-tail",
         config={
@@ -851,7 +882,7 @@ def run_hw_experiment(
         },
         columns=("delta", "shape", "statistic", "ci_lo", "ci_hi", "trials"),
         rows=tuple(rows),
-        summary={"slope": curve.slope, "normalizer": curve.normalizer},
+        summary={"slope": slope, "normalizer": norm},
         failures=tuple(failures),
     )
 
@@ -878,25 +909,17 @@ def run_projection_mass_experiment(
     failures = []
     ratios = []
     for m in m_grid:
-        probe = projection_mass_probe(m, size, dist, trials, derive_trial_seed(seed, m), family)
-        rows.append(
-            {
-                "m": m,
-                "sqrt_m": math.sqrt(m),
-                "family": probe.family,
-                "statistic": probe.probability,
-                "ci_lo": probe.ci_lo,
-                "ci_hi": probe.ci_hi,
-                "trials": trials,
-            }
-        )
-        if probe.probability <= 0.0:
+        m_seed = derive_trial_seed(seed, m)
+        hits, resolved = projection_mass_probe(m, size, dist, trials, m_seed, family)
+        tail = _exceedance(hits, trials)
+        rows.append({"m": m, "sqrt_m": math.sqrt(m), "family": resolved, **tail})
+        if hits == 0:
             failures.append(
                 f"m={m}: zero hits at {trials} trials; grid beyond the estimator's resolution"
             )
             ratios.append(math.inf)
         else:
-            ratios.append(-math.log(probe.probability) / math.sqrt(m))
+            ratios.append(-math.log(tail["statistic"]) / math.sqrt(m))
     for (m1, r1), (m2, r2) in zip(zip(m_grid, ratios), list(zip(m_grid, ratios))[1:]):
         if not r2 > r1:
             failures.append(

@@ -170,6 +170,25 @@ def test_config_error_exits_2_and_names_field(tmp_path, capsys):
     assert err.startswith("config error: kappa:")
 
 
+@pytest.mark.parametrize(
+    "key, value, path",
+    [
+        ("trials", None, "trials"),
+        ("sizes", ["a"], "sizes[0]"),
+        ("seed", 1.5, "seed"),
+        ("b", "4", "b"),
+        ("windows", [{"energy": "2", "eta": 0.1}], "windows[0].energy"),
+        ("thresholds", {"deloc_cap": True}, "thresholds.deloc_cap"),
+    ],
+)
+def test_config_of_wrong_json_type_exits_2_and_names_field(tmp_path, capsys, key, value, path):
+    cfg = write_config(tmp_path, {**BASE, key: value})
+    code, out, err = run(capsys, ["hardedge", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert err.startswith(f"config error: {path}: ")
+    assert not (tmp_path / "r").exists()
+
+
 def test_zero_energy_window_exits_2_and_names_it(tmp_path, capsys):
     cfg = write_config(tmp_path, {**BASE, "windows": [{"energy": 0.0, "eta": 0.1}]})
     for command in ("apriori", "locallaw"):

@@ -17,6 +17,8 @@ from hardedge import (
     derive_trial_seed,
     hw_tail_curve,
     projection_mass_probe,
+    run_hw_experiment,
+    run_projection_mass_experiment,
     wilson_interval,
 )
 from hardedge.ensemble import draw_entries
@@ -71,8 +73,9 @@ def test_hw_exponential_oracle_1x1():
     # statistic is | |x|^2 - 1 | with |x|^2 ~ Exp(1):
     # P(>= d) = exp(-(1+d)) + max(0, 1 - exp(-(1-d)))
     trials = 20000
-    curve = hw_tail_curve(np.array([1.0]), GAUSS, trials, [0.5, 2.0], seed=11)
-    for d, est in zip(curve.deltas, curve.exceedance):
+    hits, _ = hw_tail_curve(np.array([1.0]), GAUSS, trials, [0.5, 2.0], seed=11)
+    for d, h in zip([0.5, 2.0], hits):
+        est = h / trials
         exact = math.exp(-(1 + d)) + max(0.0, 1.0 - math.exp(-(1 - d)))
         lo, hi = wide_interval(exact, trials)
         assert lo <= est <= hi, (d, est, exact)
@@ -80,62 +83,57 @@ def test_hw_exponential_oracle_1x1():
 
 def test_hw_zero_delta_saturates():
     for dist in (GAUSS, RADEMACHER, UNIFORM):
-        curve = hw_tail_curve(np.ones(4), dist, 200, [0.0], seed=3)
-        assert curve.exceedance[0] == 1.0
+        hits, _ = hw_tail_curve(np.ones(4), dist, 200, [0.0], seed=3)
+        assert hits[0] == 200
 
 
 def test_hw_rademacher_identity_degenerates():
     # |x|^2 = 1 surely, so the diagonal statistic vanishes
-    curve = hw_tail_curve(np.ones(8), RADEMACHER, 500, [0.0, 0.1, 1.0], seed=5)
-    assert list(curve.exceedance) == [1.0, 0.0, 0.0]
-    assert math.isnan(curve.slope)
-
-
-def test_hw_diag_and_dense_routes_agree_exactly():
-    # same seed, same draws: a diagonal matrix must give identical hits
-    lam = np.array([0.3, 1.0, 2.5, 4.0])
-    deltas = np.linspace(0.0, 12.0, 9)
-    diag = hw_tail_curve(lam, GAUSS, 3000, deltas, seed=17)
-    dense = hw_tail_curve(np.diag(lam), GAUSS, 3000, deltas, seed=17)
-    assert np.array_equal(diag.exceedance, dense.exceedance)
-    assert diag.normalizer == pytest.approx(dense.normalizer, rel=1e-12)
-    assert diag.normalizer == pytest.approx(float(np.sum(lam**2)), rel=1e-12)
+    deltas = (0.0, 0.1, 1.0)
+    hits, _ = hw_tail_curve(np.ones(8), RADEMACHER, 500, deltas, seed=5)
+    assert list(hits) == [500, 0, 0]
+    report = run_hw_experiment("rademacher-pair", 500, 5, spectrum=np.ones(8), deltas=deltas)
+    assert math.isnan(report.summary["slope"])
 
 
 def test_hw_curve_shape():
-    deltas = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
-    curve = hw_tail_curve(np.ones(16), GAUSS, 4000, deltas, seed=2)
-    assert np.all(np.diff(curve.exceedance) <= 0)
-    assert np.all(curve.ci_lo <= curve.exceedance)
-    assert np.all(curve.exceedance <= curve.ci_hi)
-    assert curve.slope > 0
-    assert curve.trials == 4000
-    assert curve.kind == "complex-gaussian"
+    deltas = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+    hits, _ = hw_tail_curve(np.ones(16), GAUSS, 4000, deltas, seed=2)
+    assert np.all(np.diff(hits) <= 0)
+    report = run_hw_experiment("complex-gaussian", 4000, 2, spectrum=np.ones(16), deltas=deltas)
+    assert [row["statistic"] for row in report.rows] == [h / 4000 for h in hits]
+    assert all(row["ci_lo"] <= row["statistic"] <= row["ci_hi"] for row in report.rows)
+    assert all(row["trials"] == 4000 for row in report.rows)
+    assert report.summary["slope"] > 0
 
 
 def test_hw_slope_nan_when_degenerate():
     # one interior cell is not enough for a fit
-    curve = hw_tail_curve(np.ones(2), GAUSS, 400, [0.0, 1.0, 50.0], seed=9)
-    assert curve.exceedance[0] == 1.0
-    assert curve.exceedance[2] == 0.0
-    assert math.isnan(curve.slope)
+    deltas = (0.0, 1.0, 50.0)
+    hits, _ = hw_tail_curve(np.ones(2), GAUSS, 400, deltas, seed=9)
+    assert hits[0] == 400
+    assert hits[2] == 0
+    report = run_hw_experiment("complex-gaussian", 400, 9, spectrum=np.ones(2), deltas=deltas)
+    assert math.isnan(report.summary["slope"])
 
 
 def test_hw_deterministic():
-    a = hw_tail_curve(np.arange(1.0, 5.0), UNIFORM, 1500, [1.0, 3.0], seed=42)
-    b = hw_tail_curve(np.arange(1.0, 5.0), UNIFORM, 1500, [1.0, 3.0], seed=42)
-    assert np.array_equal(a.exceedance, b.exceedance)
-    c = hw_tail_curve(np.arange(1.0, 5.0), UNIFORM, 1500, [1.0, 3.0], seed=43)
-    assert not np.array_equal(a.exceedance, c.exceedance)
+    lam = np.arange(1.0, 5.0)
+    a, norm = hw_tail_curve(lam, UNIFORM, 1500, [1.0, 3.0], seed=42)
+    b, _ = hw_tail_curve(lam, UNIFORM, 1500, [1.0, 3.0], seed=42)
+    assert np.array_equal(a, b)
+    c, _ = hw_tail_curve(lam, UNIFORM, 1500, [1.0, 3.0], seed=43)
+    assert not np.array_equal(a, c)
+    assert norm == pytest.approx(float(np.sum(lam**2)), rel=1e-12)
 
 
 def test_hw_chunking_invisible():
     # straddling the chunk boundary must not change the law of the estimate;
     # prefix property: the first 2048 draws are chunk 0 in both runs
     deltas = [2.0]
-    small = hw_tail_curve(np.ones(4), GAUSS, 2048, deltas, seed=7)
-    big = hw_tail_curve(np.ones(4), GAUSS, 2048 + 512, deltas, seed=7)
-    assert abs(big.exceedance[0] * 2560 - small.exceedance[0] * 2048) <= 512
+    small, _ = hw_tail_curve(np.ones(4), GAUSS, 2048, deltas, seed=7)
+    big, _ = hw_tail_curve(np.ones(4), GAUSS, 2048 + 512, deltas, seed=7)
+    assert abs(big[0] - small[0]) <= 512
 
 
 def test_hw_rejects_bad_arguments():
@@ -147,10 +145,8 @@ def test_hw_rejects_bad_arguments():
         hw_tail_curve(np.ones(4), GAUSS, 200, [-1.0], seed=0)
     with pytest.raises(ValueError, match="deltas"):
         hw_tail_curve(np.ones(4), GAUSS, 200, [], seed=0)
-    with pytest.raises(ValueError, match="dense"):
-        hw_tail_curve(np.eye(129), GAUSS, 200, [1.0], seed=0)
-    with pytest.raises(ValueError, match="square"):
-        hw_tail_curve(np.ones((2, 3)), GAUSS, 200, [1.0], seed=0)
+    with pytest.raises(ValueError, match="1-d"):
+        hw_tail_curve(np.eye(4), GAUSS, 200, [1.0], seed=0)
 
 
 # --- projection mass ---------------------------------------------------
@@ -160,46 +156,49 @@ def test_projmass_gaussian_gamma_oracle():
     # coordinate mass is Gamma(m, 1); P(<= m/2) = gammainc(m, m/2)
     trials = 20000
     for m in (1, 4, 9):
-        probe = projection_mass_probe(m, 32, GAUSS, trials, seed=m)
-        assert probe.family == "coordinate"
+        hits, family = projection_mass_probe(m, 32, GAUSS, trials, seed=m)
+        assert family == "coordinate"
         lo, hi = wide_interval(float(gammainc(m, m / 2)), trials)
-        assert lo <= probe.probability <= hi, (m, probe.probability)
+        assert lo <= hits / trials <= hi, (m, hits)
 
 
 def test_projmass_haar_matches_gamma_for_gaussian():
     # rotation invariance: a Haar family sees the same law
-    probe = projection_mass_probe(4, 16, GAUSS, 4000, seed=1, family="haar")
-    assert probe.family == "haar"
+    hits, family = projection_mass_probe(4, 16, GAUSS, 4000, seed=1, family="haar")
+    assert family == "haar"
     lo, hi = wide_interval(float(gammainc(4, 2.0)), 4000)
-    assert lo <= probe.probability <= hi
+    assert lo <= hits / 4000 <= hi
 
 
 def test_projmass_uniform_coordinate_m1():
     # P(a^2 + b^2 <= 1/2) for (a, b) uniform on [-sqrt(1.5), sqrt(1.5)]^2
     trials = 20000
-    probe = projection_mass_probe(1, 8, UNIFORM, trials, seed=6, family="coordinate")
+    hits, _ = projection_mass_probe(1, 8, UNIFORM, trials, seed=6, family="coordinate")
     lo, hi = wide_interval(math.pi / 12, trials)
-    assert lo <= probe.probability <= hi
+    assert lo <= hits / trials <= hi
 
 
 def test_projmass_rademacher_coordinate_is_zero():
     # coordinate mass equals m surely, never <= m/2
-    probe = projection_mass_probe(5, 16, RADEMACHER, 300, seed=0, family="coordinate")
-    assert probe.probability == 0.0
-    assert probe.ci_lo == 0.0
+    hits, _ = projection_mass_probe(5, 16, RADEMACHER, 300, seed=0, family="coordinate")
+    assert hits == 0
+    report = run_projection_mass_experiment(
+        "rademacher-pair", 300, 0, size=16, m_grid=(5,), family="coordinate"
+    )
+    assert report.rows[0]["statistic"] == 0.0
+    assert report.rows[0]["ci_lo"] == 0.0
 
 
 def test_projmass_auto_family_selection():
-    assert projection_mass_probe(2, 8, GAUSS, 50, seed=0).family == "coordinate"
-    assert projection_mass_probe(2, 8, RADEMACHER, 50, seed=0).family == "haar"
-    assert projection_mass_probe(2, 8, UNIFORM, 50, seed=0).family == "haar"
+    assert projection_mass_probe(2, 8, GAUSS, 50, seed=0)[1] == "coordinate"
+    assert projection_mass_probe(2, 8, RADEMACHER, 50, seed=0)[1] == "haar"
+    assert projection_mass_probe(2, 8, UNIFORM, 50, seed=0)[1] == "haar"
 
 
 def test_projmass_deterministic():
     a = projection_mass_probe(3, 12, UNIFORM, 500, seed=13)
     b = projection_mass_probe(3, 12, UNIFORM, 500, seed=13)
-    assert a.probability == b.probability
-    assert (a.ci_lo, a.ci_hi) == (b.ci_lo, b.ci_hi)
+    assert a == b
 
 
 def _haar_hits_per_trial(m, size, dist, trials, seed):
@@ -217,8 +216,8 @@ def _haar_hits_per_trial(m, size, dist, trials, seed):
 @pytest.mark.parametrize("m, size, trials", [(1, 8, 33), (4, 16, 65), (8, 8, 40), (2, 2, 40)])
 def test_projmass_haar_chunks_match_per_trial_qr(dist, m, size, trials):
     # trial counts off the chunk grid, m = 1 and m = size
-    probe = projection_mass_probe(m, size, dist, trials, seed=size + m, family="haar")
-    assert probe.probability == _haar_hits_per_trial(m, size, dist, trials, size + m) / trials
+    hits, _ = projection_mass_probe(m, size, dist, trials, seed=size + m, family="haar")
+    assert hits == _haar_hits_per_trial(m, size, dist, trials, size + m)
 
 
 def test_projmass_rejects_bad_arguments():

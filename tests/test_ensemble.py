@@ -2,6 +2,8 @@
 
 import logging
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hardedge import (
     sample_matrix,
     write_sample,
 )
-from hardedge.ensemble import remove_column, column_vector, unscaled_column
+from hardedge.ensemble import column_vector, draw_entries, remove_column, stream, unscaled_column
 
 GAUSS = EntryDistribution("complex-gaussian")
 RAD = EntryDistribution("rademacher-pair")
@@ -220,3 +222,48 @@ def test_kinds_differ_for_same_seed():
     a = sample_matrix(spec_of(16, GAUSS), 0)
     b = sample_matrix(spec_of(16, RAD), 0)
     assert not np.array_equal(a.entries, b.entries)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("halfwords", [1, 2])
+def test_stream_matches_a_fresh_philox(kind, halfwords):
+    def fresh(seed, index):
+        return np.random.Generator(np.random.Philox(key=derive_trial_seed(seed, index)))
+
+    rng = fresh(7, 2)
+    expected = [draw_entries(rng, kind, (3, 5)), draw_entries(rng, kind, (2,))]
+    expected_threaded = draw_entries(fresh(9, 1), kind, (3, 5))
+    # another stream keyed and partly drawn first: the normal draw leaves a
+    # partly used block, and one of the two integers() sizes leaves a cached
+    # half word whatever the generator held before
+    other = stream(9, 0)
+    other.integers(0, 2, size=halfwords)
+    other.standard_normal(1)
+    rng = stream(7, 2)
+    first = draw_entries(rng, kind, (3, 5))
+    # a second thread keys a stream of its own meanwhile
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        threaded = pool.submit(lambda: draw_entries(stream(9, 1), kind, (3, 5))).result()
+    second = draw_entries(rng, kind, (2,))
+    assert np.array_equal(first, expected[0])
+    assert np.array_equal(second, expected[1])
+    assert np.array_equal(threaded, expected_threaded)
+
+
+def test_stream_per_thread_under_contention():
+    # more workers than cores and a short switch interval: a generator shared
+    # between threads would hand one trial's draws to another
+    def draw(index):
+        ours = draw_entries(stream(3, index), "rademacher-pair", (5,))
+        fresh = np.random.Generator(np.random.Philox(key=derive_trial_seed(3, index)))
+        return np.array_equal(ours, draw_entries(fresh, "rademacher-pair", (5,)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(draw, i) for i in range(400)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(results)

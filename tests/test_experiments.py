@@ -118,6 +118,27 @@ def test_from_dict_parses_windows():
         )
 
 
+def test_from_dict_parses_every_field():
+    assert set(experiments._FIELD_PARSERS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    [
+        ({"n_windows": True}, "n_windows"),
+        ({"trials": 30.0}, "trials"),
+        ({"l_grid": [1, 2.5]}, "l_grid[1]"),
+        ({"k_grid": [1.0, False]}, "k_grid[1]"),
+        ({"windows": [{"energy": 2.0, "eta": None}]}, "windows[0].eta"),
+        ({"thresholds": {"spacing_hi": "2"}}, "thresholds.spacing_hi"),
+    ],
+)
+def test_from_dict_accepts_only_json_numbers(data, path):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(data)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_from_dict_coerces_lists():
     cfg = ExperimentConfig.from_dict({"sizes": [64, 96], "epsilon_grid": [0.1, 0.2]})
     assert cfg.sizes == (64, 96)
