@@ -56,7 +56,6 @@ from .resolvent import (
 )
 from .spectral import (
     DecompositionError,
-    IdentityResidual,
     MinorBasis,
     SpectralDecomposition,
     counting_bound,
@@ -66,7 +65,6 @@ from .spectral import (
     eigenvector_identity_scan,
     interlacing_check,
     minor_basis,
-    minor_eigenvalues,
 )
 
 try:
@@ -87,8 +85,8 @@ __all__ = [
     "derive_trial_seed", "sample_matrix", "check_entry_statistics",
     "write_sample", "read_sample",
     # spectral
-    "SpectralDecomposition", "DecompositionError", "IdentityResidual", "MinorBasis",
-    "decompose", "eigenvalues_only", "minor_eigenvalues", "minor_basis", "eigenvalue_count",
+    "SpectralDecomposition", "DecompositionError", "MinorBasis",
+    "decompose", "eigenvalues_only", "minor_basis", "eigenvalue_count",
     "counting_bound", "interlacing_check",
     "eigenvector_identity_scan",
     # resolvent

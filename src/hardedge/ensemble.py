@@ -55,9 +55,6 @@ __all__ = [
     "draw_entries",
     "sample_matrix",
     "check_entry_statistics",
-    "remove_column",
-    "column_vector",
-    "unscaled_column",
     "write_sample",
     "read_sample",
 ]
@@ -235,28 +232,6 @@ def check_entry_statistics(sample: MatrixSample) -> tuple[float, float]:
             raise ValueError(msg)
         logger.warning(msg)
     return float(mean_dev), float(modsq_dev)
-
-
-def _check_column(sample: MatrixSample, k: int) -> None:
-    if not 0 <= k < sample.size:
-        raise IndexError(f"column index {k} out of range for size {sample.size}")
-
-
-def remove_column(sample: MatrixSample, k: int) -> np.ndarray:
-    """The N x (N-1) matrix with column k deleted."""
-    _check_column(sample, k)
-    return np.delete(sample.entries, k, axis=1)
-
-
-def column_vector(sample: MatrixSample, k: int) -> np.ndarray:
-    """Column k of the scaled matrix."""
-    _check_column(sample, k)
-    return sample.entries[:, k].copy()
-
-
-def unscaled_column(sample: MatrixSample, k: int) -> np.ndarray:
-    """Column k rescaled back to unit-variance entries (sqrt(N) times the scaled column)."""
-    return column_vector(sample, k) * math.sqrt(sample.size)
 
 
 def write_sample(sample: MatrixSample, path) -> None:

@@ -332,10 +332,16 @@ def _spectra(cfg: ExperimentConfig, threads: int) -> dict[int, np.ndarray]:
     return spectra
 
 
+def _hard_edge_floor(cfg: ExperimentConfig, size: int) -> float:
+    """Lowest energy 2 (scale_min / (kappa N))^2 a desk-scale window or
+    eigenvalue band may start at."""
+    return 2.0 * (cfg.scale_min / (cfg.kappa * size)) ** 2
+
+
 def derived_windows(cfg: ExperimentConfig, size: int) -> tuple[Window, ...]:
     """Geometric energy ladder from the desk-scale hard-edge floor to 4 - kappa,
     each window at the exact resolution scale scale_min."""
-    lo = 2.0 * (cfg.scale_min / (cfg.kappa * size)) ** 2
+    lo = _hard_edge_floor(cfg, size)
     hi = 4.0 - cfg.kappa
     if lo >= hi:
         raise ConfigError(
@@ -533,7 +539,7 @@ def run_delocalization(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport
     upper = 4.0 - cfg.kappa
     lower_of = {}
     for size in cfg.sizes:
-        lower_of[size] = 2.0 * (cfg.scale_min / (cfg.kappa * size)) ** 2
+        lower_of[size] = _hard_edge_floor(cfg, size)
         if lower_of[size] >= upper:
             raise ConfigError(
                 f"sizes: N={size} leaves no eigenvalue window "
@@ -751,21 +757,22 @@ def run_identity_suite(
     def one_trial(sample):
         d = decompose(sample)
         n = sample.size
-        # one minor SVD per column serves every theta and both identities
+        # one minor SVD per column serves every theta, both resolvent
+        # identities, interlacing and the eigenvector identity
         loo = np.empty((len(points), n), dtype=complex)
         schur = np.empty_like(loo)
         resid = 0.0
         covered = 0
-        total = 0
+        inter = 0.0
         for k in range(n):
             minor = minor_basis(sample, k)
             loo[:, k] = resolvent_diag_leave_one_out(minor, points)
             schur[:, k] = resolvent_diag_schur(minor, points)
-            for r in eigenvector_identity_scan(minor, decomposition=d):
-                total += 1
-                if r.covered:
+            inter = max(inter, interlacing_check(d, minor))
+            for r in eigenvector_identity_scan(minor, d):
+                if math.isfinite(r):
                     covered += 1
-                    resid = max(resid, r.residual)
+                    resid = max(resid, r)
         gram = sample.entries.conj().T @ sample.entries
         loo_dev = 0.0
         schur_dev = 0.0
@@ -774,14 +781,13 @@ def run_identity_suite(
             dense = np.diag(np.linalg.inv(gram - p.theta * np.eye(n)))
             loo_dev = max(loo_dev, float(np.max(np.abs(loo[i] - dense))))
             schur_dev = max(schur_dev, float(np.max(np.abs(schur[i] - dense))))
-            mean_dev = max(mean_dev, abs(np.mean(loo[i]) - empirical_stieltjes(d, p)))
-        inter = max(interlacing_check(d, k) for k in range(n))
+            mean_dev = max(mean_dev, abs(np.mean(loo[i]) - empirical_stieltjes(d.eigenvalues, p)))
         count_ok = all(
             eigenvalue_count(d.eigenvalues, w) <= counting_bound(d.eigenvalues, w)
             for w in _IDENTITY_WINDOWS
         )
         trace_dev = abs(math.fsum(d.eigenvalues) - float(np.sum(np.abs(sample.entries) ** 2)))
-        return loo_dev, schur_dev, mean_dev, inter, resid, covered / total, count_ok, trace_dev
+        return loo_dev, schur_dev, mean_dev, inter, resid, covered / (n * n), count_ok, trace_dev
 
     per_trial = _per_trial(one_trial, distribution, seed, sizes, trials, threads)
     rows = []
@@ -848,21 +854,21 @@ def run_hw_experiment(
     operator = np.ones(size) if spectrum is None else np.asarray(spectrum, dtype=float)
     hits, norm = hw_tail_curve(operator, dist, trials, deltas, seed)
     grid = np.asarray(deltas, dtype=float)
+    # min(delta/sqrt(T), delta^2/T), the same array for the rows and the fit
+    shapes = np.minimum(grid / math.sqrt(norm), grid**2 / norm)
     rows = []
     failures = []
     previous = None
-    for delta, h in zip(grid, hits):
+    for delta, shape, h in zip(grid, shapes, hits):
         tail = _exceedance(int(h), trials)
-        shape = float(min(delta / math.sqrt(norm), delta**2 / norm))
-        rows.append({"delta": float(delta), "shape": shape, **tail})
+        rows.append({"delta": float(delta), "shape": float(shape), **tail})
         if previous is not None and tail["statistic"] > previous:
             failures.append(f"delta={delta:g}: exceedance rose along the grid")
         previous = tail["statistic"]
-    # least-squares decay rate of -log(exceedance) against min(delta/sqrt(T),
-    # delta^2/T), fitted on the grid points whose exceedance lies strictly
-    # inside (0, 1); nan when fewer than two such points exist
+    # least-squares decay rate of -log(exceedance) against the shape, fitted
+    # on the grid points whose exceedance lies strictly inside (0, 1); nan
+    # when fewer than two such points exist
     exceedance = hits / trials
-    shapes = np.minimum(grid / math.sqrt(norm), grid**2 / norm)
     inside = (exceedance > 0.0) & (exceedance < 1.0)
     if int(np.sum(inside)) >= 2:
         slope = float(np.polyfit(shapes[inside], -np.log(exceedance[inside]), 1)[0])

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .mp import SpectralPoint
-from .spectral import MinorBasis, SpectralDecomposition
+from .spectral import MinorBasis
 
 __all__ = [
     "empirical_stieltjes",
@@ -36,20 +36,15 @@ __all__ = [
 ]
 
 
-def _eigs_of(d) -> np.ndarray:
-    return d.eigenvalues if isinstance(d, SpectralDecomposition) else np.asarray(d)
-
-
 def _csum(values: np.ndarray) -> complex:
     """Exactly-rounded complex sum (fsum per part), fixed index order."""
     return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
-def empirical_stieltjes(d, point: SpectralPoint) -> complex:
-    """(1/N) sum 1/(s_a - theta), exactly-rounded summation in index order."""
-    eigs = _eigs_of(d)
-    theta = point.theta
-    return _csum(1.0 / (eigs - theta)) / len(eigs)
+def empirical_stieltjes(eigenvalues: np.ndarray, point: SpectralPoint) -> complex:
+    """(1/N) sum 1/(s_a - theta) over the ascending eigenvalues, exactly-rounded
+    summation in index order."""
+    return _csum(1.0 / (eigenvalues - point.theta)) / len(eigenvalues)
 
 
 def _thetas(points: Sequence[SpectralPoint]) -> np.ndarray:
@@ -97,5 +92,5 @@ def consistency_residual(delta_n: complex, point: SpectralPoint) -> float:
     return abs(delta_n + 1.0 / (point.theta * (delta_n + 1.0)))
 
 
-def self_consistency_residual(d, point: SpectralPoint) -> float:
-    return consistency_residual(empirical_stieltjes(d, point), point)
+def self_consistency_residual(eigenvalues: np.ndarray, point: SpectralPoint) -> float:
+    return consistency_residual(empirical_stieltjes(eigenvalues, point), point)

@@ -16,17 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import MatrixSample, column_vector, remove_column, unscaled_column
+from .ensemble import MatrixSample
 from .mp import Window
 
 __all__ = [
     "DecompositionError",
     "SpectralDecomposition",
-    "IdentityResidual",
     "MinorBasis",
     "decompose",
     "eigenvalues_only",
-    "minor_eigenvalues",
     "minor_basis",
     "eigenvalue_count",
     "counting_bound",
@@ -95,21 +93,10 @@ class SpectralDecomposition:
 
 
 @dataclass(frozen=True)
-class IdentityResidual:
-    """Residual of the minor-spectrum identity for one (alpha, k), with the
-    coverage flag that gates it on a nondegenerate gap."""
-
-    alpha: int
-    column: int
-    residual: float
-    covered: bool
-    min_gap: float
-
-
-@dataclass(frozen=True)
 class MinorBasis:
     """Left spectral data of the k-minor W_k (X with column k removed) from
-    one full SVD, shared by every spectral point and identity at column k.
+    one full SVD, shared by every spectral point and identity at column k,
+    interlacing included.
 
     eigenvalues holds the N-1 minor eigenvalues in LAPACK's descending order;
     vectors is the complete N x N left basis, whose first N-1 columns match
@@ -118,7 +105,6 @@ class MinorBasis:
     the removed scaled column.
     """
 
-    source: MatrixSample
     k: int
     eigenvalues: np.ndarray
     vectors: np.ndarray
@@ -149,27 +135,18 @@ def eigenvalues_only(sample: MatrixSample) -> np.ndarray:
     return (sing[::-1] ** 2).copy()
 
 
-def minor_eigenvalues(sample: MatrixSample, k: int) -> np.ndarray:
-    """Ascending eigenvalues of the Gram matrix of X with column k removed."""
-    minor = remove_column(sample, k)
-    try:
-        sing = np.linalg.svd(minor, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(sample, exc) from exc
-    return (sing[::-1] ** 2).copy()
-
-
 def minor_basis(sample: MatrixSample, k: int) -> MinorBasis:
     """The k-minor's eigenvalues, complete left basis and removed column."""
-    minor = remove_column(sample, k)
+    n = sample.size
+    # np.delete would wrap a negative k around to a valid column
+    if not 0 <= k < n:
+        raise IndexError(f"column index {k} out of range for size {n}")
     try:
-        u, sing, _ = np.linalg.svd(minor, full_matrices=True)
+        u, sing, _ = np.linalg.svd(np.delete(sample.entries, k, axis=1), full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(sample, exc) from exc
-    n = sample.size
-    w = column_vector(sample, k)
+    w = sample.entries[:, k].copy()
     return MinorBasis(
-        source=sample,
         k=k,
         eigenvalues=sing**2,
         vectors=u,
@@ -197,14 +174,14 @@ def counting_bound(eigenvalues: np.ndarray, window: Window) -> float:
     return 2.0 * window.eta * im_trace
 
 
-def interlacing_check(decomposition: SpectralDecomposition, k: int) -> float:
+def interlacing_check(decomposition: SpectralDecomposition, minor: MinorBasis) -> float:
     """Largest violation of s_a <= t_a <= s_(a+1) between X*X and its k-minor.
 
     Exact zero in exact arithmetic; anything above rounding noise indicates
     a broken decomposition.
     """
     s = decomposition.eigenvalues
-    t = minor_eigenvalues(decomposition.source, k)
+    t = minor.eigenvalues[::-1]
     below = float(np.max(s[:-1] - t)) if len(t) else 0.0
     above = float(np.max(t - s[1:])) if len(t) else 0.0
     return max(below, above, 0.0)
@@ -212,47 +189,37 @@ def interlacing_check(decomposition: SpectralDecomposition, k: int) -> float:
 
 def eigenvector_identity_scan(
     minor: MinorBasis,
+    decomposition: SpectralDecomposition,
     gap_tol: float = DEFAULT_GAP_TOL,
-    decomposition: SpectralDecomposition | None = None,
-) -> list[IdentityResidual]:
-    """Identity residuals for every eigenvector at the minor's removed column.
+) -> list[float]:
+    """Identity residual of every eigenvector at the minor's removed column.
 
     |u_a(k)|^2 must equal 1/(1 + (1/N) sum_b t_b |<v_b, x_k>|^2 / (s_a - t_b)^2)
     where (t_b, v_b) is the left spectral data of the k-minor and x_k the
-    unscaled removed column.  Pairs whose full/minor gap falls below
-    gap_tol * (1 + s_max) are reported uncovered and carry no accuracy claim.
+    unscaled removed column.  Entry a is the residual for eigenvalue index a,
+    or inf when the full/minor gap falls below gap_tol * (1 + s_max): such a
+    pair is uncovered and carries no accuracy claim.
     """
-    sample, k = minor.source, minor.k
-    d = decomposition if decomposition is not None else decompose(sample)
-    n = sample.size
+    d, k = decomposition, minor.k
+    n = d.size
+    # squared in Python (C pow), which rounds unlike numpy's array square
+    lhs = [a**2 for a in np.abs(d.eigenvectors[k, :]).tolist()]
+    if n == 1:
+        # empty minor: the right side is exactly 1
+        return [abs(lhs[0] - 1.0)]
     # ascending order kept on purpose: BLAS rounds each entry of basis^H x
     # differently by column position, and the reports pin these bits
     order = np.argsort(minor.eigenvalues, kind="stable")
     t = minor.eigenvalues[order]
-    weights = t * np.abs(minor.vectors[:, order].conj().T @ unscaled_column(sample, k)) ** 2
+    weights = t * np.abs(minor.vectors[:, order].conj().T @ (minor.column * math.sqrt(n))) ** 2
     cutoff = gap_tol * (1.0 + d.top)
     # one (alpha, b) grid per column; each covered row keeps its own fsum
     gaps = d.eigenvalues[:, None] - t[None, :]
-    min_gaps = np.min(np.abs(gaps), axis=1).tolist() if len(t) else [math.inf] * n
     with np.errstate(divide="ignore", invalid="ignore"):
         # rows that divide by a zero gap are the uncovered ones, never summed
         terms = weights / gaps**2
-    # squared in Python (C pow), which rounds unlike numpy's array square
-    lhs = [a**2 for a in np.abs(d.eigenvectors[k, :]).tolist()]
-    out = []
-    for alpha, min_gap in enumerate(min_gaps):
-        covered = min_gap >= cutoff
-        if len(t) == 0:
-            # empty minor: the right side is exactly 1
-            residual = abs(lhs[alpha] - 1.0)
-        elif covered:
-            residual = abs(lhs[alpha] - 1.0 / (1.0 + math.fsum(terms[alpha].tolist()) / n))
-        else:
-            residual = math.inf
-        out.append(
-            IdentityResidual(
-                alpha=alpha, column=k, residual=residual, covered=covered, min_gap=min_gap
-            )
-        )
-    return out
-
+    covered = (np.min(np.abs(gaps), axis=1) >= cutoff).tolist()
+    return [
+        abs(lhs[a] - 1.0 / (1.0 + math.fsum(terms[a].tolist()) / n)) if covered[a] else math.inf
+        for a in range(n)
+    ]

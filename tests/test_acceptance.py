@@ -30,6 +30,7 @@ from hardedge import (
     file_digest,
     fixed_point_residual,
     interlacing_check,
+    minor_basis,
     mp_cdf,
     mp_moment_quadrature,
     mp_stieltjes,
@@ -137,7 +138,7 @@ def test_criterion_05_interlacing(n64_suite):
         for dec in decs:
             tolerance = 1e-10 * dec.top
             for k in rng.choice(64, size=10, replace=False):
-                violation = interlacing_check(dec, int(k))
+                violation = interlacing_check(dec, minor_basis(dec.source, int(k)))
                 assert violation <= tolerance, (dec.source.trial_index, int(k))
                 worst_rel = max(worst_rel, violation / dec.top)
     assert worst_rel <= 1e-10

@@ -19,7 +19,7 @@ from hardedge import (
     sample_matrix,
     write_sample,
 )
-from hardedge.ensemble import column_vector, draw_entries, remove_column, stream, unscaled_column
+from hardedge.ensemble import draw_entries, stream
 
 GAUSS = EntryDistribution("complex-gaussian")
 RAD = EntryDistribution("rademacher-pair")
@@ -176,18 +176,6 @@ def test_entry_statistics_warn_below_threshold(caplog):
     with caplog.at_level(logging.WARNING):
         check_entry_statistics(doctored)
     assert any("entry statistics" in r.message for r in caplog.records)
-
-
-def test_column_helpers():
-    s = sample_matrix(spec_of(9), 0)
-    minor = remove_column(s, 4)
-    assert minor.shape == (9, 8)
-    assert np.array_equal(minor[:, 4], s.entries[:, 5])
-    col = column_vector(s, 4)
-    assert np.array_equal(col, s.entries[:, 4])
-    assert np.allclose(unscaled_column(s, 4), col * 3.0)
-    with pytest.raises(IndexError):
-        remove_column(s, 9)
 
 
 def test_dump_roundtrip(tmp_path):

@@ -455,9 +455,9 @@ def test_identity_suite_one_minor_svd_per_column(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     run_identity_suite(sizes=(8,), trials=2, seed=7)
     # per trial: the decomposition, then per column one full minor SVD shared
-    # by every theta and identity, and one sigma-only SVD for interlacing
-    assert len(calls) == 2 * (1 + 8 + 8)
-    assert calls.count(False) == 2 * 8
+    # by every theta, identity and the interlacing check
+    assert len(calls) == 2 * (1 + 8)
+    assert calls.count(False) == 0
 
 
 def test_identity_suite_rejects_zero_trials():
@@ -475,6 +475,18 @@ def test_hw_experiment_small():
     assert rep.summary["normalizer"] == pytest.approx(16.0)
     stats = [row["statistic"] for row in rep.rows]
     assert all(a >= b for a, b in zip(stats, stats[1:]))
+
+
+def test_hw_row_shape_is_the_fitted_shape():
+    # a non-integer delta whose scalar square differs in the last bit from
+    # the array square; each row must carry the shape the slope is fitted on
+    deltas = (12.428327649956394, 20.0)
+    rep = run_hw_experiment(size=256, trials=400, deltas=deltas)
+    grid = np.asarray(deltas)
+    norm = rep.summary["normalizer"]
+    shapes = np.minimum(grid / math.sqrt(norm), grid**2 / norm)
+    assert shapes[0] == (grid**2 / norm)[0]  # T = 256: the first row takes the delta^2/T branch
+    assert [row["shape"] for row in rep.rows] == shapes.tolist()
 
 
 def test_projection_mass_experiment_small():

@@ -50,7 +50,7 @@ def test_empirical_stieltjes_is_normalized_trace():
     d = decompose(s)
     for p in THETA_GRID:
         dense = dense_resolvent(s, p)
-        assert abs(empirical_stieltjes(d, p) - np.trace(dense) / 18) < 1e-12
+        assert abs(empirical_stieltjes(d.eigenvalues, p) - np.trace(dense) / 18) < 1e-12
 
 
 def test_empirical_stieltjes_far_field():
@@ -58,7 +58,7 @@ def test_empirical_stieltjes_far_field():
     d = decompose(s)
     p = SpectralPoint(0.0, 1e6)
     # |Delta_N + 1/theta| <= max(s)/|theta|^2
-    assert abs(empirical_stieltjes(d, p) + 1.0 / p.theta) <= d.top / 1e12
+    assert abs(empirical_stieltjes(d.eigenvalues, p) + 1.0 / p.theta) <= d.top / 1e12
 
 
 def test_leave_one_out_diagonal_matches_dense():
@@ -120,8 +120,8 @@ def test_consistency_residual():
     s = make_sample(256, seed=11)
     d = decompose(s)
     p = SpectralPoint(2.0, 0.1)
-    delta_n = empirical_stieltjes(d, p)
-    r = self_consistency_residual(d, p)
+    delta_n = empirical_stieltjes(d.eigenvalues, p)
+    r = self_consistency_residual(d.eigenvalues, p)
     assert r == pytest.approx(abs(delta_n + 1.0 / (p.theta * (delta_n + 1.0))))
     assert r < 0.5
     # the limit itself has zero residual

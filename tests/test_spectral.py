@@ -22,11 +22,10 @@ from hardedge import (
     eigenvector_identity_scan,
     interlacing_check,
     minor_basis,
-    minor_eigenvalues,
     sample_matrix,
 )
-from hardedge.ensemble import MatrixSample, remove_column, unscaled_column
-from hardedge.spectral import DecompositionError, IdentityResidual
+from hardedge.ensemble import MatrixSample
+from hardedge.spectral import DecompositionError
 
 GAUSS = EntryDistribution("complex-gaussian")
 
@@ -107,14 +106,7 @@ def test_interlacing_all_columns():
     d = decompose(s)
     tol = 1e-10 * max(1.0, d.top)
     for k in range(24):
-        assert interlacing_check(d, k) <= tol
-
-
-def test_minor_eigenvalues_shape():
-    s = make_sample(10)
-    t = minor_eigenvalues(s, 3)
-    assert t.shape == (9,)
-    assert np.all(np.diff(t) >= 0.0)
+        assert interlacing_check(d, minor_basis(s, k)) <= tol
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -125,7 +117,7 @@ def test_minor_basis_reuses_thin_svd_bits(n):
         s = make_sample(n, seed=n, trial=trial)
         for k in range(n):
             minor = minor_basis(s, k)
-            w_minor = remove_column(s, k)
+            w_minor = np.delete(s.entries, k, axis=1)
             u, sing, _ = np.linalg.svd(w_minor, full_matrices=False)
             assert np.array_equal(minor.eigenvalues, sing**2)
             assert np.array_equal(minor.vectors[:, : n - 1], u)
@@ -134,49 +126,56 @@ def test_minor_basis_reuses_thin_svd_bits(n):
             assert np.max(np.abs(null.conj() @ w_minor)) < 1e-12
 
 
+def test_minor_basis_rejects_out_of_range_column():
+    s = make_sample(9)
+    # np.delete alone would wrap k = -1 around to the last column
+    for k in (9, -1):
+        with pytest.raises(IndexError):
+            minor_basis(s, k)
+
+
 def test_eigenvector_identity_full_scan():
     s = make_sample(16, seed=6)
+    d = decompose(s)
     total = 0
     covered = 0
     for k in range(16):
-        for r in eigenvector_identity_scan(minor_basis(s, k)):
+        for alpha, r in enumerate(eigenvector_identity_scan(minor_basis(s, k), d)):
             total += 1
-            if r.covered:
+            if math.isfinite(r):
                 covered += 1
-                assert r.residual < 1e-8, (r.alpha, r.column, r.residual)
+                assert r < 1e-8, (alpha, k, r)
             else:
-                assert math.isinf(r.residual)
+                assert math.isinf(r)
     assert covered / total >= 0.95
 
 
 def test_eigenvector_identity_size_one():
     s = make_sample(1, seed=2)
-    (r,) = eigenvector_identity_scan(minor_basis(s, 0))
+    (r,) = eigenvector_identity_scan(minor_basis(s, 0), decompose(s))
     # empty minor: |u(0)|^2 = 1 and the identity right side is 1
-    assert r.covered
-    assert r.residual < 1e-15
+    assert r < 1e-15
 
 
 def _per_alpha_scan(minor, gap_tol, d):
-    """The identity scan one eigenvalue index at a time."""
-    s, k, n = minor.source, minor.k, minor.source.size
+    """The identity scan one eigenvalue index at a time (inf for uncovered)."""
+    k, n = minor.k, d.size
     order = np.argsort(minor.eigenvalues, kind="stable")
     t = minor.eigenvalues[order]
-    weights = t * np.abs(minor.vectors[:, order].conj().T @ unscaled_column(s, k)) ** 2
+    x_k = minor.column * math.sqrt(n)
+    weights = t * np.abs(minor.vectors[:, order].conj().T @ x_k) ** 2
     cutoff = gap_tol * (1.0 + d.top)
     out = []
     for alpha in range(n):
         gaps = d.eigenvalues[alpha] - t
         min_gap = float(np.min(np.abs(gaps))) if len(t) else math.inf
-        covered = min_gap >= cutoff
         lhs = float(np.abs(d.eigenvectors[k, alpha]) ** 2)
         if len(t) == 0:
-            residual = abs(lhs - 1.0)
-        elif covered:
-            residual = abs(lhs - 1.0 / (1.0 + math.fsum(weights / gaps**2) / n))
+            out.append(abs(lhs - 1.0))
+        elif min_gap >= cutoff:
+            out.append(abs(lhs - 1.0 / (1.0 + math.fsum(weights / gaps**2) / n)))
         else:
-            residual = math.inf
-        out.append(IdentityResidual(alpha, k, residual, covered, min_gap))
+            out.append(math.inf)
     return out
 
 
@@ -188,7 +187,7 @@ def test_eigenvector_identity_scan_matches_per_alpha(n):
         for k in range(n):
             minor = minor_basis(s, k)
             for gap_tol in (1e-6, 0.05):
-                assert eigenvector_identity_scan(minor, gap_tol, d) == _per_alpha_scan(
+                assert eigenvector_identity_scan(minor, d, gap_tol) == _per_alpha_scan(
                     minor, gap_tol, d
                 )
 
@@ -203,13 +202,11 @@ def test_eigenvector_identity_scan_uncovered_pair():
     minor = minor_basis(s, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scan = eigenvector_identity_scan(minor, decomposition=d)
+        scan = eigenvector_identity_scan(minor, d)
     assert scan == _per_alpha_scan(minor, 1e-6, d)
-    uncovered = [r for r in scan if not r.covered]
-    assert len(uncovered) == 3
-    assert all(math.isinf(r.residual) for r in uncovered)
-    (covered,) = [r for r in scan if r.covered]
-    assert covered.residual < 1e-15
+    assert sum(math.isinf(r) for r in scan) == 3
+    (covered,) = [r for r in scan if math.isfinite(r)]
+    assert covered < 1e-15
 
 
 def test_decomposition_error_carries_trial_identity():
