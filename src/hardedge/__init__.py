@@ -46,14 +46,8 @@ from .mp import (
     mp_stieltjes,
     mp_window_mass,
 )
-from .reports import Manifest, file_digest, render_csv, render_json, write_report
-from .resolvent import (
-    consistency_residual,
-    empirical_stieltjes,
-    resolvent_diag_leave_one_out,
-    resolvent_diag_schur,
-    self_consistency_residual,
-)
+from .reports import file_digest, render_csv, render_json, write_report
+from .resolvent import empirical_stieltjes, resolvent_diag_leave_one_out, resolvent_diag_schur
 from .spectral import (
     DecompositionError,
     MinorBasis,
@@ -91,7 +85,7 @@ __all__ = [
     "eigenvector_identity_scan",
     # resolvent
     "empirical_stieltjes", "resolvent_diag_leave_one_out",
-    "resolvent_diag_schur", "consistency_residual", "self_consistency_residual",
+    "resolvent_diag_schur",
     # concentration
     "wilson_interval", "hw_tail_curve", "projection_mass_probe",
     # experiments
@@ -100,5 +94,5 @@ __all__ = [
     "run_hard_edge_scaling", "run_identity_suite", "run_hw_experiment",
     "run_projection_mass_experiment",
     # reports
-    "Manifest", "render_csv", "render_json", "write_report", "file_digest",
+    "render_csv", "render_json", "write_report", "file_digest",
 ]

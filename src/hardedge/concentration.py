@@ -74,8 +74,8 @@ def hw_tail_curve(
     if norm == 0.0:
         raise ValueError("degenerate matrix: Tr A*A = 0")
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 1 or len(deltas) == 0 or np.any(deltas < 0):
-        raise ValueError("deltas must be a nonempty grid of nonnegative reals")
+    if deltas.ndim != 1 or len(deltas) == 0 or deltas[0] < 0 or np.any(np.diff(deltas) <= 0):
+        raise ValueError("deltas must be a nonempty, strictly increasing grid of nonnegative reals")
     draws = _chunked_draws(dist.kind, trials, len(lam), seed)
     stats = np.concatenate([np.abs((np.abs(x) ** 2 - 1.0) @ lam) for x in draws])
     return np.array([int(np.sum(stats >= d)) for d in deltas]), norm

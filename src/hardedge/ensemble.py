@@ -69,11 +69,11 @@ _MIX2 = 0x94D049BB133111EB
 _MAGIC = b"HESAMP01"
 _HEADER = struct.Struct("<8sQIIQQ")
 
-# kind -> (code, bounded part density, Var(|x|^2) of one unscaled entry)
+# kind -> (code, bounded part density)
 _KIND_TABLE = {
-    "complex-gaussian": (0, True, 1.0),
-    "rademacher-pair": (1, False, 0.0),
-    "uniform-symmetric": (2, True, 0.4),
+    "complex-gaussian": (0, True),
+    "rademacher-pair": (1, False),
+    "uniform-symmetric": (2, True),
 }
 KINDS = tuple(_KIND_TABLE)
 
@@ -104,11 +104,6 @@ class EntryDistribution:
     @property
     def density_bounded(self) -> bool:
         return _KIND_TABLE[self.kind][1]
-
-    @property
-    def modsq_variance(self) -> float:
-        """Var(|x|^2) for one unscaled entry."""
-        return _KIND_TABLE[self.kind][2]
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,19 @@ def _number(path: str, value) -> float:
     return float(value)
 
 
+def _increasing(values) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+def _check_sizes(sizes) -> None:
+    """Matrix sizes: a nonempty list of distinct integers >= 1."""
+    for i, n in enumerate(sizes):
+        if _integer(f"sizes[{i}]", n) in sizes[:i]:
+            raise ConfigError(f"sizes[{i}]: repeats size {n}; sizes must be distinct")
+    if not sizes or min(sizes) < 1:
+        raise ConfigError(f"sizes: need a nonempty list of sizes >= 1, got {sizes!r}")
+
+
 def _list_of(item):
     def parse(path: str, value) -> tuple:
         if not isinstance(value, (list, tuple)):
@@ -129,6 +142,10 @@ def _list_of(item):
         return tuple(item(f"{path}[{i}]", v) for i, v in enumerate(value))
 
     return parse
+
+
+def _as_is(path: str, value):
+    return value
 
 
 def _window(path: str, value) -> Window:
@@ -171,9 +188,8 @@ class ExperimentConfig:
     thresholds: Thresholds = field(default_factory=Thresholds)
 
     def __post_init__(self) -> None:
-        if not self.sizes or any(int(n) < 1 for n in self.sizes):
-            raise ConfigError(f"sizes: need a nonempty list of sizes >= 1, got {self.sizes!r}")
-        if self.trials < 30:
+        _check_sizes(self.sizes)
+        if _integer("trials", self.trials) < 30:
             raise ConfigError(f"trials: must be >= 30, got {self.trials}")
         if self.distribution not in KINDS:
             raise ConfigError(
@@ -185,20 +201,22 @@ class ExperimentConfig:
             raise ConfigError(f"kappa: must lie strictly in (0, 1), got {self.kappa}")
         if not self.epsilon_grid or any(e <= 0 for e in self.epsilon_grid):
             raise ConfigError(f"epsilon_grid: need entries > 0, got {self.epsilon_grid!r}")
-        if not self.k_grid or any(k <= 0 for k in self.k_grid):
-            raise ConfigError(f"k_grid: need entries > 0, got {self.k_grid!r}")
-        if not self.l_grid or any(int(l) < 1 for l in self.l_grid) or list(self.l_grid) != sorted(
-            set(int(l) for l in self.l_grid)
-        ):
+        if not self.k_grid or self.k_grid[0] <= 0 or not _increasing(self.k_grid):
+            raise ConfigError(f"k_grid: need strictly increasing entries > 0, got {self.k_grid!r}")
+        for i, l in enumerate(self.l_grid):
+            _integer(f"l_grid[{i}]", l)
+        if not self.l_grid or self.l_grid[0] < 1 or not _increasing(self.l_grid):
             raise ConfigError(
                 f"l_grid: need strictly increasing integers >= 1, got {self.l_grid!r}"
             )
-        if not (0 <= self.seed < 2**64):
+        if not (0 <= _integer("seed", self.seed) < 2**64):
             raise ConfigError(f"seed: must be a u64, got {self.seed}")
         if not (math.isfinite(self.scale_min) and self.scale_min > 0):
             raise ConfigError(f"scale_min: must be positive, got {self.scale_min}")
-        if self.n_windows < 1:
+        if _integer("n_windows", self.n_windows) < 1:
             raise ConfigError(f"n_windows: must be >= 1, got {self.n_windows}")
+        if self.windows is not None and not self.windows:
+            raise ConfigError("windows: need at least one window, or null for the derived ladder")
         for i, w in enumerate(self.windows or ()):
             if w.energy <= 0:
                 raise ConfigError(
@@ -236,20 +254,20 @@ class ExperimentConfig:
         return out
 
 
-# JSON key -> parser(path, value) of that ExperimentConfig field; range checks
-# stay in ExperimentConfig.__post_init__
+# JSON key -> parser(path, value) of that ExperimentConfig field; integer and
+# range checks stay in ExperimentConfig.__post_init__
 _FIELD_PARSERS = {
-    "sizes": _list_of(_integer),
-    "trials": _integer,
-    "distribution": lambda path, value: value,
+    "sizes": _list_of(_as_is),
+    "trials": _as_is,
+    "distribution": _as_is,
     "b": _number,
     "kappa": _number,
     "epsilon_grid": _list_of(_number),
     "k_grid": _list_of(_number),
-    "l_grid": _list_of(_integer),
-    "seed": _integer,
+    "l_grid": _list_of(_as_is),
+    "seed": _as_is,
     "scale_min": _number,
-    "n_windows": _integer,
+    "n_windows": _as_is,
     "windows": lambda path, value: None if value is None else _list_of(_window)(path, value),
     "thresholds": _thresholds,
 }
@@ -751,7 +769,7 @@ def run_identity_suite(
     eigenvector identity, interlacing, counting inequality, trace identity."""
     if trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {trials}")
-    EntryDistribution(distribution)  # an unknown kind is rejected even with no sizes
+    _check_sizes(sizes)
     points = [SpectralPoint(e, h) for e, h in _IDENTITY_THETA_GRID]
 
     def one_trial(sample):
@@ -911,6 +929,8 @@ def run_projection_mass_experiment(
     counts, so the default stops at m=25.
     """
     dist = EntryDistribution(distribution)
+    if not m_grid or not _increasing(m_grid):
+        raise ValueError(f"m_grid: need a nonempty, strictly increasing list, got {m_grid!r}")
     rows = []
     failures = []
     ratios = []

@@ -219,9 +219,7 @@ def check_delta_bounds(
     )
 
 
-def density_quadrature(
-    f=None, lo: float = 0.0, hi: float = SUPPORT_RIGHT, **quad_kwargs
-) -> float:
+def density_quadrature(f=None, lo: float = 0.0, hi: float = SUPPORT_RIGHT) -> float:
     """Adaptive quadrature of integral f(E) d(law)(E) over [lo, hi].
 
     Works in the substituted variable E = 2 - 2 cos t where the law's density
@@ -245,9 +243,7 @@ def density_quadrature(
         def g(t: float) -> float:
             return f(2.0 - 2.0 * math.cos(t)) * (1.0 + math.cos(t)) / math.pi
 
-    kwargs = {"limit": 200, "epsabs": 1e-13, "epsrel": 1e-13}
-    kwargs.update(quad_kwargs)
-    value, _ = integrate.quad(g, t_lo, t_hi, **kwargs)
+    value, _ = integrate.quad(g, t_lo, t_hi, limit=200, epsabs=1e-13, epsrel=1e-13)
     return value
 
 

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ try:
 except PackageNotFoundError:  # pragma: no cover - source tree without install
     _VERSION = "0+unknown"
 
-__all__ = ["Manifest", "render_csv", "render_json", "write_report", "file_digest", "run_id_for"]
+__all__ = ["render_csv", "render_json", "write_report", "file_digest", "run_id_for"]
 
 
 def _plain(value):
@@ -63,6 +62,10 @@ def render_csv(report: TheoremReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dump(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def render_json(report: TheoremReport) -> str:
     payload = {
         "theorem": report.theorem,
@@ -73,7 +76,7 @@ def render_json(report: TheoremReport) -> str:
         "summary": _plain(report.summary),
         "failures": list(report.failures),
     }
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _dump(payload)
 
 
 def file_digest(path) -> str:
@@ -84,27 +87,6 @@ def run_id_for(config: dict, when: float | None = None) -> str:
     stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime(when))
     blob = json.dumps(_plain(config), sort_keys=True).encode()
     return f"{stamp}-{hashlib.sha256(blob).hexdigest()[:12]}"
-
-
-@dataclass(frozen=True)
-class Manifest:
-    """Run identity plus sha256 digests of the artifacts it produced."""
-
-    run_id: str
-    tool: str
-    version: str
-    config: dict
-    artifacts: dict
-
-    def render(self) -> str:
-        payload = {
-            "run_id": self.run_id,
-            "tool": self.tool,
-            "version": self.version,
-            "config": _plain(self.config),
-            "artifacts": self.artifacts,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -136,12 +118,12 @@ def write_report(report: TheoremReport, outdir) -> dict:
     _write_atomic(csv_path, render_csv(report))
     artifacts[json_path.name] = file_digest(json_path)
     artifacts[csv_path.name] = file_digest(csv_path)
-    manifest = Manifest(
-        run_id=run_id_for(report.config),
-        tool="hardedge",
-        version=_VERSION,
-        config=report.config,
-        artifacts=artifacts,
-    )
-    _write_atomic(manifest_path, manifest.render())
+    manifest = {
+        "run_id": run_id_for(report.config),
+        "tool": "hardedge",
+        "version": _VERSION,
+        "config": _plain(report.config),
+        "artifacts": artifacts,
+    }
+    _write_atomic(manifest_path, _dump(manifest))
     return {"json": json_path, "csv": csv_path, "manifest": manifest_path}

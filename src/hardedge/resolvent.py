@@ -31,8 +31,6 @@ __all__ = [
     "empirical_stieltjes",
     "resolvent_diag_leave_one_out",
     "resolvent_diag_schur",
-    "consistency_residual",
-    "self_consistency_residual",
 ]
 
 
@@ -80,17 +78,3 @@ def resolvent_diag_schur(minor: MinorBasis, points: Sequence[SpectralPoint]) -> 
     for i, p in enumerate(points):
         out[i] = 1.0 / (norm_sq - p.theta - _csum(forms[i]))
     return out
-
-
-def consistency_residual(delta_n: complex, point: SpectralPoint) -> float:
-    """|Delta_N + 1/(theta (Delta_N + 1))|, the defect in the law's fixed-point equation."""
-    if abs(delta_n + 1.0) <= 1e-12:
-        raise ValueError(
-            f"empirical transform {delta_n} is within 1e-12 of the pole at -1; "
-            "the residual is not defined there"
-        )
-    return abs(delta_n + 1.0 / (point.theta * (delta_n + 1.0)))
-
-
-def self_consistency_residual(eigenvalues: np.ndarray, point: SpectralPoint) -> float:
-    return consistency_residual(empirical_stieltjes(eigenvalues, point), point)

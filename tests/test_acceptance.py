@@ -1,8 +1,10 @@
 """Acceptance suite: exact identities plus calibrated Monte Carlo checks.
 
 One test per criterion, fixed seeds throughout, so every verdict is
-reproducible.  Each test also asserts its own runtime ceiling; the terminal
-summary hook prints a PASS/FAIL line per criterion.
+reproducible.  Criteria 8, 10 and 11 run the shipped experiment runners
+(`run_local_law`, `run_hard_edge_scaling`, `run_wegner`) and also require
+their reports to pass.  Each test also asserts its own runtime ceiling; the
+terminal summary hook prints a PASS/FAIL line per criterion.
 
 Monte Carlo thresholds (KS 0.05, local-law 0.15 band, delocalization cap 15,
 hard-edge factor 2) come from the desk-scale calibrations recorded in the
@@ -26,7 +28,6 @@ from hardedge import (
     decompose,
     eigenvalue_count,
     eigenvalues_only,
-    empirical_stieltjes,
     file_digest,
     fixed_point_residual,
     interlacing_check,
@@ -36,9 +37,12 @@ from hardedge import (
     mp_stieltjes,
     render_csv,
     run_apriori,
+    run_hard_edge_scaling,
     run_hw_experiment,
     run_identity_suite,
+    run_local_law,
     run_projection_mass_experiment,
+    run_wegner,
     sample_matrix,
     write_report,
 )
@@ -175,19 +179,23 @@ def test_criterion_07_global_mp_convergence():
 
 def test_criterion_08_local_law_desk_scale():
     with Timer() as t:
-        point = SpectralPoint(2.0, 0.1)
-        reference = mp_stieltjes(point)
-        band = 0.15
-        exceedance = {}
-        for size in (128, 512):
-            spec = spec_for(size, 102)
-            devs = []
-            for trial in range(200):
-                delta_n = empirical_stieltjes(eigenvalues_only(sample_matrix(spec, trial)), point)
-                devs.append(math.sqrt(point.energy) * abs(delta_n - reference))
-            exceedance[size] = float(np.mean(np.asarray(devs) >= band))
+        report = run_local_law(
+            ExperimentConfig(
+                sizes=(128, 512),
+                trials=200,
+                seed=102,
+                windows=(Window(2.0, 0.1),),
+                epsilon_grid=(0.15,),
+            )
+        )
+        exceedance = {
+            r["size"]: r["statistic"]
+            for r in report.rows
+            if r["form"] == "transform" and r["epsilon"] == 0.15
+        }
         assert exceedance[512] <= 0.05, f"exceedance {exceedance[512]:.3f} at N=512"
         assert exceedance[512] <= exceedance[128], exceedance
+        assert report.passed, report.failures
     assert t.seconds < 300.0
 
 
@@ -214,37 +222,27 @@ def test_criterion_09_delocalization():
 
 def test_criterion_10_hard_edge_scaling():
     with Timer() as t:
-        medians = {}
-        for size in (128, 256, 512):
-            spec = spec_for(size, 104)
-            smallest = [
-                float(eigenvalues_only(sample_matrix(spec, trial))[0])
-                for trial in range(200)
-            ]
-            medians[size] = size**2 * float(np.median(smallest))
+        report = run_hard_edge_scaling(ExperimentConfig(sizes=(128, 256, 512), trials=200, seed=104))
+        medians = report.summary["medians"]
         spread = max(medians.values()) / min(medians.values())
         assert spread <= 2.0, medians
+        assert report.passed, report.failures
     assert t.seconds < 180.0
 
 
 def test_criterion_11_wegner_decay():
     with Timer() as t:
-        size = 256
-        spec = spec_for(size, 105)
-        window = Window(0.0, 1.0 / size**2)
-        counts = np.array(
-            [
-                eigenvalue_count(eigenvalues_only(sample_matrix(spec, trial)), window)
-                for trial in range(2000)
-            ]
+        report = run_wegner(
+            ExperimentConfig(sizes=(256,), trials=2000, seed=105, k_grid=(1.0,), l_grid=(2, 3, 4, 5))
         )
-        hits = [int(np.sum(counts >= level)) for level in (2, 3, 4, 5)]
+        hits = [round(r["statistic"] * r["trials"]) for r in report.rows]
         # -log P strictly increasing where the data resolves it: positive cells
         # must decay strictly, and the first cell must be resolvable at all
         assert hits[0] >= 2, f"P(count >= 2) unresolved: {hits}"
         for h1, h2 in zip(hits, hits[1:]):
             if h2 > 0:
                 assert h2 < h1, f"no strict decay: {hits}"
+        assert report.passed, report.failures
     assert t.seconds < 180.0
 
 

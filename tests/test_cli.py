@@ -198,6 +198,21 @@ def test_zero_energy_window_exits_2_and_names_it(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["identities", "--n", "0"], "config error: sizes: "),
+        (["identities", "--n", "8", "8"], "config error: sizes[1]: "),
+        (["hw", "--deltas", "8", "1", "2"], "error: deltas must be"),
+    ],
+)
+def test_direct_command_bad_grid_exits_2_and_names_it(tmp_path, capsys, argv, prefix):
+    code, _, err = run(capsys, [*argv, "--trials", "200", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert err.startswith(prefix)
+    assert not (tmp_path / "r").exists()
+
+
 def test_all_matches_single_commands_and_merges_manifest(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     code, out, _ = run(capsys, ["all", "--config", cfg, "--out", str(tmp_path / "all")])

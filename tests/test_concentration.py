@@ -145,6 +145,10 @@ def test_hw_rejects_bad_arguments():
         hw_tail_curve(np.ones(4), GAUSS, 200, [-1.0], seed=0)
     with pytest.raises(ValueError, match="deltas"):
         hw_tail_curve(np.ones(4), GAUSS, 200, [], seed=0)
+    with pytest.raises(ValueError, match="deltas"):
+        hw_tail_curve(np.ones(4), GAUSS, 200, [8.0, 1.0, 2.0], seed=0)
+    with pytest.raises(ValueError, match="deltas"):
+        hw_tail_curve(np.ones(4), GAUSS, 200, [1.0, 1.0], seed=0)
     with pytest.raises(ValueError, match="1-d"):
         hw_tail_curve(np.eye(4), GAUSS, 200, [1.0], seed=0)
 

@@ -117,9 +117,6 @@ def test_kind_table():
     assert set(KINDS) == {"complex-gaussian", "rademacher-pair", "uniform-symmetric"}
     assert GAUSS.density_bounded and UNIF.density_bounded
     assert not RAD.density_bounded
-    assert GAUSS.modsq_variance == pytest.approx(1.0)
-    assert RAD.modsq_variance == 0.0
-    assert UNIF.modsq_variance == pytest.approx(0.4)
     with pytest.raises(ValueError):
         EntryDistribution("real-gaussian")
 

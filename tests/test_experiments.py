@@ -80,11 +80,22 @@ def test_config_round_trip_with_windows_and_thresholds():
         ("seed", 2**64),
         ("scale_min", 0.0),
         ("n_windows", 0),
+        ("windows", ()),
+        ("sizes[1]", (128, 128)),
+        ("sizes[2]", (64, 96, 64)),
+        ("sizes[0]", (64.0,)),
+        ("trials", 30.5),
+        ("k_grid", (4.0, 0.25)),
+        ("k_grid", (1.0, 1.0)),
+        ("l_grid[1]", (1, 2.5)),
+        ("seed", 1.5),
+        ("n_windows", 2.5),
     ],
 )
 def test_config_rejects_and_names_the_field(field, value):
+    # field is the path the message starts with: a config field, or one entry of it
     with pytest.raises(ConfigError) as err:
-        ExperimentConfig(**{field: value})
+        ExperimentConfig(**{field.split("[")[0]: value})
     assert str(err.value).startswith(f"{field}:")
 
 
@@ -465,6 +476,17 @@ def test_identity_suite_rejects_zero_trials():
         run_identity_suite(sizes=(8,), trials=0)
 
 
+@pytest.mark.parametrize(
+    "sizes, path",
+    [((), "sizes"), ((0,), "sizes"), ((8, 8), "sizes[1]"), ((8.5,), "sizes[0]")],
+)
+def test_identity_suite_rejects_bad_sizes(sizes, path):
+    # the same rules as ExperimentConfig.sizes
+    with pytest.raises(ConfigError) as err:
+        run_identity_suite(sizes=sizes, trials=2)
+    assert str(err.value).startswith(f"{path}:")
+
+
 # --- tail experiments -------------------------------------------------------
 
 
@@ -487,6 +509,12 @@ def test_hw_row_shape_is_the_fitted_shape():
     shapes = np.minimum(grid / math.sqrt(norm), grid**2 / norm)
     assert shapes[0] == (grid**2 / norm)[0]  # T = 256: the first row takes the delta^2/T branch
     assert [row["shape"] for row in rep.rows] == shapes.tolist()
+
+
+@pytest.mark.parametrize("m_grid", [(), (9, 4), (4, 4)])
+def test_projection_mass_experiment_rejects_empty_or_unsorted_grid(m_grid):
+    with pytest.raises(ValueError, match="^m_grid: "):
+        run_projection_mass_experiment(trials=100, size=8, m_grid=m_grid)
 
 
 def test_projection_mass_experiment_small():

@@ -12,15 +12,12 @@ from hardedge import (
     EnsembleSpec,
     EntryDistribution,
     SpectralPoint,
-    consistency_residual,
     decompose,
     empirical_stieltjes,
     minor_basis,
-    mp_stieltjes,
     resolvent_diag_leave_one_out,
     resolvent_diag_schur,
     sample_matrix,
-    self_consistency_residual,
 )
 
 GAUSS = EntryDistribution("complex-gaussian")
@@ -114,17 +111,3 @@ def test_batched_points_equal_scalar_reference(n):
             schur = resolvent_diag_schur(minor, THETA_GRID)
             assert np.array_equal(loo, [_scalar_leave_one_out(minor, p) for p in THETA_GRID])
             assert np.array_equal(schur, [_scalar_schur(minor, p) for p in THETA_GRID])
-
-
-def test_consistency_residual():
-    s = make_sample(256, seed=11)
-    d = decompose(s)
-    p = SpectralPoint(2.0, 0.1)
-    delta_n = empirical_stieltjes(d.eigenvalues, p)
-    r = self_consistency_residual(d.eigenvalues, p)
-    assert r == pytest.approx(abs(delta_n + 1.0 / (p.theta * (delta_n + 1.0))))
-    assert r < 0.5
-    # the limit itself has zero residual
-    assert consistency_residual(mp_stieltjes(p), p) < 1e-14
-    with pytest.raises(ValueError):
-        consistency_residual(-1.0 + 1e-13j, p)
