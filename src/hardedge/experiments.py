@@ -135,6 +135,18 @@ def _check_sizes(sizes) -> None:
         raise ConfigError(f"sizes: need a nonempty list of sizes >= 1, got {sizes!r}")
 
 
+def _check_seed(seed) -> None:
+    """Master seed: an integer in [0, 2^64)."""
+    if not (0 <= _integer("seed", seed) < 2**64):
+        raise ConfigError(f"seed: must be a u64, got {seed}")
+
+
+def _check_size(size) -> None:
+    """One matrix size: an integer >= 1."""
+    if _integer("size", size) < 1:
+        raise ConfigError(f"size: must be >= 1, got {size}")
+
+
 def _list_of(item):
     def parse(path: str, value) -> tuple:
         if not isinstance(value, (list, tuple)):
@@ -209,8 +221,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"l_grid: need strictly increasing integers >= 1, got {self.l_grid!r}"
             )
-        if not (0 <= _integer("seed", self.seed) < 2**64):
-            raise ConfigError(f"seed: must be a u64, got {self.seed}")
+        _check_seed(self.seed)
         if not (math.isfinite(self.scale_min) and self.scale_min > 0):
             raise ConfigError(f"scale_min: must be positive, got {self.scale_min}")
         if _integer("n_windows", self.n_windows) < 1:
@@ -241,17 +252,7 @@ class ExperimentConfig:
         return cls(**{name: _FIELD_PARSERS[name](name, value) for name, value in data.items()})
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["windows"] = (
-            None
-            if self.windows is None
-            else [{"energy": w.energy, "eta": w.eta} for w in self.windows]
-        )
-        out["sizes"] = list(self.sizes)
-        out["epsilon_grid"] = list(self.epsilon_grid)
-        out["k_grid"] = list(self.k_grid)
-        out["l_grid"] = list(self.l_grid)
-        return out
+        return asdict(self)
 
 
 # JSON key -> parser(path, value) of that ExperimentConfig field; integer and
@@ -279,10 +280,15 @@ class TheoremReport:
 
     theorem: str
     config: dict
-    columns: tuple[str, ...]
     rows: tuple[dict, ...]
     summary: dict
     failures: tuple[str, ...]
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The report layout: the keys of the first row, in order (every row
+        lists the same keys, and every runner emits at least one row)."""
+        return tuple(self.rows[0])
 
     @property
     def passed(self) -> bool:
@@ -409,16 +415,12 @@ def run_apriori(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     failures = []
     reference_cells = []
     for size in cfg.sizes:
-        windows = windows_by_size[size]
-        counts_arr = np.asarray(
-            [[eigenvalue_count(eigs, w) for w in windows] for eigs in spectra[size]]
-        )
-        for j, w in enumerate(windows):
+        for w in windows_by_size[size]:
+            counts = eigenvalue_count(spectra[size], w)
             scale = w.point.scale(size)
-            previous = None
             for k in cfg.k_grid:
                 threshold = k * scale
-                tail = _exceedance(int(np.sum(counts_arr[:, j] >= threshold)), cfg.trials)
+                tail = _exceedance(int(np.sum(counts >= threshold)), cfg.trials)
                 p = tail["statistic"]
                 rows.append(
                     {
@@ -431,9 +433,6 @@ def run_apriori(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
                         **tail,
                     }
                 )
-                if previous is not None and p > previous:
-                    failures.append(f"{_pfx(size, w)}: exceedance not nonincreasing in K")
-                previous = p
                 if k >= cfg.thresholds.apriori_reference_k:
                     reference_cells.append(p)
                     if p > cfg.thresholds.apriori_tail:
@@ -449,10 +448,6 @@ def run_apriori(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     return TheoremReport(
         theorem="apriori-counting",
         config=cfg.to_dict(),
-        columns=(
-            "size", "energy", "eta", "scale", "K", "threshold",
-            "statistic", "ci_lo", "ci_hi", "trials",
-        ),
         rows=tuple(rows),
         summary=summary,
         failures=tuple(failures),
@@ -470,30 +465,23 @@ def run_local_law(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     rows = []
     failures = []
     eps_star = cfg.thresholds.locallaw_epsilon
-    reference: dict[tuple[str, float, float, int], dict] = {}
+    # (size, window index) -> transform tail at eps_star
+    reference: dict[tuple[int, int], dict] = {}
     for size in cfg.sizes:
-        windows = windows_by_size[size]
-        laws = [(w, math.sqrt(w.energy), mp_stieltjes(w.point), mp_window_mass(w)) for w in windows]
-        transform_devs = np.asarray(
-            [
-                [sqrt_e * abs(empirical_stieltjes(eigs, w.point) - limit) for w, sqrt_e, limit, _ in laws]
-                for eigs in spectra[size]
-            ]
-        )
-        counting_devs = np.asarray(
-            [
-                [
-                    sqrt_e * abs(eigenvalue_count(eigs, w) / (size * w.eta) - mass / w.eta)
-                    for w, sqrt_e, _, mass in laws
-                ]
-                for eigs in spectra[size]
-            ]
-        )
-        for j, w in enumerate(windows):
+        block = spectra[size]
+        for j, w in enumerate(windows_by_size[size]):
+            sqrt_e = math.sqrt(w.energy)
+            limit = mp_stieltjes(w.point)
+            transform_devs = np.asarray(
+                [sqrt_e * abs(empirical_stieltjes(eigs, w.point) - limit) for eigs in block]
+            )
+            counting_devs = sqrt_e * np.abs(
+                eigenvalue_count(block, w) / (size * w.eta) - mp_window_mass(w) / w.eta
+            )
             scale = w.point.scale(size)
             for form, devs in (("transform", transform_devs), ("count", counting_devs)):
                 for eps in eps_grid:
-                    tail = _exceedance(int(np.sum(devs[:, j] >= eps)), cfg.trials)
+                    tail = _exceedance(int(np.sum(devs >= eps)), cfg.trials)
                     p = tail["statistic"]
                     nominal = math.exp(-eps * math.sqrt(scale)) + math.exp(
                         -math.log(size) ** (cfg.b / 4.0)
@@ -510,9 +498,9 @@ def run_local_law(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
                             **tail,
                         }
                     )
-                    if eps == eps_star:
-                        reference[(form, w.energy, w.eta, size)] = tail
-                        if form == "transform" and size == max(cfg.sizes) and p > cfg.thresholds.locallaw_exceedance:
+                    if form == "transform" and eps == eps_star:
+                        reference[(size, j)] = tail
+                        if size == max(cfg.sizes) and p > cfg.thresholds.locallaw_exceedance:
                             failures.append(
                                 f"{_pfx(size, w)}: transform exceedance {p:.4g} at "
                                 f"epsilon={eps_star} above {cfg.thresholds.locallaw_exceedance}"
@@ -521,10 +509,10 @@ def run_local_law(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     if len(cfg.sizes) > 1 and cfg.windows is not None:
         # explicit windows are shared across sizes, so the size trend is testable
         small, large = min(cfg.sizes), max(cfg.sizes)
-        for w in cfg.windows:
-            tail_small = reference[("transform", w.energy, w.eta, small)]
+        for j, w in enumerate(cfg.windows):
+            tail_small = reference[(small, j)]
             p_small = tail_small["statistic"]
-            p_large = reference[("transform", w.energy, w.eta, large)]["statistic"]
+            p_large = reference[(large, j)]["statistic"]
             if p_large > tail_small["ci_hi"]:
                 failures.append(
                     f"window E={w.energy:.6g}: exceedance grew from N={small} "
@@ -533,18 +521,11 @@ def run_local_law(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
 
     summary = {
         "epsilon_reference": eps_star,
-        "max_transform_exceedance_at_reference": max(
-            (v["statistic"] for (form, _, _, _), v in reference.items() if form == "transform"),
-            default=None,
-        ),
+        "max_transform_exceedance_at_reference": max(v["statistic"] for v in reference.values()),
     }
     return TheoremReport(
         theorem="local-law",
         config=cfg.to_dict(),
-        columns=(
-            "size", "energy", "eta", "scale", "form", "epsilon", "nominal_tail",
-            "statistic", "ci_lo", "ci_hi", "trials",
-        ),
         rows=tuple(rows),
         summary=summary,
         failures=tuple(failures),
@@ -631,11 +612,6 @@ def run_delocalization(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport
     return TheoremReport(
         theorem="delocalization",
         config=cfg.to_dict(),
-        columns=(
-            "size", "lower_edge", "upper_edge", "nominal_edge_b", "nominal_edge_2b",
-            "cap", "median_max_supsq", "median_over_ln", "q95_over_ln", "max_over_ln",
-            "statistic", "ci_lo", "ci_hi", "trials",
-        ),
         rows=tuple(rows),
         summary=summary,
         failures=tuple(failures),
@@ -655,23 +631,18 @@ def run_wegner(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     rows = []
     failures = []
     slopes = {}
+    levels = cfg.l_grid
     for size in cfg.sizes:
-        windows = [Window(0.0, k / size**2) for k in cfg.k_grid]
-        counts = np.asarray([[eigenvalue_count(eigs, w) for w in windows] for eigs in spectra[size]])
-        for j, k in enumerate(cfg.k_grid):
-            levels = list(cfg.l_grid)
-            hit_list = []
-            for level in levels:
-                hits = int(np.sum(counts[:, j] >= level))
-                hit_list.append(hits)
+        for k in cfg.k_grid:
+            counts = eigenvalue_count(spectra[size], Window(0.0, k / size**2))
+            hit_list = [int(np.sum(counts >= level)) for level in levels]
+            for level, hits in zip(levels, hit_list):
                 rows.append({"size": size, "K": k, "L": level, **_exceedance(hits, cfg.trials)})
             cell = f"N={size}, K={k:.6g}"
             if hit_list[0] == 0:
                 failures.append(f"{cell}: first level L={levels[0]} already has zero hits")
             pairs = list(zip(levels, hit_list))
             for (l1, h1), (l2, h2) in zip(pairs, pairs[1:]):
-                if h2 > h1:
-                    failures.append(f"{cell}: exceedance rose from L={l1} to L={l2}")
                 if 0 < h1 == h2:
                     failures.append(f"{cell}: no strict decay from L={l1} to L={l2}")
             positive = [(l, h) for l, h in pairs if h > 0]
@@ -690,7 +661,6 @@ def run_wegner(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     return TheoremReport(
         theorem="near-zero-counting",
         config=cfg.to_dict(),
-        columns=("size", "K", "L", "statistic", "ci_lo", "ci_hi", "trials"),
         rows=tuple(rows),
         summary=summary,
         failures=tuple(failures),
@@ -742,7 +712,6 @@ def run_hard_edge_scaling(cfg: ExperimentConfig, threads: int = 1) -> TheoremRep
     return TheoremReport(
         theorem="hard-edge-scaling",
         config=cfg.to_dict(),
-        columns=("size", "spacing_median", "statistic", "ci_lo", "ci_hi", "trials"),
         rows=tuple(rows),
         summary=summary,
         failures=tuple(failures),
@@ -770,6 +739,7 @@ def run_identity_suite(
     if trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {trials}")
     _check_sizes(sizes)
+    _check_seed(seed)
     points = [SpectralPoint(e, h) for e, h in _IDENTITY_THETA_GRID]
 
     def one_trial(sample):
@@ -849,7 +819,6 @@ def run_identity_suite(
             "distribution": distribution,
             "theta_grid": [list(p) for p in _IDENTITY_THETA_GRID],
         },
-        columns=("size", "check", "tolerance", "statistic", "ci_lo", "ci_hi", "trials"),
         rows=tuple(rows),
         summary={"checks_per_size": 8},
         failures=tuple(failures),
@@ -868,21 +837,19 @@ def run_hw_experiment(
     spectrum=None,
 ) -> TheoremReport:
     """Quadratic-form tail shape on the identity (or a given spectrum)."""
+    _check_size(size)
+    _check_seed(seed)
     dist = EntryDistribution(distribution)
     operator = np.ones(size) if spectrum is None else np.asarray(spectrum, dtype=float)
     hits, norm = hw_tail_curve(operator, dist, trials, deltas, seed)
     grid = np.asarray(deltas, dtype=float)
     # min(delta/sqrt(T), delta^2/T), the same array for the rows and the fit
     shapes = np.minimum(grid / math.sqrt(norm), grid**2 / norm)
-    rows = []
+    rows = [
+        {"delta": float(delta), "shape": float(shape), **_exceedance(int(h), trials)}
+        for delta, shape, h in zip(grid, shapes, hits)
+    ]
     failures = []
-    previous = None
-    for delta, shape, h in zip(grid, shapes, hits):
-        tail = _exceedance(int(h), trials)
-        rows.append({"delta": float(delta), "shape": float(shape), **tail})
-        if previous is not None and tail["statistic"] > previous:
-            failures.append(f"delta={delta:g}: exceedance rose along the grid")
-        previous = tail["statistic"]
     # least-squares decay rate of -log(exceedance) against the shape, fitted
     # on the grid points whose exceedance lies strictly inside (0, 1); nan
     # when fewer than two such points exist
@@ -904,7 +871,6 @@ def run_hw_experiment(
             "deltas": [float(d) for d in deltas],
             "spectrum": None if spectrum is None else [float(x) for x in operator],
         },
-        columns=("delta", "shape", "statistic", "ci_lo", "ci_hi", "trials"),
         rows=tuple(rows),
         summary={"slope": slope, "normalizer": norm},
         failures=tuple(failures),
@@ -928,6 +894,8 @@ def run_projection_mass_experiment(
     gaussian probability is already 4e-7 at m=64, far beyond desk trial
     counts, so the default stops at m=25.
     """
+    _check_size(size)
+    _check_seed(seed)
     dist = EntryDistribution(distribution)
     if not m_grid or not _increasing(m_grid):
         raise ValueError(f"m_grid: need a nonempty, strictly increasing list, got {m_grid!r}")
@@ -961,7 +929,6 @@ def run_projection_mass_experiment(
             "m_grid": [int(m) for m in m_grid],
             "family": family,
         },
-        columns=("m", "sqrt_m", "family", "statistic", "ci_lo", "ci_hi", "trials"),
         rows=tuple(rows),
         summary={"ratios": ratios},
         failures=tuple(failures),

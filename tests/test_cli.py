@@ -204,6 +204,11 @@ def test_zero_energy_window_exits_2_and_names_it(tmp_path, capsys):
         (["identities", "--n", "0"], "config error: sizes: "),
         (["identities", "--n", "8", "8"], "config error: sizes[1]: "),
         (["hw", "--deltas", "8", "1", "2"], "error: deltas must be"),
+        (["hw", "--size", "0"], "config error: size: "),
+        (["projmass", "--size", "0"], "config error: size: "),
+        (["hw", "--seed", "-1"], "config error: seed: "),
+        (["projmass", "--seed", "-1"], "config error: seed: "),
+        (["identities", "--seed", "-1"], "config error: seed: "),
     ],
 )
 def test_direct_command_bad_grid_exits_2_and_names_it(tmp_path, capsys, argv, prefix):

@@ -199,11 +199,38 @@ def test_apriori_small(small_cfg):
     assert rep.theorem == "apriori-counting"
     assert len(rep.rows) == 2 * 4 * 5
     assert rep.config == small_cfg.to_dict()
+    by_cell = {}
     for row in rep.rows:
-        assert set(row) == set(rep.columns)
         assert row["threshold"] == pytest.approx(row["K"] * row["scale"], rel=1e-12)
         assert row["ci_lo"] <= row["statistic"] <= row["ci_hi"]
+        by_cell.setdefault((row["size"], row["energy"], row["eta"]), []).append(row["statistic"])
+    assert len(by_cell) == 2 * 4
+    for stats in by_cell.values():
+        # one set of counts per window: the tail is nonincreasing in K
+        assert all(a >= b for a, b in zip(stats, stats[1:]))
     assert rep.summary["max_reference_exceedance"] <= 0.01
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [
+        pytest.param(run_apriori, id="apriori"),
+        pytest.param(run_local_law, id="locallaw"),
+        pytest.param(run_delocalization, id="deloc"),
+        pytest.param(run_wegner, id="wegner"),
+        pytest.param(run_hard_edge_scaling, id="hardedge"),
+        pytest.param(lambda cfg: run_identity_suite(sizes=(8,), trials=2, seed=7), id="identities"),
+        pytest.param(lambda cfg: run_hw_experiment(trials=100, size=8, deltas=(1.0, 2.0)), id="hw"),
+        pytest.param(
+            lambda cfg: run_projection_mass_experiment(trials=100, size=8, m_grid=(2, 4)), id="projmass"
+        ),
+    ],
+)
+def test_report_columns_come_from_rows(small_cfg, runner):
+    rep = runner(small_cfg)
+    for row in rep.rows:
+        assert list(row) == list(rep.columns)
+    assert render_csv(rep).splitlines()[0] == ",".join(rep.columns)
 
 
 def test_apriori_thread_count_invisible(small_cfg):

@@ -15,7 +15,6 @@ def toy_report(**overrides):
     base = dict(
         theorem="toy",
         config={"seed": 1, "ratio": math.inf},
-        columns=("size", "statistic", "ok"),
         rows=(
             {"size": 8, "statistic": 0.1 + 0.2, "ok": True},
             {"size": np.int64(16), "statistic": np.float64(0.25), "ok": False},
