@@ -5,8 +5,8 @@ the hard-edge values (of order 1/N^2) keep full relative precision; an
 eigensolver applied to the Gram matrix would see them through an absolute
 error of order machine epsilon times ||X*X||.
 
-Ascending order everywhere.  Eigenvectors of X*X are the right singular
-vectors of X.
+Decompositions are in ascending order; a MinorBasis keeps LAPACK's
+descending order.  Eigenvectors of X*X are the right singular vectors of X.
 """
 
 from __future__ import annotations
@@ -47,13 +47,21 @@ class DecompositionError(RuntimeError):
         self.sample = sample
 
 
+def _svd(sample: MatrixSample, matrix: np.ndarray, **kwargs):
+    """np.linalg.svd of a matrix drawn from sample, failures tagged with its trial."""
+    try:
+        # matrix goes positionally: the benchmark's SVD tracer reads args[0]
+        return np.linalg.svd(matrix, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(sample, exc) from exc
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and eigenvectors (columns) of X*X."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source: MatrixSample
 
     @property
     def size(self) -> int:
@@ -71,15 +79,12 @@ class MinorBasis:
     interlacing included.
 
     eigenvalues holds the N-1 minor eigenvalues in LAPACK's descending order;
-    vectors is the complete N x N left basis, whose first N-1 columns match
-    them and whose last column spans the null direction.  weights and
-    null_weight are |<v_b, w_k>|^2 for the range and null vectors, w_k being
-    the removed scaled column.
+    weights and null_weight are |<v_b, w_k>|^2 over the complete left basis
+    (range vectors in that order, then the null vector), w_k the removed scaled column.
     """
 
     k: int
     eigenvalues: np.ndarray
-    vectors: np.ndarray
     column: np.ndarray
     weights: np.ndarray
     null_weight: float
@@ -87,41 +92,29 @@ class MinorBasis:
 
 def decompose(sample: MatrixSample) -> SpectralDecomposition:
     """Full decomposition of X*X via the SVD of X (eigenvalues ascending)."""
-    try:
-        _, sing, vh = np.linalg.svd(sample.entries)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(sample, exc) from exc
+    _, sing, vh = _svd(sample, sample.entries)
     eigenvalues = (sing[::-1] ** 2).copy()
     eigenvectors = vh[::-1].conj().T.copy()
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues, eigenvectors=eigenvectors, source=sample
-    )
+    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def eigenvalues_only(sample: MatrixSample) -> np.ndarray:
     """Ascending eigenvalues of X*X without vectors (sigma-only SVD)."""
-    try:
-        sing = np.linalg.svd(sample.entries, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(sample, exc) from exc
+    sing = _svd(sample, sample.entries, compute_uv=False)
     return (sing[::-1] ** 2).copy()
 
 
 def minor_basis(sample: MatrixSample, k: int) -> MinorBasis:
-    """The k-minor's eigenvalues, complete left basis and removed column."""
+    """The k-minor's eigenvalues, removed column and the column's basis weights."""
     n = sample.size
     # np.delete would wrap a negative k around to a valid column
     if not 0 <= k < n:
         raise IndexError(f"column index {k} out of range for size {n}")
-    try:
-        u, sing, _ = np.linalg.svd(np.delete(sample.entries, k, axis=1), full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(sample, exc) from exc
+    u, sing, _ = _svd(sample, np.delete(sample.entries, k, axis=1), full_matrices=True)
     w = sample.entries[:, k].copy()
     return MinorBasis(
         k=k,
         eigenvalues=sing**2,
-        vectors=u,
         column=w,
         weights=np.abs(u[:, : n - 1].conj().T @ w) ** 2,
         null_weight=abs(np.vdot(u[:, n - 1], w)) ** 2,
@@ -156,9 +149,9 @@ def interlacing_check(decomposition: SpectralDecomposition, minor: MinorBasis) -
     """
     s = decomposition.eigenvalues
     t = minor.eigenvalues[::-1]
-    below = float(np.max(s[:-1] - t)) if len(t) else 0.0
-    above = float(np.max(t - s[1:])) if len(t) else 0.0
-    return max(below, above, 0.0)
+    below = float(np.max(s[:-1] - t, initial=0.0))
+    above = float(np.max(t - s[1:], initial=0.0))
+    return max(below, above)
 
 
 def eigenvector_identity_scan(
@@ -168,32 +161,25 @@ def eigenvector_identity_scan(
 ) -> list[float]:
     """Identity residual of every eigenvector at the minor's removed column.
 
-    |u_a(k)|^2 must equal 1/(1 + (1/N) sum_b t_b |<v_b, x_k>|^2 / (s_a - t_b)^2)
-    where (t_b, v_b) is the left spectral data of the k-minor and x_k the
-    unscaled removed column.  Entry a is the residual for eigenvalue index a,
-    or inf when the full/minor gap falls below gap_tol * (1 + s_max): such a
-    pair is uncovered and carries no accuracy claim.
+    |u_a(k)|^2 must equal 1/(1 + sum_b t_b |<v_b, w_k>|^2 / (s_a - t_b)^2)
+    where t_b are the k-minor's eigenvalues and |<v_b, w_k>|^2 its weights.
+    Entry a is the residual for eigenvalue index a, or inf when the
+    full/minor gap falls below gap_tol * (1 + s_max): such a pair is
+    uncovered and carries no accuracy claim.  An empty minor (N = 1) leaves
+    the right side exactly 1.
     """
-    d, k = decomposition, minor.k
-    n = d.size
+    d = decomposition
     # squared in Python (C pow), which rounds unlike numpy's array square
-    lhs = [a**2 for a in np.abs(d.eigenvectors[k, :]).tolist()]
-    if n == 1:
-        # empty minor: the right side is exactly 1
-        return [abs(lhs[0] - 1.0)]
-    # ascending order kept on purpose: BLAS rounds each entry of basis^H x
-    # differently by column position, and the reports pin these bits
-    order = np.argsort(minor.eigenvalues, kind="stable")
-    t = minor.eigenvalues[order]
-    weights = t * np.abs(minor.vectors[:, order].conj().T @ (minor.column * math.sqrt(n))) ** 2
+    lhs = [a**2 for a in np.abs(d.eigenvectors[minor.k, :]).tolist()]
+    weights = minor.eigenvalues * minor.weights
     cutoff = gap_tol * (1.0 + d.top)
     # one (alpha, b) grid per column; each covered row keeps its own fsum
-    gaps = d.eigenvalues[:, None] - t[None, :]
+    gaps = d.eigenvalues[:, None] - minor.eigenvalues[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         # rows that divide by a zero gap are the uncovered ones, never summed
         terms = weights / gaps**2
-    covered = (np.min(np.abs(gaps), axis=1) >= cutoff).tolist()
+    covered = (np.min(np.abs(gaps), axis=1, initial=math.inf) >= cutoff).tolist()
     return [
-        abs(lhs[a] - 1.0 / (1.0 + math.fsum(terms[a].tolist()) / n)) if covered[a] else math.inf
-        for a in range(n)
+        abs(lhs[a] - 1.0 / (1.0 + math.fsum(terms[a].tolist()))) if covered[a] else math.inf
+        for a in range(d.size)
     ]

@@ -75,11 +75,12 @@ def identity_suite():
 
 @pytest.fixture(scope="module")
 def n64_suite():
-    # shared by criteria 5 and 6: 100 samples at N=64, full decompositions
+    # shared by criteria 5 and 6: 100 samples at N=64 with their full decompositions
     with Timer() as t:
         spec = spec_for(64, 2026)
-        decs = [decompose(sample_matrix(spec, t_)) for t_ in range(100)]
-    return decs, t.seconds
+        samples = [sample_matrix(spec, t_) for t_ in range(100)]
+        pairs = [(s, decompose(s)) for s in samples]
+    return pairs, t.seconds
 
 
 def rows_for(report, check: str, size: int | None = None):
@@ -135,33 +136,33 @@ def test_criterion_04_eigenvector_identity(identity_suite):
 
 
 def test_criterion_05_interlacing(n64_suite):
-    decs, build_seconds = n64_suite
+    pairs, build_seconds = n64_suite
     with Timer() as t:
         rng = np.random.Generator(np.random.Philox(key=5))
         worst_rel = 0.0
-        for dec in decs:
+        for sample, dec in pairs:
             tolerance = 1e-10 * dec.top
             for k in rng.choice(64, size=10, replace=False):
-                violation = interlacing_check(dec, minor_basis(dec.source, int(k)))
-                assert violation <= tolerance, (dec.source.trial_index, int(k))
+                violation = interlacing_check(dec, minor_basis(sample, int(k)))
+                assert violation <= tolerance, (sample.trial_index, int(k))
                 worst_rel = max(worst_rel, violation / dec.top)
     assert worst_rel <= 1e-10
     assert build_seconds + t.seconds < 60.0
 
 
 def test_criterion_06_counting_inequality(n64_suite):
-    decs, _ = n64_suite
+    pairs, _ = n64_suite
     windows = (
         Window(0.0, 4.0 / 64**2),
         Window(0.5, 0.05),
         Window(2.0, 0.1),
         Window(3.5, 0.2),
     )
-    for dec in decs:
+    for sample, dec in pairs:
         for window in windows:
             count = eigenvalue_count(dec.eigenvalues, window)
             bound = counting_bound(dec.eigenvalues, window)
-            assert count <= bound, (dec.source.trial_index, window)
+            assert count <= bound, (sample.trial_index, window)
 
 
 def test_criterion_07_global_mp_convergence():

@@ -329,3 +329,22 @@ def test_hw_and_projmass_commands(tmp_path, capsys):
     rows = (tmp_path / "pm" / "projection-mass-tail.csv").read_text().splitlines()
     assert rows[0].split(",")[0] == "m"
     assert len(rows) == 4
+
+
+def test_hw_records_the_spectrum_size(tmp_path, capsys):
+    # with --spectrum the operator's length is the size; --size goes unused
+    manifests = []
+    for size in ("5", "7"):
+        code, _, _ = run(
+            capsys,
+            ["hw", "--spectrum", "1", "2", "3", "--size", size, "--trials", "200",
+             "--seed", "3", "--deltas", "1", "2", "--out", str(tmp_path / size)],
+        )
+        assert code in (0, 1)
+        manifests.append(json.loads((tmp_path / size / "manifest.json").read_text()))
+    first, second = (tmp_path / size / "quadratic-form-tail.json" for size in ("5", "7"))
+    assert first.read_bytes() == second.read_bytes()
+    assert manifests[0]["config"] == manifests[1]["config"]
+    assert manifests[0]["config"]["size"] == 3
+    # the run id's config hash (after the timestamp) agrees too
+    assert manifests[0]["run_id"].split("-")[1] == manifests[1]["run_id"].split("-")[1]

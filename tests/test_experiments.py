@@ -441,6 +441,18 @@ def test_wegner_small():
     assert all(s > 0 for s in rep.summary["decay_slopes"].values())
 
 
+def test_wegner_equal_hits_fail_on_strict_decay_alone(monkeypatch):
+    # every trial counting 2 gives equal positive hits at L=1 and L=2: the
+    # strict-decay rule names the cell, and no separate slope failure follows
+    monkeypatch.setattr(
+        experiments, "eigenvalue_count", lambda eigenvalues, window: np.full(len(eigenvalues), 2)
+    )
+    cfg = ExperimentConfig(sizes=(16,), trials=30, seed=5, k_grid=(1.0,))
+    rep = run_wegner(cfg)
+    assert rep.failures == ("N=16, K=1: no strict decay from L=1 to L=2",)
+    assert rep.summary["decay_slopes"] == {"N=16, K=1": 0.0}
+
+
 def test_wegner_rejects_atomic_entries():
     cfg = ExperimentConfig(sizes=(128,), trials=30, distribution="rademacher-pair")
     with pytest.raises(ConfigError, match="excluded"):
@@ -496,6 +508,18 @@ def test_identity_suite_one_minor_svd_per_column(monkeypatch):
     # by every theta, identity and the interlacing check
     assert len(calls) == 2 * (1 + 8)
     assert calls.count(False) == 0
+
+
+def test_identity_suite_pools_coverage():
+    # coverage counts every (trial, alpha, k) pair: one near-degenerate pair
+    # at N=3 no longer fails the size on its own
+    rep = run_identity_suite(sizes=(3,), trials=20, seed=1)
+    assert rep.passed
+    (row,) = [r for r in rep.rows if r["check"] == "coverage_fraction"]
+    assert row["statistic"] == 179 / 180
+    # atomic entries make exact full/minor degeneracies at N=2: still a FAIL
+    rep = run_identity_suite(sizes=(2,), trials=20, seed=1, distribution="rademacher-pair")
+    assert [f.split(" = ")[0] for f in rep.failures] == ["N=2: coverage_fraction"]
 
 
 def test_identity_suite_rejects_zero_trials():

@@ -108,18 +108,19 @@ def test_interlacing_all_columns():
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_minor_basis_reuses_thin_svd_bits(n):
     # the identity suite's report rows rely on the full SVD repeating the
-    # thin SVD's eigenvalues and range vectors bit for bit
+    # thin SVD's eigenvalues and range weights bit for bit
     for trial in range(2):
         s = make_sample(n, seed=n, trial=trial)
         for k in range(n):
             minor = minor_basis(s, k)
-            w_minor = np.delete(s.entries, k, axis=1)
-            u, sing, _ = np.linalg.svd(w_minor, full_matrices=False)
+            w = s.entries[:, k]
+            u, sing, _ = np.linalg.svd(np.delete(s.entries, k, axis=1), full_matrices=False)
             assert np.array_equal(minor.eigenvalues, sing**2)
-            assert np.array_equal(minor.vectors[:, : n - 1], u)
-            assert np.array_equal(minor.column, s.entries[:, k])
-            null = minor.vectors[:, n - 1]
-            assert np.max(np.abs(null.conj() @ w_minor)) < 1e-12
+            assert np.array_equal(minor.weights, np.abs(u.conj().T @ w) ** 2)
+            assert np.array_equal(minor.column, w)
+            # the range and null weights split the column's squared norm
+            norm_sq = float(np.sum(np.abs(w) ** 2))
+            assert abs(minor.null_weight + math.fsum(minor.weights) - norm_sq) < 1e-12
 
 
 def test_minor_basis_rejects_out_of_range_column():
@@ -153,13 +154,13 @@ def test_eigenvector_identity_size_one():
     assert r < 1e-15
 
 
-def _per_alpha_scan(minor, gap_tol, d):
-    """The identity scan one eigenvalue index at a time (inf for uncovered)."""
-    k, n = minor.k, d.size
-    order = np.argsort(minor.eigenvalues, kind="stable")
-    t = minor.eigenvalues[order]
-    x_k = minor.column * math.sqrt(n)
-    weights = t * np.abs(minor.vectors[:, order].conj().T @ x_k) ** 2
+def _per_alpha_scan(sample, k, gap_tol, d):
+    """The identity scan one eigenvalue index at a time (inf for uncovered),
+    from its own full SVD of the k-minor."""
+    n = d.size
+    u, sing, _ = np.linalg.svd(np.delete(sample.entries, k, axis=1), full_matrices=True)
+    t = sing**2
+    weights = t * np.abs(u[:, : n - 1].conj().T @ sample.entries[:, k]) ** 2
     cutoff = gap_tol * (1.0 + d.top)
     out = []
     for alpha in range(n):
@@ -169,7 +170,7 @@ def _per_alpha_scan(minor, gap_tol, d):
         if len(t) == 0:
             out.append(abs(lhs - 1.0))
         elif min_gap >= cutoff:
-            out.append(abs(lhs - 1.0 / (1.0 + math.fsum(weights / gaps**2) / n)))
+            out.append(abs(lhs - 1.0 / (1.0 + math.fsum(weights / gaps**2))))
         else:
             out.append(math.inf)
     return out
@@ -184,7 +185,7 @@ def test_eigenvector_identity_scan_matches_per_alpha(n):
             minor = minor_basis(s, k)
             for gap_tol in (1e-6, 0.05):
                 assert eigenvector_identity_scan(minor, d, gap_tol) == _per_alpha_scan(
-                    minor, gap_tol, d
+                    s, k, gap_tol, d
                 )
 
 
@@ -199,7 +200,7 @@ def test_eigenvector_identity_scan_uncovered_pair():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scan = eigenvector_identity_scan(minor, d)
-    assert scan == _per_alpha_scan(minor, 1e-6, d)
+    assert scan == _per_alpha_scan(s, 1, 1e-6, d)
     assert sum(math.isinf(r) for r in scan) == 3
     (covered,) = [r for r in scan if math.isfinite(r)]
     assert covered < 1e-15
@@ -210,3 +211,20 @@ def test_decomposition_error_carries_trial_identity():
     err = DecompositionError(s, RuntimeError("svd failed"))
     text = str(err)
     assert "77" in text and "3" in text
+
+
+@pytest.mark.parametrize(
+    "decomposer",
+    [decompose, eigenvalues_only, lambda s: minor_basis(s, 1)],
+    ids=["decompose", "eigenvalues_only", "minor_basis"],
+)
+def test_svd_failure_names_seed_and_trial(decomposer, monkeypatch):
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    s = make_sample(4, seed=77, trial=3)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(DecompositionError, match="seed=77, trial=3") as err:
+        decomposer(s)
+    assert err.value.sample is s
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
