@@ -23,7 +23,6 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     TheoremReport,
-    Thresholds,
     derived_windows,
     run_apriori,
     run_delocalization,
@@ -89,7 +88,7 @@ __all__ = [
     # concentration
     "wilson_interval", "hw_tail_curve", "projection_mass_probe",
     # experiments
-    "ConfigError", "Thresholds", "ExperimentConfig", "TheoremReport", "derived_windows",
+    "ConfigError", "ExperimentConfig", "TheoremReport", "derived_windows",
     "run_apriori", "run_local_law", "run_delocalization", "run_wegner",
     "run_hard_edge_scaling", "run_identity_suite", "run_hw_experiment",
     "run_projection_mass_experiment",

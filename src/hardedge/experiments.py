@@ -3,10 +3,10 @@
 Asymptotic log-powers are unreachable at any size a workstation can
 decompose ((log 512)^4 alone is ~1.5e3), so windows are parameterized by the
 resolution scale N*eta/sqrt(E) directly (default floor 50) and the log-power
-exponent b travels along as report metadata.  Thresholds are desk-calibrated
-constants kept in the configuration, not claims about the theory's constants;
-the calibration provenance is complex-gaussian pilot runs at N <= 1024,
-seeds O(1), 2026-08.
+exponent b travels along as report metadata.  The pass/fail bands are the
+module constants below: desk-calibrated, not claims about the theory's
+constants, and not configurable; the calibration provenance is
+complex-gaussian pilot runs at N <= 1024, seeds O(1), 2026-08.
 
 Every experiment derives one sub-seed per matrix size and one seed per trial
 below that, so trials are order- and schedule-independent; reports aggregate
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .spectral import (
 
 __all__ = [
     "ConfigError",
-    "Thresholds",
     "ExperimentConfig",
     "TheoremReport",
     "derived_windows",
@@ -73,41 +72,25 @@ class ConfigError(ValueError):
     """Configuration rejected; the message starts with the offending field path."""
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Desk-calibrated pass/fail constants (not the theory's constants).
-
-    apriori_reference_k: K at which the counting tail must be empirically dead.
-    locallaw_epsilon / locallaw_exceedance: sqrt(E)-scaled deviation and the
-        admissible exceedance fraction at the largest size.
-    deloc_cap: cap on max_a N*||u_a||_inf^2 / ln N; deloc_exceed_frac: admissible
-        fraction of trials above the cap; deloc_ratio_band: allowed spread of
-        median(max N||u||_inf^2)/ln N across sizes.
-    hardedge_median_factor: allowed ratio of N^2*s_1 medians across sizes;
-    spacing_lo/hi: band for mean central gap times N*rho(2).
-    """
-
-    apriori_tail: float = 0.01
-    apriori_reference_k: float = 4.0
-    locallaw_epsilon: float = 0.15
-    locallaw_exceedance: float = 0.05
-    deloc_cap: float = 15.0
-    deloc_exceed_frac: float = 0.01
-    deloc_ratio_band: float = 1.5
-    hardedge_median_factor: float = 2.0
-    spacing_lo: float = 0.5
-    spacing_hi: float = 2.0
-
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (_is_number(value) and math.isfinite(value) and value > 0):
-                raise ConfigError(f"thresholds.{f.name}: must be a positive real, got {value!r}")
-
-
-def _is_number(value) -> bool:
-    """A JSON number: int or float, but not bool (which Python counts as an int)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# apriori: window-count tail allowed at every K >= APRIORI_REFERENCE_K
+APRIORI_TAIL = 0.01
+# apriori: smallest K at which the counting tail must be empirically dead
+APRIORI_REFERENCE_K = 4.0
+# locallaw: sqrt(E)-scaled Stieltjes deviation whose tail is judged
+LOCALLAW_EPSILON = 0.15
+# locallaw: transform exceedance allowed at LOCALLAW_EPSILON at the largest size
+LOCALLAW_EXCEEDANCE = 0.05
+# deloc: cap on max_a N*||u_a||_inf^2 / ln N
+DELOC_CAP = 15.0
+# deloc: fraction of trials allowed above DELOC_CAP
+DELOC_EXCEED_FRAC = 0.01
+# deloc: allowed max/min spread of median(max N*||u||_inf^2)/ln N across sizes
+DELOC_RATIO_BAND = 1.5
+# hardedge: allowed max/min spread of the N^2*s_1 medians across sizes
+HARDEDGE_MEDIAN_FACTOR = 2.0
+# hardedge: open band for the median central gap times N*rho(2)
+SPACING_LO = 0.5
+SPACING_HI = 2.0
 
 
 def _integer(path: str, value) -> int:
@@ -117,7 +100,8 @@ def _integer(path: str, value) -> int:
 
 
 def _number(path: str, value) -> float:
-    if not _is_number(value):
+    # a JSON number: int or float, but not bool (which Python counts as an int)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     return float(value)
 
@@ -171,16 +155,6 @@ def _window(path: str, value) -> Window:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _thresholds(path: str, value) -> Thresholds:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {value!r}")
-    bad = sorted(set(value) - {f.name for f in fields(Thresholds)})
-    if bad:
-        raise ConfigError(f"{path}.{bad[0]}: unknown key")
-    # values keep their JSON type (the report echoes them); validate() checks them
-    return Thresholds(**value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment parameters; JSON keys match field names."""
@@ -197,7 +171,6 @@ class ExperimentConfig:
     scale_min: float = 50.0
     n_windows: int = 4
     windows: tuple[Window, ...] | None = None
-    thresholds: Thresholds = field(default_factory=Thresholds)
 
     def __post_init__(self) -> None:
         _check_sizes(self.sizes)
@@ -234,7 +207,6 @@ class ExperimentConfig:
                     f"windows[{i}]: energy must be > 0 (the resolution scale "
                     f"N*eta/sqrt(E) divides by it), got {w.energy}"
                 )
-        self.thresholds.validate()
 
     @property
     def entry_distribution(self) -> EntryDistribution:
@@ -270,7 +242,6 @@ _FIELD_PARSERS = {
     "scale_min": _number,
     "n_windows": _as_is,
     "windows": lambda path, value: None if value is None else _list_of(_window)(path, value),
-    "thresholds": _thresholds,
 }
 
 
@@ -433,15 +404,15 @@ def run_apriori(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
                         **tail,
                     }
                 )
-                if k >= cfg.thresholds.apriori_reference_k:
+                if k >= APRIORI_REFERENCE_K:
                     reference_cells.append(p)
-                    if p > cfg.thresholds.apriori_tail:
+                    if p > APRIORI_TAIL:
                         failures.append(
                             f"{_pfx(size, w)}: exceedance {p:.4g} at K={k} above "
-                            f"{cfg.thresholds.apriori_tail}"
+                            f"{APRIORI_TAIL}"
                         )
     summary = {
-        "reference_k": cfg.thresholds.apriori_reference_k,
+        "reference_k": APRIORI_REFERENCE_K,
         "max_reference_exceedance": max(reference_cells) if reference_cells else None,
         "cells": len(rows),
     }
@@ -457,14 +428,14 @@ def run_apriori(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
 def run_local_law(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     """Deviation tails of the empirical transform and of the window counting form."""
     _require_bounded_density(cfg, "local-law")
-    eps_grid = tuple(sorted(set(cfg.epsilon_grid) | {cfg.thresholds.locallaw_epsilon}))
+    eps_grid = tuple(sorted(set(cfg.epsilon_grid) | {LOCALLAW_EPSILON}))
 
     windows_by_size = {size: _windows_for(cfg, size, enforce_scale=False) for size in cfg.sizes}
     spectra = _spectra(cfg, threads)
 
     rows = []
     failures = []
-    eps_star = cfg.thresholds.locallaw_epsilon
+    eps_star = LOCALLAW_EPSILON
     # (size, window index) -> transform tail at eps_star
     reference: dict[tuple[int, int], dict] = {}
     for size in cfg.sizes:
@@ -500,10 +471,10 @@ def run_local_law(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
                     )
                     if form == "transform" and eps == eps_star:
                         reference[(size, j)] = tail
-                        if size == max(cfg.sizes) and p > cfg.thresholds.locallaw_exceedance:
+                        if size == max(cfg.sizes) and p > LOCALLAW_EXCEEDANCE:
                             failures.append(
                                 f"{_pfx(size, w)}: transform exceedance {p:.4g} at "
-                                f"epsilon={eps_star} above {cfg.thresholds.locallaw_exceedance}"
+                                f"epsilon={eps_star} above {LOCALLAW_EXCEEDANCE}"
                             )
 
     if len(cfg.sizes) > 1 and cfg.windows is not None:
@@ -574,7 +545,7 @@ def run_delocalization(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport
                 failures.append(f"N={size}: some trials had no eigenvalues in the window")
                 stats = stats[~np.isnan(stats)]
             ratio = stats / ln_n
-            tail = _exceedance(int(np.sum(ratio > cfg.thresholds.deloc_cap)), cfg.trials)
+            tail = _exceedance(int(np.sum(ratio > DELOC_CAP)), cfg.trials)
             median = float(np.median(stats))
             q95 = float(np.quantile(ratio, 0.95))
             top = float(np.max(ratio))
@@ -586,7 +557,7 @@ def run_delocalization(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport
                 "upper_edge": upper,
                 "nominal_edge_b": math.log(size) ** cfg.b / (cfg.kappa**2 * size**2),
                 "nominal_edge_2b": math.log(size) ** (2 * cfg.b) / (cfg.kappa**2 * size**2),
-                "cap": cfg.thresholds.deloc_cap,
+                "cap": DELOC_CAP,
                 "median_max_supsq": median,
                 "median_over_ln": median / ln_n,
                 "q95_over_ln": q95,
@@ -595,18 +566,18 @@ def run_delocalization(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport
             }
         )
         p = tail["statistic"]
-        if p > cfg.thresholds.deloc_exceed_frac:
+        if p > DELOC_EXCEED_FRAC:
             failures.append(
-                f"N={size}: {p:.4g} of trials above cap {cfg.thresholds.deloc_cap} "
-                f"(allowed {cfg.thresholds.deloc_exceed_frac})"
+                f"N={size}: {p:.4g} of trials above cap {DELOC_CAP} "
+                f"(allowed {DELOC_EXCEED_FRAC})"
             )
     if len(medians_over_ln) > 1:
         ratios = list(medians_over_ln.values())
         spread = max(ratios) / min(ratios)
-        if spread > cfg.thresholds.deloc_ratio_band:
+        if spread > DELOC_RATIO_BAND:
             failures.append(
                 f"median(max N*||u||_inf^2)/ln N spread {spread:.3g} across sizes exceeds "
-                f"band {cfg.thresholds.deloc_ratio_band}"
+                f"band {DELOC_RATIO_BAND}"
             )
     summary = {"medians_over_ln": {str(k): v for k, v in medians_over_ln.items()}}
     return TheoremReport(
@@ -694,17 +665,18 @@ def run_hard_edge_scaling(cfg: ExperimentConfig, threads: int = 1) -> TheoremRep
                 "trials": cfg.trials,
             }
         )
-        if not (cfg.thresholds.spacing_lo < spacing_median < cfg.thresholds.spacing_hi):
+        if not (SPACING_LO < spacing_median < SPACING_HI):
             failures.append(
                 f"N={size}: central spacing ratio {spacing_median:.4g} outside "
-                f"({cfg.thresholds.spacing_lo}, {cfg.thresholds.spacing_hi})"
+                f"({SPACING_LO}, {SPACING_HI})"
             )
-    if len(medians) > 1:
+    # a median <= 0 has no spread; its size already failed as nonpositive
+    if len(medians) > 1 and min(medians.values()) > 0:
         spread = max(medians.values()) / min(medians.values())
-        if spread > cfg.thresholds.hardedge_median_factor:
+        if spread > HARDEDGE_MEDIAN_FACTOR:
             failures.append(
                 f"N^2*s_1 medians spread by factor {spread:.3g} > "
-                f"{cfg.thresholds.hardedge_median_factor} across sizes"
+                f"{HARDEDGE_MEDIAN_FACTOR} across sizes"
             )
     summary = {"medians": {str(k): v for k, v in medians.items()}}
     return TheoremReport(
@@ -835,8 +807,10 @@ def run_hw_experiment(
     deltas: tuple[float, ...] = _HW_DELTAS,
     spectrum=None,
 ) -> TheoremReport:
-    """Quadratic-form tail shape on the identity (or a given spectrum)."""
-    _check_size(size)
+    """Quadratic-form tail shape on the identity (or a given spectrum, whose
+    length then replaces the unused size)."""
+    if spectrum is None:
+        _check_size(size)
     _check_seed(seed)
     dist = EntryDistribution(distribution)
     operator = np.ones(size) if spectrum is None else np.asarray(spectrum, dtype=float)

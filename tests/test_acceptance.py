@@ -7,9 +7,11 @@ their reports to pass.  Each test also asserts its own runtime ceiling; the
 terminal summary hook prints a PASS/FAIL line per criterion.
 
 Monte Carlo thresholds (KS 0.05, local-law 0.15 band, delocalization cap 15,
-hard-edge factor 2) come from the desk-scale calibrations recorded in the
-experiments module docstrings; the exact-identity tolerances are rounding
-budgets, not fitted numbers.
+hard-edge factor 2) are the desk-scale calibrations that the experiments
+module keeps as constants (`LOCALLAW_EPSILON`, `DELOC_CAP`,
+`HARDEDGE_MEDIAN_FACTOR`, ...).  The criteria state them as literals, so
+editing a constant cannot loosen a criterion.  The exact-identity tolerances
+are rounding budgets, not fitted numbers.
 """
 
 import math

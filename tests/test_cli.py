@@ -140,10 +140,9 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
     assert data["config"]["seed"] == 6
 
 
-def test_failed_verdict_exits_1(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path, {**BASE, "thresholds": {"deloc_cap": 0.0001}}
-    )
+def test_failed_verdict_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "DELOC_CAP", 0.0001)
+    cfg = write_config(tmp_path, BASE)
     outdir = tmp_path / "reports"
     code, out, _ = run(capsys, ["deloc", "--config", cfg, "--out", str(outdir)])
     assert code == 1
@@ -178,7 +177,7 @@ def test_config_error_exits_2_and_names_field(tmp_path, capsys):
         ("seed", 1.5, "seed"),
         ("b", "4", "b"),
         ("windows", [{"energy": "2", "eta": 0.1}], "windows[0].energy"),
-        ("thresholds", {"deloc_cap": True}, "thresholds.deloc_cap"),
+        ("thresholds", {"deloc_cap": 15.0}, "thresholds"),
     ],
 )
 def test_config_of_wrong_json_type_exits_2_and_names_field(tmp_path, capsys, key, value, path):
@@ -255,8 +254,10 @@ def test_experiment_commands_call_the_current_module_attribute(tmp_path, capsys,
     assert seen == [1, 2]
 
 
-def test_all_exit_codes(tmp_path, capsys):
-    cfg = write_config(tmp_path, {**BASE, "thresholds": {"apriori_tail": 1e-9, "apriori_reference_k": 0.25}})
+def test_all_exit_codes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "APRIORI_TAIL", 1e-9)
+    monkeypatch.setattr(experiments, "APRIORI_REFERENCE_K", 0.25)
+    cfg = write_config(tmp_path, BASE)
     code, out, _ = run(capsys, ["all", "--config", cfg, "--out", str(tmp_path / "r")])
     assert code == 1
     assert "apriori-counting: FAIL" in out
@@ -332,9 +333,10 @@ def test_hw_and_projmass_commands(tmp_path, capsys):
 
 
 def test_hw_records_the_spectrum_size(tmp_path, capsys):
-    # with --spectrum the operator's length is the size; --size goes unused
+    # with --spectrum the operator's length is the size; --size goes unused,
+    # so even an invalid --size 0 is not checked
     manifests = []
-    for size in ("5", "7"):
+    for size in ("5", "7", "0"):
         code, _, _ = run(
             capsys,
             ["hw", "--spectrum", "1", "2", "3", "--size", size, "--trials", "200",
@@ -342,9 +344,10 @@ def test_hw_records_the_spectrum_size(tmp_path, capsys):
         )
         assert code in (0, 1)
         manifests.append(json.loads((tmp_path / size / "manifest.json").read_text()))
-    first, second = (tmp_path / size / "quadratic-form-tail.json" for size in ("5", "7"))
-    assert first.read_bytes() == second.read_bytes()
-    assert manifests[0]["config"] == manifests[1]["config"]
+    first, *rest = (tmp_path / size / "quadratic-form-tail.json" for size in ("5", "7", "0"))
+    assert all(other.read_bytes() == first.read_bytes() for other in rest)
     assert manifests[0]["config"]["size"] == 3
-    # the run id's config hash (after the timestamp) agrees too
-    assert manifests[0]["run_id"].split("-")[1] == manifests[1]["run_id"].split("-")[1]
+    for other in manifests[1:]:
+        assert other["config"] == manifests[0]["config"]
+        # the run id's config hash (after the timestamp) agrees too
+        assert other["run_id"].split("-")[1] == manifests[0]["run_id"].split("-")[1]

@@ -15,7 +15,6 @@ from hardedge import experiments
 from hardedge import (
     ConfigError,
     ExperimentConfig,
-    Thresholds,
     Window,
     derived_windows,
     run_apriori,
@@ -45,18 +44,16 @@ def test_config_defaults_round_trip():
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
-def test_config_round_trip_with_windows_and_thresholds():
+def test_config_round_trip_with_windows():
     cfg = ExperimentConfig(
         sizes=(64,),
         trials=40,
         windows=(Window(1.0, 0.5), Window(2.0, 0.25)),
-        thresholds=Thresholds(deloc_cap=20.0),
         kappa=0.3,
     )
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
     assert again.windows == (Window(1.0, 0.5), Window(2.0, 0.25))
-    assert again.thresholds.deloc_cap == 20.0
 
 
 @pytest.mark.parametrize(
@@ -99,16 +96,12 @@ def test_config_rejects_and_names_the_field(field, value):
     assert str(err.value).startswith(f"{field}:")
 
 
-def test_thresholds_reject_and_name_the_field():
-    with pytest.raises(ConfigError, match="thresholds.deloc_cap"):
-        ExperimentConfig(thresholds=Thresholds(deloc_cap=-1.0))
-
-
 def test_from_dict_rejects_unknown_key():
     with pytest.raises(ConfigError, match="scale_mni"):
         ExperimentConfig.from_dict({"scale_mni": 50.0})
-    with pytest.raises(ConfigError, match="thresholds.deloc_gap"):
-        ExperimentConfig.from_dict({"thresholds": {"deloc_gap": 1.0}})
+    # the pass/fail bands are module constants, not config keys
+    with pytest.raises(ConfigError, match="^thresholds: unknown config key"):
+        ExperimentConfig.from_dict({"thresholds": {"deloc_cap": 15.0}})
 
 
 def test_from_dict_rejects_non_object():
@@ -141,7 +134,6 @@ def test_from_dict_parses_every_field():
         ({"l_grid": [1, 2.5]}, "l_grid[1]"),
         ({"k_grid": [1.0, False]}, "k_grid[1]"),
         ({"windows": [{"energy": 2.0, "eta": None}]}, "windows[0].eta"),
-        ({"thresholds": {"spacing_hi": "2"}}, "thresholds.spacing_hi"),
     ],
 )
 def test_from_dict_accepts_only_json_numbers(data, path):
@@ -353,7 +345,7 @@ def test_local_law_small(small_cfg):
     forms = {row["form"] for row in rep.rows}
     assert forms == {"transform", "count"}
     # per (size, window, form): one row per grid epsilon plus the reference
-    n_eps = len(set(small_cfg.epsilon_grid) | {small_cfg.thresholds.locallaw_epsilon})
+    n_eps = len(set(small_cfg.epsilon_grid) | {experiments.LOCALLAW_EPSILON})
     assert len(rep.rows) == 2 * 4 * 2 * n_eps
     assert rep.summary["max_transform_exceedance_at_reference"] <= 0.05
     for row in rep.rows:
@@ -395,11 +387,9 @@ def test_delocalization_checks_every_window_before_drawing(draw_counter):
     assert draw_counter == []
 
 
-def test_delocalization_cap_failure(small_cfg):
-    cfg = dataclasses.replace(
-        small_cfg, sizes=(96,), thresholds=Thresholds(deloc_cap=0.0001)
-    )
-    rep = run_delocalization(cfg)
+def test_delocalization_cap_failure(small_cfg, monkeypatch):
+    monkeypatch.setattr(experiments, "DELOC_CAP", 0.0001)
+    rep = run_delocalization(dataclasses.replace(small_cfg, sizes=(96,)))
     assert not rep.passed
     assert any("cap" in f for f in rep.failures)
 
