@@ -68,14 +68,17 @@ def hw_tail_curve(
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     lam = np.asarray(spectrum).astype(complex)
-    if lam.ndim != 1:
-        raise ValueError(f"spectrum must be 1-d, got shape {lam.shape}")
+    if lam.ndim != 1 or not np.all(np.isfinite(lam)):
+        raise ValueError(f"spectrum must be a 1-d array of finite values, got shape {lam.shape}")
     norm = float(np.sum(np.abs(lam) ** 2))
     if norm == 0.0:
         raise ValueError("degenerate matrix: Tr A*A = 0")
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 1 or len(deltas) == 0 or deltas[0] < 0 or np.any(np.diff(deltas) <= 0):
-        raise ValueError("deltas must be a nonempty, strictly increasing grid of nonnegative reals")
+    # negated comparisons, so that nan fails them; inf can only come last
+    if deltas.ndim != 1 or len(deltas) == 0 or not (
+        0 <= deltas[0] and deltas[-1] < math.inf and np.all(np.diff(deltas) > 0)
+    ):
+        raise ValueError("deltas must be a nonempty, strictly increasing grid of finite reals >= 0")
     draws = _chunked_draws(dist.kind, trials, len(lam), seed)
     stats = np.concatenate([np.abs((np.abs(x) ** 2 - 1.0) @ lam) for x in draws])
     return np.array([int(np.sum(stats >= d)) for d in deltas]), norm

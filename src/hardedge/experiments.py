@@ -10,7 +10,9 @@ complex-gaussian pilot runs at N <= 1024, seeds O(1), 2026-08.
 
 Every experiment derives one sub-seed per matrix size and one seed per trial
 below that, so trials are order- and schedule-independent; reports aggregate
-in trial-index order and are reproducible bit for bit from (config, seed).
+in trial-index order and are reproducible bit for bit from (config, seed) on
+one machine and numpy/OpenBLAS build.  OpenBLAS picks its kernels per CPU,
+so no summation rule could make the last bits portable; sums are numpy's.
 
 Every matrix experiment is a reducer over one trial engine (`_per_trial`),
 which maps a per-sample function over the seeded draws of each size.  The
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -100,9 +103,11 @@ def _integer(path: str, value) -> int:
 
 
 def _number(path: str, value) -> float:
-    # a JSON number: int or float, but not bool (which Python counts as an int)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    # a finite JSON number: int or float, but not bool (which Python counts as an
+    # int), nor NaN, Infinity (Python's json reads both) or an int beyond float range
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not is_number or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -184,10 +189,11 @@ class ExperimentConfig:
             raise ConfigError(f"b: must be positive, got {self.b}")
         if not (0.0 < self.kappa < 1.0):
             raise ConfigError(f"kappa: must lie strictly in (0, 1), got {self.kappa}")
-        if not self.epsilon_grid or any(e <= 0 for e in self.epsilon_grid):
-            raise ConfigError(f"epsilon_grid: need entries > 0, got {self.epsilon_grid!r}")
-        if not self.k_grid or self.k_grid[0] <= 0 or not _increasing(self.k_grid):
-            raise ConfigError(f"k_grid: need strictly increasing entries > 0, got {self.k_grid!r}")
+        if not self.epsilon_grid or not all(0 < e < math.inf for e in self.epsilon_grid):
+            raise ConfigError(f"epsilon_grid: need finite entries > 0, got {self.epsilon_grid!r}")
+        k = self.k_grid
+        if not (k and all(0 < x < math.inf for x in k) and _increasing(k)):
+            raise ConfigError(f"k_grid: need strictly increasing finite entries > 0, got {k!r}")
         for i, l in enumerate(self.l_grid):
             _integer(f"l_grid[{i}]", l)
         if not self.l_grid or self.l_grid[0] < 1 or not _increasing(self.l_grid):
@@ -443,9 +449,7 @@ def run_local_law(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
         for j, w in enumerate(windows_by_size[size]):
             sqrt_e = math.sqrt(w.energy)
             limit = mp_stieltjes(w.point)
-            transform_devs = np.asarray(
-                [sqrt_e * abs(empirical_stieltjes(eigs, w.point) - limit) for eigs in block]
-            )
+            transform_devs = sqrt_e * np.abs(empirical_stieltjes(block, w.point) - limit)
             counting_devs = sqrt_e * np.abs(
                 eigenvalue_count(block, w) / (size * w.eta) - mp_window_mass(w) / w.eta
             )
@@ -720,18 +724,17 @@ def run_identity_suite(
         # identities, interlacing and the eigenvector identity
         loo = np.empty((len(points), n), dtype=complex)
         schur = np.empty_like(loo)
-        resid = 0.0
-        covered = 0
+        scans = np.empty((n, n))
         inter = 0.0
         for k in range(n):
             minor = minor_basis(sample, k)
             loo[:, k] = resolvent_diag_leave_one_out(minor, points)
             schur[:, k] = resolvent_diag_schur(minor, points)
             inter = max(inter, interlacing_check(d, minor))
-            for r in eigenvector_identity_scan(minor, d):
-                if math.isfinite(r):
-                    covered += 1
-                    resid = max(resid, r)
+            scans[k] = eigenvector_identity_scan(minor, d)
+        finite = np.isfinite(scans)
+        covered = int(np.count_nonzero(finite))
+        resid = float(np.max(scans, where=finite, initial=0.0))
         gram = sample.entries.conj().T @ sample.entries
         # one stacked solve: the (points, N) resolvent diagonals
         dense = np.diagonal(np.linalg.inv(gram - thetas * np.eye(n)), axis1=1, axis2=2)
@@ -744,7 +747,7 @@ def run_identity_suite(
             eigenvalue_count(d.eigenvalues, w) <= counting_bound(d.eigenvalues, w)
             for w in _IDENTITY_WINDOWS
         )
-        trace_dev = abs(math.fsum(d.eigenvalues) - float(np.sum(np.abs(sample.entries) ** 2)))
+        trace_dev = abs(float(np.sum(d.eigenvalues)) - float(np.sum(np.abs(sample.entries) ** 2)))
         return loo_dev, schur_dev, mean_dev, inter, resid, covered, count_ok, trace_dev
 
     per_trial = _per_trial(one_trial, distribution, seed, sizes, trials, threads)

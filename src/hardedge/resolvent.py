@@ -15,11 +15,12 @@ The two Gram orderings of the minor share a spectrum except for one null
 direction, so the second form runs over the N-1 range directions with the
 minor eigenvalues and the one extra (null) direction with eigenvalue 0, whose
 contribution |<null, w_k>|^2 / (0 - theta) must not be dropped.
+The empirical transform takes one spectrum or a (trials, N) block of them;
+every sum here is a numpy reduction along the last axis.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -34,19 +35,13 @@ __all__ = [
 ]
 
 
-def _csum(values: np.ndarray) -> complex:
-    """Exactly-rounded complex sum (fsum per part), fixed index order."""
-    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+def empirical_stieltjes(eigenvalues: np.ndarray, point: SpectralPoint):
+    """(1/N) sum 1/(s_a - theta) along the last axis.
 
-
-def empirical_stieltjes(eigenvalues: np.ndarray, point: SpectralPoint) -> complex:
-    """(1/N) sum 1/(s_a - theta) over the ascending eigenvalues, exactly-rounded
-    summation in index order."""
-    return _csum(1.0 / (eigenvalues - point.theta)) / len(eigenvalues)
-
-
-def _thetas(points: Sequence[SpectralPoint]) -> np.ndarray:
-    return np.array([p.theta for p in points], dtype=complex)[:, None]
+    A 1-D spectrum gives one complex value; a (trials, N) block gives one
+    value per row.  No order is assumed.
+    """
+    return np.mean(1.0 / (eigenvalues - point.theta), axis=-1)
 
 
 def resolvent_diag_leave_one_out(
@@ -56,25 +51,18 @@ def resolvent_diag_leave_one_out(
     the full matrix.
 
     The quadratic form runs over the complete left basis of the minor,
-    null direction included.  The per-point tail stays in Python complex
-    arithmetic, whose division rounds differently from numpy's.
+    null direction included.
     """
-    quads = minor.weights / (minor.eigenvalues - _thetas(points))
-    out = np.empty(len(points), dtype=complex)
-    for i, p in enumerate(points):
-        theta = p.theta
-        quad = _csum(quads[i]) + minor.null_weight / (0.0 - theta)
-        out[i] = -1.0 / (theta * (1.0 + quad))
-    return out
+    theta = np.array([p.theta for p in points])
+    quad = np.sum(minor.weights / (minor.eigenvalues - theta[:, None]), axis=-1)
+    quad += minor.null_weight / (0.0 - theta)
+    return -1.0 / (theta * (1.0 + quad))
 
 
 def resolvent_diag_schur(minor: MinorBasis, points: Sequence[SpectralPoint]) -> np.ndarray:
     """G_kk at each point through the Schur complement form
     1/(|w|^2 - theta - w* W (W*W - theta)^(-1) W* w)."""
+    theta = np.array([p.theta for p in points])
     t = minor.eigenvalues
     norm_sq = float(np.sum(np.abs(minor.column) ** 2))
-    forms = minor.weights * t / (t - _thetas(points))
-    out = np.empty(len(points), dtype=complex)
-    for i, p in enumerate(points):
-        out[i] = 1.0 / (norm_sq - p.theta - _csum(forms[i]))
-    return out
+    return 1.0 / (norm_sq - theta - np.sum(minor.weights * t / (t - theta[:, None]), axis=-1))

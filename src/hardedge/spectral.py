@@ -64,10 +64,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     @property
-    def size(self) -> int:
-        return len(self.eigenvalues)
-
-    @property
     def top(self) -> float:
         return float(self.eigenvalues[-1])
 
@@ -137,8 +133,7 @@ def counting_bound(eigenvalues: np.ndarray, window: Window) -> float:
     which is where the factor 2 comes from.
     """
     theta = complex(window.energy, window.eta)
-    im_trace = math.fsum(((s - theta) ** -1).imag for s in eigenvalues)
-    return 2.0 * window.eta * im_trace
+    return 2.0 * window.eta * float(np.sum((1.0 / (eigenvalues - theta)).imag))
 
 
 def interlacing_check(decomposition: SpectralDecomposition, minor: MinorBasis) -> float:
@@ -158,7 +153,7 @@ def eigenvector_identity_scan(
     minor: MinorBasis,
     decomposition: SpectralDecomposition,
     gap_tol: float = DEFAULT_GAP_TOL,
-) -> list[float]:
+) -> np.ndarray:
     """Identity residual of every eigenvector at the minor's removed column.
 
     |u_a(k)|^2 must equal 1/(1 + sum_b t_b |<v_b, w_k>|^2 / (s_a - t_b)^2)
@@ -169,17 +164,10 @@ def eigenvector_identity_scan(
     the right side exactly 1.
     """
     d = decomposition
-    # squared in Python (C pow), which rounds unlike numpy's array square
-    lhs = [a**2 for a in np.abs(d.eigenvectors[minor.k, :]).tolist()]
-    weights = minor.eigenvalues * minor.weights
-    cutoff = gap_tol * (1.0 + d.top)
-    # one (alpha, b) grid per column; each covered row keeps its own fsum
+    lhs = np.abs(d.eigenvectors[minor.k, :]) ** 2
     gaps = d.eigenvalues[:, None] - minor.eigenvalues[None, :]
+    covered = np.min(np.abs(gaps), axis=1, initial=math.inf) >= gap_tol * (1.0 + d.top)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # rows that divide by a zero gap are the uncovered ones, never summed
-        terms = weights / gaps**2
-    covered = (np.min(np.abs(gaps), axis=1, initial=math.inf) >= cutoff).tolist()
-    return [
-        abs(lhs[a] - 1.0 / (1.0 + math.fsum(terms[a].tolist()))) if covered[a] else math.inf
-        for a in range(d.size)
-    ]
+        # rows that divide by a zero gap are the uncovered ones, masked below
+        rhs = 1.0 / (1.0 + np.sum(minor.eigenvalues * minor.weights / gaps**2, axis=1))
+    return np.where(covered, np.abs(lhs - rhs), math.inf)

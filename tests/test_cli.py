@@ -5,6 +5,7 @@ success, 1 a failed experiment verdict, 2 a usage or config error.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -178,6 +179,8 @@ def test_config_error_exits_2_and_names_field(tmp_path, capsys):
         ("b", "4", "b"),
         ("windows", [{"energy": "2", "eta": 0.1}], "windows[0].energy"),
         ("thresholds", {"deloc_cap": 15.0}, "thresholds"),
+        ("epsilon_grid", [math.nan], "epsilon_grid[0]"),
+        ("k_grid", [1.0, math.inf], "k_grid[1]"),
     ],
 )
 def test_config_of_wrong_json_type_exits_2_and_names_field(tmp_path, capsys, key, value, path):
@@ -208,6 +211,9 @@ def test_zero_energy_window_exits_2_and_names_it(tmp_path, capsys):
         (["hw", "--seed", "-1"], "config error: seed: "),
         (["projmass", "--seed", "-1"], "config error: seed: "),
         (["identities", "--seed", "-1"], "config error: seed: "),
+        (["hw", "--deltas", "1", "2", "inf"], "error: deltas must be"),
+        (["hw", "--deltas", "nan"], "error: deltas must be"),
+        (["hw", "--spectrum", "1", "nan"], "error: spectrum must be"),
     ],
 )
 def test_direct_command_bad_grid_exits_2_and_names_it(tmp_path, capsys, argv, prefix):

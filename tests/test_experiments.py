@@ -87,6 +87,11 @@ def test_config_round_trip_with_windows():
         ("l_grid[1]", (1, 2.5)),
         ("seed", 1.5),
         ("n_windows", 2.5),
+        ("epsilon_grid", (math.nan,)),
+        ("epsilon_grid", (0.1, math.inf)),
+        ("k_grid", (1.0, math.inf)),
+        ("k_grid", (math.nan, 1.0)),
+        ("k_grid", (1.0, math.nan, 2.0)),
     ],
 )
 def test_config_rejects_and_names_the_field(field, value):
@@ -134,6 +139,12 @@ def test_from_dict_parses_every_field():
         ({"l_grid": [1, 2.5]}, "l_grid[1]"),
         ({"k_grid": [1.0, False]}, "k_grid[1]"),
         ({"windows": [{"energy": 2.0, "eta": None}]}, "windows[0].eta"),
+        # Python's json reads NaN and Infinity as floats
+        ({"epsilon_grid": [math.nan]}, "epsilon_grid[0]"),
+        ({"k_grid": [1.0, math.inf]}, "k_grid[1]"),
+        ({"scale_min": -math.inf}, "scale_min"),
+        ({"windows": [{"energy": 2.0, "eta": math.nan}]}, "windows[0].eta"),
+        ({"b": 10**400}, "b"),
     ],
 )
 def test_from_dict_accepts_only_json_numbers(data, path):

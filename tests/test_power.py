@@ -7,9 +7,12 @@ cell, so corrupted spectra never reach another test.
 
 import dataclasses
 import json
+import math
 import time
 
-from hardedge import ExperimentConfig, experiments, run_hard_edge_scaling
+import pytest
+
+from hardedge import ExperimentConfig, experiments, run_hard_edge_scaling, run_local_law
 from hardedge.cli import main
 
 
@@ -50,3 +53,27 @@ def test_zero_column_fails_hardedge_without_a_traceback(tmp_path, capsys, monkey
     assert code == 1
     assert "hard-edge-scaling: FAIL" in out
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "mutate, passed",
+    [
+        (lambda entries: entries * math.sqrt(2.0), False),
+        (lambda entries: entries * math.sqrt(1.2), False),
+        # the real ensemble (beta = 1) obeys the same local law
+        (lambda entries: math.sqrt(2.0) * entries.real, True),
+        (lambda entries: entries, True),
+    ],
+    ids=["variance-2", "variance-1.2", "real-part-beta-1", "none"],
+)
+def test_local_law_transform_cells(monkeypatch, mutate, passed):
+    # a rescaled spectrum moves the empirical transform off the MP limit
+    _corrupt_draws(monkeypatch, mutate)
+    rep = run_local_law(ExperimentConfig(sizes=(128, 256), trials=30, seed=7))
+    assert rep.passed is passed
+    exceedance = rep.summary["max_transform_exceedance_at_reference"]
+    if passed:
+        assert exceedance <= experiments.LOCALLAW_EXCEEDANCE
+    else:
+        assert exceedance > experiments.LOCALLAW_EXCEEDANCE
+        assert all("transform exceedance" in f for f in rep.failures)

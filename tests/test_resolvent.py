@@ -100,14 +100,22 @@ def _fsum_complex(values):
     return complex(math.fsum(values.real), math.fsum(values.imag))
 
 
+def _relative_error(values, reference):
+    reference = np.asarray(reference)
+    return float(np.max(np.abs(values - reference) / np.abs(reference)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_batched_points_equal_scalar_reference(n):
-    # one pass over the theta grid must repeat the per-point values bit for bit
+    # one pass over the theta grid repeats the exactly-rounded per-point
+    # values up to the rounding of numpy's pairwise sums
     for seed in range(3):
         s = make_sample(n, seed=seed)
         for k in range(n):
             minor = minor_basis(s, k)
             loo = resolvent_diag_leave_one_out(minor, THETA_GRID)
             schur = resolvent_diag_schur(minor, THETA_GRID)
-            assert np.array_equal(loo, [_scalar_leave_one_out(minor, p) for p in THETA_GRID])
-            assert np.array_equal(schur, [_scalar_schur(minor, p) for p in THETA_GRID])
+            reference_loo = [_scalar_leave_one_out(minor, p) for p in THETA_GRID]
+            reference_schur = [_scalar_schur(minor, p) for p in THETA_GRID]
+            assert _relative_error(loo, reference_loo) <= 1e-13
+            assert _relative_error(schur, reference_schur) <= 1e-13
