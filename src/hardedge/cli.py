@@ -114,11 +114,7 @@ def _direct_experiments() -> dict:
 
 
 def _cmd_direct(args) -> int:
-    params = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in vars(args).items()
-        if key not in ("command", "func", "out")
-    }
+    params = {key: value for key, value in vars(args).items() if key not in ("command", "func", "out")}
     return _emit(_direct_experiments()[args.command](**params), args.out)
 
 

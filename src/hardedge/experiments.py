@@ -14,6 +14,13 @@ in trial-index order and are reproducible bit for bit from (config, seed) on
 one machine and numpy/OpenBLAS build.  OpenBLAS picks its kernels per CPU,
 so no summation rule could make the last bits portable; sums are numpy's.
 
+Each config field's rule lives once, in the parser table `_FIELDS`, which
+`ExperimentConfig.__post_init__` runs: a config built in Python, read from
+JSON or made by `dataclasses.replace` meets the same rules and is rejected
+with the same message, naming the field or entry (`sizes[0]`).  The direct
+runners (identities, hw, projmass) check their sizes, seed and grids with the
+same parsers.
+
 Every matrix experiment is a reducer over one trial engine (`_per_trial`),
 which maps a per-sample function over the seeded draws of each size.  The
 apriori, local-law, near-zero and hard-edge experiments share one memoised
@@ -111,53 +118,90 @@ def _number(path: str, value) -> float:
     return float(value)
 
 
-def _increasing(values) -> bool:
-    return all(a < b for a, b in zip(values, values[1:]))
+def _where(parse, ok, need: str):
+    """parse, then require ok(value): `path: must be <need>` otherwise."""
+
+    def check(path: str, value):
+        value = parse(path, value)
+        if not ok(value):
+            raise ConfigError(f"{path}: must be {need}, got {value!r}")
+        return value
+
+    return check
 
 
-def _check_sizes(sizes) -> None:
-    """Matrix sizes: a nonempty list of distinct integers >= 1."""
-    for i, n in enumerate(sizes):
-        if _integer(f"sizes[{i}]", n) in sizes[:i]:
-            raise ConfigError(f"sizes[{i}]: repeats size {n}; sizes must be distinct")
-    if not sizes or min(sizes) < 1:
-        raise ConfigError(f"sizes: need a nonempty list of sizes >= 1, got {sizes!r}")
+def _list_of(item, increasing: bool = False):
+    """A nonempty list (or tuple) of item-parsed entries, returned as a tuple."""
 
-
-def _check_seed(seed) -> None:
-    """Master seed: an integer in [0, 2^64)."""
-    if not (0 <= _integer("seed", seed) < 2**64):
-        raise ConfigError(f"seed: must be a u64, got {seed}")
-
-
-def _check_size(size) -> None:
-    """One matrix size: an integer >= 1."""
-    if _integer("size", size) < 1:
-        raise ConfigError(f"size: must be >= 1, got {size}")
-
-
-def _list_of(item):
     def parse(path: str, value) -> tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
-        return tuple(item(f"{path}[{i}]", v) for i, v in enumerate(value))
+        values = tuple(item(f"{path}[{i}]", v) for i, v in enumerate(value))
+        if not values or (increasing and any(a >= b for a, b in zip(values, values[1:]))):
+            need = "a nonempty, strictly increasing list" if increasing else "a nonempty list"
+            raise ConfigError(f"{path}: need {need}, got {values!r}")
+        return values
 
     return parse
 
 
-def _as_is(path: str, value):
+_count = _where(_integer, lambda n: n >= 1, ">= 1")
+_positive = _where(_number, lambda x: x > 0, "> 0")
+_seed = _where(_integer, lambda s: 0 <= s < 2**64, "a u64")
+
+
+def _sizes(path: str, value) -> tuple[int, ...]:
+    """Matrix sizes: a nonempty list of distinct integers >= 1."""
+    sizes = _list_of(_count)(path, value)
+    for i, n in enumerate(sizes):
+        if n in sizes[:i]:
+            raise ConfigError(f"{path}[{i}]: repeats size {n}; sizes must be distinct")
+    return sizes
+
+
+def _kind(path: str, value) -> str:
+    if not isinstance(value, str) or value not in KINDS:
+        raise ConfigError(f"{path}: unknown kind {value!r}, choose from {list(KINDS)}")
     return value
 
 
 def _window(path: str, value) -> Window:
-    if not isinstance(value, dict) or set(value) != {"energy", "eta"}:
+    """A Window, or an object {"energy", "eta"} made into one; energy > 0."""
+    if isinstance(value, dict) and set(value) == {"energy", "eta"}:
+        energy = _number(f"{path}.energy", value["energy"])
+        eta = _number(f"{path}.eta", value["eta"])
+        try:
+            value = Window(energy, eta)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(value, Window):
         raise ConfigError(f"{path}: expected an object with keys energy, eta, got {value!r}")
-    energy = _number(f"{path}.energy", value["energy"])
-    eta = _number(f"{path}.eta", value["eta"])
-    try:
-        return Window(energy, eta)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    if value.energy <= 0:
+        raise ConfigError(
+            f"{path}: energy must be > 0 (the resolution scale "
+            f"N*eta/sqrt(E) divides by it), got {value.energy}"
+        )
+    return value
+
+
+# ExperimentConfig field -> parser(path, value): checks the value's type and
+# range and returns it normalised (lists to tuples, ints to floats, objects
+# {"energy", "eta"} to Window).  Every construction path runs it: direct,
+# from_dict and dataclasses.replace.
+_FIELDS = {
+    "sizes": _sizes,
+    "trials": _where(_integer, lambda n: n >= 30, ">= 30"),
+    "distribution": _kind,
+    "b": _positive,
+    "kappa": _where(_number, lambda x: 0 < x < 1, "in (0, 1)"),
+    "epsilon_grid": _list_of(_positive),
+    "k_grid": _list_of(_positive, increasing=True),
+    "l_grid": _list_of(_count, increasing=True),
+    "seed": _seed,
+    "scale_min": _positive,
+    "n_windows": _count,
+    "windows": lambda path, value: None if value is None else _list_of(_window)(path, value),
+}
 
 
 @dataclass(frozen=True)
@@ -178,41 +222,8 @@ class ExperimentConfig:
     windows: tuple[Window, ...] | None = None
 
     def __post_init__(self) -> None:
-        _check_sizes(self.sizes)
-        if _integer("trials", self.trials) < 30:
-            raise ConfigError(f"trials: must be >= 30, got {self.trials}")
-        if self.distribution not in KINDS:
-            raise ConfigError(
-                f"distribution: unknown kind {self.distribution!r}, choose from {list(KINDS)}"
-            )
-        if not (math.isfinite(self.b) and self.b > 0):
-            raise ConfigError(f"b: must be positive, got {self.b}")
-        if not (0.0 < self.kappa < 1.0):
-            raise ConfigError(f"kappa: must lie strictly in (0, 1), got {self.kappa}")
-        if not self.epsilon_grid or not all(0 < e < math.inf for e in self.epsilon_grid):
-            raise ConfigError(f"epsilon_grid: need finite entries > 0, got {self.epsilon_grid!r}")
-        k = self.k_grid
-        if not (k and all(0 < x < math.inf for x in k) and _increasing(k)):
-            raise ConfigError(f"k_grid: need strictly increasing finite entries > 0, got {k!r}")
-        for i, l in enumerate(self.l_grid):
-            _integer(f"l_grid[{i}]", l)
-        if not self.l_grid or self.l_grid[0] < 1 or not _increasing(self.l_grid):
-            raise ConfigError(
-                f"l_grid: need strictly increasing integers >= 1, got {self.l_grid!r}"
-            )
-        _check_seed(self.seed)
-        if not (math.isfinite(self.scale_min) and self.scale_min > 0):
-            raise ConfigError(f"scale_min: must be positive, got {self.scale_min}")
-        if _integer("n_windows", self.n_windows) < 1:
-            raise ConfigError(f"n_windows: must be >= 1, got {self.n_windows}")
-        if self.windows is not None and not self.windows:
-            raise ConfigError("windows: need at least one window, or null for the derived ladder")
-        for i, w in enumerate(self.windows or ()):
-            if w.energy <= 0:
-                raise ConfigError(
-                    f"windows[{i}]: energy must be > 0 (the resolution scale "
-                    f"N*eta/sqrt(E) divides by it), got {w.energy}"
-                )
+        for name, parse in _FIELDS.items():
+            object.__setattr__(self, name, parse(name, getattr(self, name)))
 
     @property
     def entry_distribution(self) -> EntryDistribution:
@@ -222,33 +233,13 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config: expected a JSON object, got {type(data).__name__}")
-        unknown = sorted(set(data) - set(_FIELD_PARSERS))
+        unknown = sorted(set(data) - set(_FIELDS))
         if unknown:
-            raise ConfigError(
-                f"{unknown[0]}: unknown config key (known keys: {sorted(_FIELD_PARSERS)})"
-            )
-        return cls(**{name: _FIELD_PARSERS[name](name, value) for name, value in data.items()})
+            raise ConfigError(f"{unknown[0]}: unknown config key (known keys: {sorted(_FIELDS)})")
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-# JSON key -> parser(path, value) of that ExperimentConfig field; integer and
-# range checks stay in ExperimentConfig.__post_init__
-_FIELD_PARSERS = {
-    "sizes": _list_of(_as_is),
-    "trials": _as_is,
-    "distribution": _as_is,
-    "b": _number,
-    "kappa": _number,
-    "epsilon_grid": _list_of(_number),
-    "k_grid": _list_of(_number),
-    "l_grid": _list_of(_as_is),
-    "seed": _as_is,
-    "scale_min": _number,
-    "n_windows": _as_is,
-    "windows": lambda path, value: None if value is None else _list_of(_window)(path, value),
-}
 
 
 @dataclass(frozen=True)
@@ -273,9 +264,7 @@ class TheoremReport:
 
 
 def _workers(threads: int) -> int:
-    if threads < 1:
-        raise ConfigError(f"threads: must be >= 1, got {threads}")
-    return min(threads, os.cpu_count() or 1)
+    return min(_count("threads", threads), os.cpu_count() or 1)
 
 
 def _map_trials(fn, trials: int, threads: int) -> list:
@@ -294,7 +283,7 @@ def _per_trial(fn, distribution: str, seed: int, sizes, trials: int, threads: in
     """
     dist = EntryDistribution(distribution)
     out = {}
-    for size in dict.fromkeys(sizes):
+    for size in sizes:
         spec = EnsembleSpec(size=size, distribution=dist, master_seed=derive_trial_seed(seed, size))
         out[size] = _map_trials(lambda t, spec=spec: fn(sample_matrix(spec, t)), trials, threads)
     return out
@@ -320,7 +309,7 @@ def _spectra(cfg: ExperimentConfig, threads: int) -> dict[int, np.ndarray]:
     experiments on one config share a single pass; a different config evicts it.
     """
     _workers(threads)  # a bad thread count is rejected even when the pass is cached
-    key = (cfg.distribution, cfg.seed, tuple(cfg.sizes), cfg.trials)
+    key = (cfg.distribution, cfg.seed, cfg.sizes, cfg.trials)
     cached = _SPECTRA.get(key)
     if cached is not None:
         return cached
@@ -710,10 +699,9 @@ def run_identity_suite(
 ) -> TheoremReport:
     """Exact finite-N identities: leave-one-out diagonals vs dense inversion,
     eigenvector identity, interlacing, counting inequality, trace identity."""
-    if trials < 1:
-        raise ConfigError(f"trials: must be >= 1, got {trials}")
-    _check_sizes(sizes)
-    _check_seed(seed)
+    trials = _count("trials", trials)
+    sizes = _sizes("sizes", sizes)
+    seed = _seed("seed", seed)
     points = [SpectralPoint(e, h) for e, h in _IDENTITY_THETA_GRID]
     thetas = np.array([p.theta for p in points])[:, None, None]
 
@@ -813,8 +801,8 @@ def run_hw_experiment(
     """Quadratic-form tail shape on the identity (or a given spectrum, whose
     length then replaces the unused size)."""
     if spectrum is None:
-        _check_size(size)
-    _check_seed(seed)
+        _count("size", size)
+    seed = _seed("seed", seed)
     dist = EntryDistribution(distribution)
     operator = np.ones(size) if spectrum is None else np.asarray(spectrum, dtype=float)
     hits, norm = hw_tail_curve(operator, dist, trials, deltas, seed)
@@ -870,11 +858,11 @@ def run_projection_mass_experiment(
     gaussian probability is already 4e-7 at m=64, far beyond desk trial
     counts, so the default stops at m=25.
     """
-    _check_size(size)
-    _check_seed(seed)
+    size = _count("size", size)
+    seed = _seed("seed", seed)
+    m_entry = _where(_integer, lambda m: 1 <= m <= size, f"in [1, {size}]")
+    m_grid = _list_of(m_entry, increasing=True)("m_grid", m_grid)
     dist = EntryDistribution(distribution)
-    if not m_grid or not _increasing(m_grid):
-        raise ValueError(f"m_grid: need a nonempty, strictly increasing list, got {m_grid!r}")
     rows = []
     failures = []
     ratios = []
@@ -902,7 +890,7 @@ def run_projection_mass_experiment(
             "trials": trials,
             "seed": seed,
             "size": size,
-            "m_grid": [int(m) for m in m_grid],
+            "m_grid": list(m_grid),
             "family": family,
         },
         rows=tuple(rows),

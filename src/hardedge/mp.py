@@ -219,22 +219,15 @@ def check_delta_bounds(
     )
 
 
-def density_quadrature(f=None, lo: float = 0.0, hi: float = SUPPORT_RIGHT) -> float:
-    """Adaptive quadrature of integral f(E) d(law)(E) over [lo, hi].
+def density_quadrature(f=None) -> float:
+    """Adaptive quadrature of integral f(E) d(law)(E) over the support [0, 4].
 
-    Works in the substituted variable E = 2 - 2 cos t where the law's density
-    is (1 + cos t)/pi, so the hard-edge singularity never enters.  f = None
-    integrates the density itself.  This is the independent oracle the
-    closed forms are tested against.
+    Works in the substituted variable E = 2 - 2 cos t, t in [0, pi], where the
+    law's density is (1 + cos t)/pi, so the hard-edge singularity never enters.
+    f = None integrates the density itself.  This is the independent oracle
+    the closed forms are tested against.
     """
     from scipy import integrate  # only the quadrature oracles need scipy
-
-    lo = min(max(lo, 0.0), SUPPORT_RIGHT)
-    hi = min(max(hi, 0.0), SUPPORT_RIGHT)
-    if hi <= lo:
-        return 0.0
-    t_lo = math.acos(1.0 - lo / 2.0)
-    t_hi = math.acos(1.0 - hi / 2.0)
 
     if f is None:
         def g(t: float) -> float:
@@ -243,7 +236,7 @@ def density_quadrature(f=None, lo: float = 0.0, hi: float = SUPPORT_RIGHT) -> fl
         def g(t: float) -> float:
             return f(2.0 - 2.0 * math.cos(t)) * (1.0 + math.cos(t)) / math.pi
 
-    value, _ = integrate.quad(g, t_lo, t_hi, limit=200, epsabs=1e-13, epsrel=1e-13)
+    value, _ = integrate.quad(g, 0.0, math.pi, limit=200, epsabs=1e-13, epsrel=1e-13)
     return value
 
 

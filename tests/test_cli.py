@@ -203,7 +203,7 @@ def test_zero_energy_window_exits_2_and_names_it(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, prefix",
     [
-        (["identities", "--n", "0"], "config error: sizes: "),
+        (["identities", "--n", "0"], "config error: sizes[0]: "),
         (["identities", "--n", "8", "8"], "config error: sizes[1]: "),
         (["hw", "--deltas", "8", "1", "2"], "error: deltas must be"),
         (["hw", "--size", "0"], "config error: size: "),
@@ -214,6 +214,9 @@ def test_zero_energy_window_exits_2_and_names_it(tmp_path, capsys):
         (["hw", "--deltas", "1", "2", "inf"], "error: deltas must be"),
         (["hw", "--deltas", "nan"], "error: deltas must be"),
         (["hw", "--spectrum", "1", "nan"], "error: spectrum must be"),
+        (["projmass", "--m-grid", "0", "4"], "config error: m_grid[0]: "),
+        (["projmass", "--m-grid", "100"], "config error: m_grid[0]: "),
+        (["projmass", "--size", "8", "--m-grid", "4", "9"], "config error: m_grid[1]: "),
     ],
 )
 def test_direct_command_bad_grid_exits_2_and_names_it(tmp_path, capsys, argv, prefix):

@@ -6,7 +6,10 @@ deterministic because every runner derives its stream from (seed, size).
 """
 
 import dataclasses
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +63,7 @@ def test_config_round_trip_with_windows():
     "field,value",
     [
         ("sizes", ()),
-        ("sizes", (0,)),
+        pytest.param("sizes[0]", (0,), id="sizes-value1"),
         ("trials", 29),
         ("distribution", "cauchy"),
         ("b", 0.0),
@@ -68,11 +71,11 @@ def test_config_round_trip_with_windows():
         ("kappa", 0.0),
         ("kappa", 1.0),
         ("epsilon_grid", ()),
-        ("epsilon_grid", (0.1, -0.2)),
-        ("k_grid", (0.0,)),
+        pytest.param("epsilon_grid[1]", (0.1, -0.2), id="epsilon_grid-value9"),
+        pytest.param("k_grid[0]", (0.0,), id="k_grid-value10"),
         ("l_grid", (2, 1)),
         ("l_grid", (1, 1)),
-        ("l_grid", (0, 1)),
+        pytest.param("l_grid[0]", (0, 1), id="l_grid-value13"),
         ("seed", -1),
         ("seed", 2**64),
         ("scale_min", 0.0),
@@ -87,15 +90,21 @@ def test_config_round_trip_with_windows():
         ("l_grid[1]", (1, 2.5)),
         ("seed", 1.5),
         ("n_windows", 2.5),
-        ("epsilon_grid", (math.nan,)),
-        ("epsilon_grid", (0.1, math.inf)),
-        ("k_grid", (1.0, math.inf)),
-        ("k_grid", (math.nan, 1.0)),
-        ("k_grid", (1.0, math.nan, 2.0)),
+        pytest.param("epsilon_grid[0]", (math.nan,), id="epsilon_grid-value28"),
+        pytest.param("epsilon_grid[1]", (0.1, math.inf), id="epsilon_grid-value29"),
+        pytest.param("k_grid[1]", (1.0, math.inf), id="k_grid-value30"),
+        pytest.param("k_grid[0]", (math.nan, 1.0), id="k_grid-value31"),
+        pytest.param("k_grid[1]", (1.0, math.nan, 2.0), id="k_grid-value32"),
+        ("b", True),
+        ("scale_min", True),
+        ("epsilon_grid[0]", (True,)),
     ],
 )
 def test_config_rejects_and_names_the_field(field, value):
-    # field is the path the message starts with: a config field, or one entry of it
+    # field is the path the message starts with: a config field, or one entry
+    # of it; an entry's own rule (type, finiteness, range) names the entry,
+    # a rule over the whole list (nonempty, increasing) names the field.  A
+    # case whose path names an entry may keep an id that names only the field.
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(**{field.split("[")[0]: value})
     assert str(err.value).startswith(f"{field}:")
@@ -128,7 +137,8 @@ def test_from_dict_parses_windows():
 
 
 def test_from_dict_parses_every_field():
-    assert set(experiments._FIELD_PARSERS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    # one parser per field, run in field order
+    assert list(experiments._FIELDS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 @pytest.mark.parametrize(
@@ -157,6 +167,34 @@ def test_from_dict_coerces_lists():
     cfg = ExperimentConfig.from_dict({"sizes": [64, 96], "epsilon_grid": [0.1, 0.2]})
     assert cfg.sizes == (64, 96)
     assert cfg.epsilon_grid == (0.1, 0.2)
+
+
+def test_every_construction_path_normalises():
+    # lists become tuples and ints in number fields floats, however the config is built
+    canonical = ExperimentConfig(sizes=(64, 96), k_grid=(1.0, 2.0), b=4.0)
+    for cfg in (
+        ExperimentConfig(sizes=[64, 96], k_grid=[1, 2], b=4),
+        ExperimentConfig.from_dict({"sizes": [64, 96], "k_grid": [1, 2], "b": 4}),
+        dataclasses.replace(ExperimentConfig(), sizes=[64, 96], k_grid=[1, 2], b=4),
+    ):
+        assert cfg == canonical and hash(cfg) == hash(canonical)
+        assert type(cfg.b) is float and {type(k) for k in cfg.k_grid} == {float}
+
+
+def test_direct_windows_from_objects():
+    cfg = ExperimentConfig(windows=[{"energy": 2.0, "eta": 0.1}, Window(1.0, 0.5)])
+    assert cfg.windows == (Window(2.0, 0.1), Window(1.0, 0.5))
+    with pytest.raises(ConfigError, match=r"^windows\[1\]: expected an object"):
+        ExperimentConfig(windows=[Window(2.0, 0.1), (2.0, 0.1)])
+
+
+def test_readme_config_example_is_the_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Experiment configuration\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```json\n(.*?)```", section, re.S)
+    assert blocks
+    for block in blocks:
+        assert ExperimentConfig.from_dict(json.loads(block)) == ExperimentConfig()
 
 
 # --- window ladder ------------------------------------------------------
@@ -530,7 +568,7 @@ def test_identity_suite_rejects_zero_trials():
 
 @pytest.mark.parametrize(
     "sizes, path",
-    [((), "sizes"), ((0,), "sizes"), ((8, 8), "sizes[1]"), ((8.5,), "sizes[0]")],
+    [((), "sizes"), ((0,), "sizes[0]"), ((8, 8), "sizes[1]"), ((8.5,), "sizes[0]")],
 )
 def test_identity_suite_rejects_bad_sizes(sizes, path):
     # the same rules as ExperimentConfig.sizes
@@ -565,8 +603,10 @@ def test_hw_row_shape_is_the_fitted_shape():
 
 @pytest.mark.parametrize("m_grid", [(), (9, 4), (4, 4)])
 def test_projection_mass_experiment_rejects_empty_or_unsorted_grid(m_grid):
-    with pytest.raises(ValueError, match="^m_grid: "):
-        run_projection_mass_experiment(trials=100, size=8, m_grid=m_grid)
+    # every entry lies in [1, size], so only the order is at fault
+    with pytest.raises(ConfigError, match="^m_grid: "):
+        run_projection_mass_experiment(trials=100, size=16, m_grid=m_grid)
+
 
 
 def test_projection_mass_experiment_small():

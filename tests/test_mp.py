@@ -190,5 +190,3 @@ def test_point_scale():
 
 def test_density_quadrature_weighted():
     assert abs(density_quadrature(lambda e: e) - 1.0) < 1e-9
-    # clamped outside the support
-    assert density_quadrature(None, 4.0, 9.0) == 0.0
