@@ -58,6 +58,7 @@ from .spectral import (
     eigenvalue_count,
     eigenvalues_only,
     eigenvector_identity_scan,
+    gram_decompose,
     interlacing_check,
     minor_basis,
 )
@@ -510,21 +511,26 @@ def run_delocalization(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport
             )
 
     def max_supsq(sample) -> float:
-        d = decompose(sample)
-        mask = (d.eigenvalues >= lower_of[sample.size]) & (d.eigenvalues <= upper)
-        if not np.any(mask):
+        # the window's floor is far above the Gram eigensolve's absolute error
+        d = gram_decompose(sample)
+        # ascending eigenvalues: the inclusive window is one slice of columns
+        lo = np.searchsorted(d.eigenvalues, lower_of[sample.size], side="left")
+        hi = np.searchsorted(d.eigenvalues, upper, side="right")
+        if lo == hi:
             return math.nan
-        return float(sample.size * np.max(np.abs(d.eigenvectors[:, mask]) ** 2))
+        return float(sample.size * np.max(np.abs(d.eigenvectors[:, lo:hi]) ** 2))
 
     per_trial = _per_trial(max_supsq, cfg.distribution, cfg.seed, cfg.sizes, cfg.trials, threads)
     rows = []
     failures = []
     medians_over_ln = {}
+    empty = {}
     for size in cfg.sizes:
         lower = lower_of[size]
         stats = np.asarray(per_trial[size])
         ln_n = math.log(size)
-        if np.all(np.isnan(stats)):
+        empty[size] = int(np.count_nonzero(np.isnan(stats)))
+        if empty[size] == cfg.trials:
             # nothing to reduce: the row carries nan and the size stays out
             # of the cross-size spread
             failures.append(
@@ -534,8 +540,11 @@ def run_delocalization(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport
             tail = _exceedance(None, cfg.trials)
             median = q95 = top = math.nan
         else:
-            if np.any(np.isnan(stats)):
-                failures.append(f"N={size}: some trials had no eigenvalues in the window")
+            if empty[size]:
+                failures.append(
+                    f"N={size}: {empty[size]} of {cfg.trials} trials had no eigenvalues "
+                    "in the window"
+                )
                 stats = stats[~np.isnan(stats)]
             ratio = stats / ln_n
             tail = _exceedance(int(np.sum(ratio > DELOC_CAP)), cfg.trials)
@@ -572,7 +581,10 @@ def run_delocalization(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport
                 f"median(max N*||u||_inf^2)/ln N spread {spread:.3g} across sizes exceeds "
                 f"band {DELOC_RATIO_BAND}"
             )
-    summary = {"medians_over_ln": {str(k): v for k, v in medians_over_ln.items()}}
+    summary = {
+        "medians_over_ln": {str(k): v for k, v in medians_over_ln.items()},
+        "empty_window_trials": {str(k): v for k, v in empty.items()},
+    }
     return TheoremReport(
         theorem="delocalization",
         config=cfg.to_dict(),
@@ -802,6 +814,7 @@ def run_hw_experiment(
     length then replaces the unused size)."""
     if spectrum is None:
         _count("size", size)
+    trials = _where(_integer, lambda n: n >= 100, ">= 100")("trials", trials)
     seed = _seed("seed", seed)
     dist = EntryDistribution(distribution)
     operator = np.ones(size) if spectrum is None else np.asarray(spectrum, dtype=float)
@@ -859,6 +872,7 @@ def run_projection_mass_experiment(
     counts, so the default stops at m=25.
     """
     size = _count("size", size)
+    trials = _count("trials", trials)
     seed = _seed("seed", seed)
     m_entry = _where(_integer, lambda m: 1 <= m <= size, f"in [1, {size}]")
     m_grid = _list_of(m_entry, increasing=True)("m_grid", m_grid)

@@ -1,9 +1,16 @@
 """Spectral decompositions of X*X and the exact finite-N facts about them.
 
-Eigenvalues are always obtained through the SVD of X itself and squared, so
-the hard-edge values (of order 1/N^2) keep full relative precision; an
-eigensolver applied to the Gram matrix would see them through an absolute
-error of order machine epsilon times ||X*X||.
+Two routes, chosen by the accuracy the caller needs:
+
+- `decompose`, `eigenvalues_only` and `minor_basis` take the SVD of X itself
+  and square it, so the hard-edge values (of order 1/N^2) keep full relative
+  precision.  The identity suite, interlacing and everything read at the
+  hard edge use them.
+- `gram_decompose` runs a Hermitian eigensolve of the formed Gram matrix
+  X*X.  Its eigenvalues carry an absolute error of order machine epsilon
+  times ||X*X|| (about 1e-15), so it serves only statistics whose eigenvalues
+  lie far above that, such as delocalization's window [2(scale_min/(kappa
+  N))^2, 4 - kappa].  It skips the left singular vectors and costs less.
 
 Decompositions are in ascending order; a MinorBasis keeps LAPACK's
 descending order.  Eigenvectors of X*X are the right singular vectors of X.
@@ -24,6 +31,7 @@ __all__ = [
     "SpectralDecomposition",
     "MinorBasis",
     "decompose",
+    "gram_decompose",
     "eigenvalues_only",
     "minor_basis",
     "eigenvalue_count",
@@ -36,22 +44,23 @@ DEFAULT_GAP_TOL = 1e-6
 
 
 class DecompositionError(RuntimeError):
-    """SVD non-convergence, tagged with the trial that produced it."""
+    """SVD or eigensolver non-convergence, tagged with the trial that produced it."""
 
     def __init__(self, sample: MatrixSample, original: Exception):
         spec = sample.spec
         super().__init__(
-            f"SVD failed for size={spec.size}, kind={spec.distribution.kind}, "
+            f"decomposition failed for size={spec.size}, kind={spec.distribution.kind}, "
             f"seed={spec.master_seed}, trial={sample.trial_index}: {original}"
         )
         self.sample = sample
 
 
-def _svd(sample: MatrixSample, matrix: np.ndarray, **kwargs):
-    """np.linalg.svd of a matrix drawn from sample, failures tagged with its trial."""
+def _lapack(sample: MatrixSample, routine, matrix: np.ndarray, **kwargs):
+    """routine(matrix) (np.linalg.svd or eigh) for a matrix drawn from sample,
+    failures tagged with its trial."""
     try:
         # matrix goes positionally: the benchmark's SVD tracer reads args[0]
-        return np.linalg.svd(matrix, **kwargs)
+        return routine(matrix, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(sample, exc) from exc
 
@@ -88,15 +97,24 @@ class MinorBasis:
 
 def decompose(sample: MatrixSample) -> SpectralDecomposition:
     """Full decomposition of X*X via the SVD of X (eigenvalues ascending)."""
-    _, sing, vh = _svd(sample, sample.entries)
+    _, sing, vh = _lapack(sample, np.linalg.svd, sample.entries)
     eigenvalues = (sing[::-1] ** 2).copy()
     eigenvectors = vh[::-1].conj().T.copy()
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
+def gram_decompose(sample: MatrixSample) -> SpectralDecomposition:
+    """Full decomposition of X*X by a Hermitian eigensolve of the formed Gram
+    matrix (eigenvalues ascending, absolute accuracy only; see the module
+    docstring)."""
+    x = sample.entries
+    eigenvalues, eigenvectors = _lapack(sample, np.linalg.eigh, x.conj().T @ x)
+    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
 def eigenvalues_only(sample: MatrixSample) -> np.ndarray:
     """Ascending eigenvalues of X*X without vectors (sigma-only SVD)."""
-    sing = _svd(sample, sample.entries, compute_uv=False)
+    sing = _lapack(sample, np.linalg.svd, sample.entries, compute_uv=False)
     return (sing[::-1] ** 2).copy()
 
 
@@ -106,7 +124,9 @@ def minor_basis(sample: MatrixSample, k: int) -> MinorBasis:
     # np.delete would wrap a negative k around to a valid column
     if not 0 <= k < n:
         raise IndexError(f"column index {k} out of range for size {n}")
-    u, sing, _ = _svd(sample, np.delete(sample.entries, k, axis=1), full_matrices=True)
+    u, sing, _ = _lapack(
+        sample, np.linalg.svd, np.delete(sample.entries, k, axis=1), full_matrices=True
+    )
     w = sample.entries[:, k].copy()
     return MinorBasis(
         k=k,

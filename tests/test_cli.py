@@ -35,16 +35,32 @@ def test_mp_single_value_is_bare(capsys):
     assert out == "0.159155\n"
 
 
-def test_cli_import_defers_scipy_integrate(capsys):
-    # only the quadrature oracles need scipy.integrate; importing the CLI must not load it
+def _fresh_python(probe: str) -> str:
+    """Standard output of probe run in a new interpreter that imports this hardedge."""
     src = str(Path(hardedge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, hardedge.cli; print('scipy.integrate' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+    return done.stdout
+
+
+def test_cli_import_defers_scipy_integrate(capsys):
+    # only the quadrature oracles need scipy.integrate; importing the CLI must not load it
+    assert _fresh_python("import sys, hardedge.cli; print('scipy.integrate' in sys.modules)") == "False\n"
     code, out, _ = run(capsys, ["mp", "--moment", "5"])
     assert code == 0
     assert out == "42\n"
+
+
+def test_cli_and_deloc_do_not_load_scipy():
+    # scipy.linalg alone costs about 0.3 s and 23 MB at import; the CLI and
+    # the delocalization path run on numpy
+    probe = (
+        "import sys, hardedge.cli\n"
+        "from hardedge.experiments import ExperimentConfig, run_delocalization\n"
+        "run_delocalization(ExperimentConfig(sizes=(64,), trials=30, scale_min=5.0))\n"
+        "print('scipy' in sys.modules)"
+    )
+    assert _fresh_python(probe) == "False\n"
 
 
 def test_mp_multiple_values_are_labelled(capsys):
@@ -161,6 +177,7 @@ def test_deloc_empty_window_exits_1_with_nan_row(tmp_path, capsys):
     assert any(line.startswith("FAIL N=2: no trial") for line in out.splitlines())
     data = json.loads((outdir / "delocalization.json").read_text())
     assert data["rows"][0]["median_over_ln"] == "nan"
+    assert data["summary"]["empty_window_trials"] == {"2": 30}
 
 
 def test_config_error_exits_2_and_names_field(tmp_path, capsys):
@@ -217,10 +234,15 @@ def test_zero_energy_window_exits_2_and_names_it(tmp_path, capsys):
         (["projmass", "--m-grid", "0", "4"], "config error: m_grid[0]: "),
         (["projmass", "--m-grid", "100"], "config error: m_grid[0]: "),
         (["projmass", "--size", "8", "--m-grid", "4", "9"], "config error: m_grid[1]: "),
+        (["hw", "--trials", "0"], "config error: trials: must be >= 100"),
+        (["hw", "--trials", "99"], "config error: trials: must be >= 100"),
+        (["projmass", "--trials", "0"], "config error: trials: must be >= 1"),
     ],
 )
 def test_direct_command_bad_grid_exits_2_and_names_it(tmp_path, capsys, argv, prefix):
-    code, _, err = run(capsys, [*argv, "--trials", "200", "--out", str(tmp_path / "r")])
+    # argv's own flags come last, so a --trials case overrides the valid 200
+    command, *flags = argv
+    code, _, err = run(capsys, [command, "--trials", "200", *flags, "--out", str(tmp_path / "r")])
     assert code == 2
     assert err.startswith(prefix)
     assert not (tmp_path / "r").exists()

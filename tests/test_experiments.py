@@ -420,6 +420,7 @@ def test_delocalization_small(small_cfg):
         assert row["lower_edge"] < row["upper_edge"] == 3.5
     sizes = [row["size"] for row in rep.rows]
     assert sizes == sorted(sizes)
+    assert rep.summary["empty_window_trials"] == {str(n): 0 for n in small_cfg.sizes}
 
 
 def test_delocalization_thread_count_invisible(small_cfg):
@@ -455,6 +456,7 @@ def test_delocalization_empty_window_reports_nan_row():
                    "statistic", "ci_lo", "ci_hi"):
         assert math.isnan(row[column]), column
     assert rep.summary["medians_over_ln"] == {}
+    assert rep.summary["empty_window_trials"] == {"2": 30}
 
 
 def test_delocalization_rejects_atomic_entries(small_cfg):
@@ -564,6 +566,22 @@ def test_identity_suite_pools_coverage():
 def test_identity_suite_rejects_zero_trials():
     with pytest.raises(ConfigError, match="trials"):
         run_identity_suite(sizes=(8,), trials=0)
+
+
+@pytest.mark.parametrize(
+    "runner, trials, message",
+    [
+        (run_hw_experiment, 0, "must be >= 100, got 0"),
+        (run_hw_experiment, 99, "must be >= 100, got 99"),
+        (run_hw_experiment, 400.0, "expected an integer"),
+        (run_projection_mass_experiment, 0, "must be >= 1, got 0"),
+        (run_projection_mass_experiment, True, "expected an integer"),
+    ],
+)
+def test_direct_runners_reject_bad_trials(runner, trials, message):
+    # trials is parsed like every other field, and before any draw
+    with pytest.raises(ConfigError, match=f"^trials: {message}"):
+        runner(trials=trials, size=8)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Decomposition accuracy, counting, interlacing, eigenvector identity.
 
 The dense Hermitian eigensolver (numpy.linalg.eigh on the explicitly formed
-gram matrix) serves as the independent oracle for the SVD route.
+gram matrix) serves as the independent oracle for the SVD route; the Gram
+route (gram_decompose) is held to the SVD route where deloc reads it.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from hardedge import (
+    KINDS,
     EnsembleSpec,
     EntryDistribution,
     Window,
@@ -19,6 +21,7 @@ from hardedge import (
     eigenvalue_count,
     eigenvalues_only,
     eigenvector_identity_scan,
+    gram_decompose,
     interlacing_check,
     minor_basis,
     sample_matrix,
@@ -68,6 +71,19 @@ def test_eigenvectors_diagonalize_gram():
 def test_eigenvalues_only_agrees_with_decompose():
     s = make_sample(24, seed=5)
     assert np.max(np.abs(eigenvalues_only(s) - decompose(s).eigenvalues)) < 1e-11
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [16, 128])
+def test_gram_decompose_agrees_with_decompose(kind, n):
+    s = make_sample(n, seed=11, dist=EntryDistribution(kind))
+    svd, gram = decompose(s), gram_decompose(s)
+    assert np.max(np.abs(gram.eigenvalues - svd.eigenvalues)) <= 1e-12 * (1.0 + svd.top)
+    # deloc's statistic over a window well above the Gram route's absolute error
+    inside = [(d.eigenvalues >= 0.3) & (d.eigenvalues <= 3.5) for d in (svd, gram)]
+    assert np.array_equal(*inside) and np.any(inside[0])
+    stats = [n * np.max(np.abs(d.eigenvectors[:, m]) ** 2) for d, m in zip((svd, gram), inside)]
+    assert stats[1] == pytest.approx(stats[0], rel=1e-10)
 
 
 def test_eigenvalue_count_inclusive_endpoints():
@@ -222,16 +238,21 @@ def test_decomposition_error_carries_trial_identity():
 
 
 @pytest.mark.parametrize(
-    "decomposer",
-    [decompose, eigenvalues_only, lambda s: minor_basis(s, 1)],
-    ids=["decompose", "eigenvalues_only", "minor_basis"],
+    "decomposer, routine",
+    [
+        (decompose, "svd"),
+        (eigenvalues_only, "svd"),
+        (lambda s: minor_basis(s, 1), "svd"),
+        (gram_decompose, "eigh"),
+    ],
+    ids=["decompose", "eigenvalues_only", "minor_basis", "gram_decompose"],
 )
-def test_svd_failure_names_seed_and_trial(decomposer, monkeypatch):
-    def failing_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+def test_svd_failure_names_seed_and_trial(decomposer, routine, monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
 
     s = make_sample(4, seed=77, trial=3)
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    monkeypatch.setattr(np.linalg, routine, failing)
     with pytest.raises(DecompositionError, match="seed=77, trial=3") as err:
         decomposer(s)
     assert err.value.sample is s
