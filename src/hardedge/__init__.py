@@ -7,6 +7,7 @@ delocalization, near-zero eigenvalue repulsion, and the concentration
 inequalities behind them.
 """
 
+from ._version import __version__
 from .concentration import hw_tail_curve, projection_mass_probe, wilson_interval
 from .ensemble import (
     KINDS,
@@ -60,13 +61,6 @@ from .spectral import (
     interlacing_check,
     minor_basis,
 )
-
-try:
-    from importlib.metadata import PackageNotFoundError, version
-
-    __version__ = version("hardedge")
-except PackageNotFoundError:  # pragma: no cover - source tree without install
-    __version__ = "0+unknown"
 
 __all__ = [
     "__version__",

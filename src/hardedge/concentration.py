@@ -117,19 +117,21 @@ def projection_mass_probe(
         for x in _chunked_draws(dist.kind, trials, m, seed):
             hits += int(np.sum(np.sum(np.abs(x) ** 2, axis=1) <= threshold))
     else:
-        # each trial keeps its own stream: x first, then the family's draws;
-        # the mass is the projection of x onto span(G), |P x|^2 = b^H (G^H G)^-1 b
-        # with b = G^H x, one stacked solve per chunk
+        # each trial keeps its own stream: x first, then G's real and
+        # imaginary parts in one call into a real block; the chunk's complex G
+        # is built once.  The mass is the projection of x onto span(G),
+        # |P x|^2 = b^H (G^H G)^-1 b with b = G^H x, one stacked solve per chunk
         x = np.empty((_HAAR_CHUNK, size, 1), dtype=complex)
-        g = np.empty((_HAAR_CHUNK, size, m), dtype=complex)
+        g_parts = np.empty((_HAAR_CHUNK, 2, size, m))
         for start in range(0, trials, _HAAR_CHUNK):
             take = min(_HAAR_CHUNK, trials - start)
             for i in range(take):
                 rng = stream(seed, start + i)
                 x[i, :, 0] = draw_entries(rng, dist.kind, (size,))
-                g[i] = rng.standard_normal((size, m)) + 1j * rng.standard_normal((size, m))
-            gh = g[:take].conj().transpose(0, 2, 1)
+                rng.standard_normal(out=g_parts[i])
+            g = g_parts[:take, 0] + 1j * g_parts[:take, 1]
+            gh = g.conj().transpose(0, 2, 1)
             b = gh @ x[:take]
-            mass = np.real(b.conj().transpose(0, 2, 1) @ np.linalg.solve(gh @ g[:take], b))
+            mass = np.real(b.conj().transpose(0, 2, 1) @ np.linalg.solve(gh @ g, b))
             hits += int(np.sum(mass <= threshold))
     return hits, family

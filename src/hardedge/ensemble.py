@@ -15,8 +15,9 @@ with GOLDEN = 0x9E3779B97F4A7C15 and mix64 the SplitMix64 finaliser
 0x94D049BB133111EB, xor-shift 31).  The affine step is injective for a fixed
 master (GOLDEN is odd) and mix64 is a bijection on 64-bit words, so distinct
 indices never collide.  The derived word keys a Philox4x64-10 counter-based
-bit generator; the real-part matrix is drawn first, then the imaginary-part
-matrix, each row-major in a single call, which pins the byte stream.
+bit generator; one call draws a real (2, N, N) block, row-major: the
+real-part matrix first, then the imaginary-part matrix, which pins the byte
+stream.
 `stream` hands out these keyed streams: each thread keeps one Philox and
 resets its whole state to the key, which draws the same bits as a freshly
 built generator without seeding an unused SeedSequence from OS entropy.
@@ -174,27 +175,36 @@ def stream(master_seed: int, index: int) -> np.random.Generator:
     return rng
 
 
-def draw_entries(rng: np.random.Generator, kind: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Unscaled iid entries of the given kind (E|x|^2 = 1), real parts drawn first."""
+def draw_entries(
+    rng: np.random.Generator, kind: str, shape: tuple[int, ...], scale: float = 1.0
+) -> np.ndarray:
+    """iid entries of the given kind times scale (E|x|^2 = scale^2).
+
+    One RNG call fills a real (2, *shape) block, real parts first, then
+    imaginary parts; the block is scaled before the complex array is built.
+    """
+    size = (2, *shape)
     if kind == "complex-gaussian":
-        re = rng.standard_normal(shape) * math.sqrt(0.5)
-        im = rng.standard_normal(shape) * math.sqrt(0.5)
+        parts = rng.standard_normal(size)
+        parts *= math.sqrt(0.5)
     elif kind == "rademacher-pair":
-        re = (2.0 * rng.integers(0, 2, size=shape) - 1.0) * math.sqrt(0.5)
-        im = (2.0 * rng.integers(0, 2, size=shape) - 1.0) * math.sqrt(0.5)
+        parts = 2.0 * rng.integers(0, 2, size=size) - 1.0
+        parts *= math.sqrt(0.5)
     elif kind == "uniform-symmetric":
-        re = rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=shape)
-        im = rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=shape)
+        parts = rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=size)
     else:
         raise ValueError(f"unknown distribution kind {kind!r}; choose from {KINDS}")
-    return re + 1j * im
+    parts *= scale
+    return parts[0] + 1j * parts[1]
 
 
 def sample_matrix(spec: EnsembleSpec, trial_index: int) -> MatrixSample:
     """Draw trial `trial_index` of the family: deterministic in (spec, index)."""
     n = spec.size
     rng = stream(spec.master_seed, trial_index)
-    entries = draw_entries(rng, spec.distribution.kind, (n, n)) / math.sqrt(n)
+    # scaling the real block is bit for bit a complex division by sqrt(N):
+    # numpy divides a complex by a real as a multiply by its reciprocal
+    entries = draw_entries(rng, spec.distribution.kind, (n, n), 1.0 / math.sqrt(n))
     sample = MatrixSample(entries=entries, spec=spec, trial_index=trial_index)
     check_entry_statistics(sample)
     return sample
@@ -211,9 +221,11 @@ def check_entry_statistics(sample: MatrixSample) -> tuple[float, float]:
     Returns the two measured deviations.
     """
     n = sample.size
-    unscaled = sample.entries * math.sqrt(n)
-    mean_dev = abs(np.mean(unscaled))
-    modsq_dev = abs(float(np.mean(np.abs(unscaled) ** 2)) - 1.0)
+    # both deviations come from the stored X/sqrt(N): the mean scales by
+    # sqrt(N), and mean(|x|^2) over N^2 unscaled entries is sum(|X|^2)/N
+    parts = np.ravel(sample.entries).view(np.float64)
+    mean_dev = float(abs(np.mean(sample.entries))) * math.sqrt(n)
+    modsq_dev = abs(float(np.einsum("i,i->", parts, parts)) / n - 1.0)
     mean_band = 5.0 / math.sqrt(2.0 * n * n)
     modsq_band = 10.0 / n
     if mean_dev > mean_band or modsq_dev > modsq_band:
@@ -226,7 +238,7 @@ def check_entry_statistics(sample: MatrixSample) -> tuple[float, float]:
         if n >= 64 and (mean_dev > 2.0 * mean_band or modsq_dev > modsq_band):
             raise ValueError(msg)
         logger.warning(msg)
-    return float(mean_dev), float(modsq_dev)
+    return mean_dev, modsq_dev
 
 
 def write_sample(sample: MatrixSample, path) -> None:

@@ -719,25 +719,19 @@ def run_identity_suite(
 
     def one_trial(sample):
         d = decompose(sample)
-        n = sample.size
-        # one minor SVD per column serves every theta, both resolvent
+        # one stacked SVD of all N minors serves every theta, both resolvent
         # identities, interlacing and the eigenvector identity
-        loo = np.empty((len(points), n), dtype=complex)
-        schur = np.empty_like(loo)
-        scans = np.empty((n, n))
-        inter = 0.0
-        for k in range(n):
-            minor = minor_basis(sample, k)
-            loo[:, k] = resolvent_diag_leave_one_out(minor, points)
-            schur[:, k] = resolvent_diag_schur(minor, points)
-            inter = max(inter, interlacing_check(d, minor))
-            scans[k] = eigenvector_identity_scan(minor, d)
+        minors = minor_basis(sample)
+        loo = resolvent_diag_leave_one_out(minors, points)
+        schur = resolvent_diag_schur(minors, points)
+        inter = float(np.max(interlacing_check(d, minors)))
+        scans = eigenvector_identity_scan(minors, d)
         finite = np.isfinite(scans)
         covered = int(np.count_nonzero(finite))
         resid = float(np.max(scans, where=finite, initial=0.0))
         gram = sample.entries.conj().T @ sample.entries
         # one stacked solve: the (points, N) resolvent diagonals
-        dense = np.diagonal(np.linalg.inv(gram - thetas * np.eye(n)), axis1=1, axis2=2)
+        dense = np.diagonal(np.linalg.inv(gram - thetas * np.eye(sample.size)), axis1=1, axis2=2)
         loo_dev = float(np.max(np.abs(loo - dense)))
         schur_dev = float(np.max(np.abs(schur - dense)))
         mean_dev = max(

@@ -19,14 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._version import __version__
 from .experiments import TheoremReport
-
-try:
-    from importlib.metadata import PackageNotFoundError, version
-
-    _VERSION = version("hardedge")
-except PackageNotFoundError:  # pragma: no cover - source tree without install
-    _VERSION = "0+unknown"
 
 __all__ = ["render_csv", "render_json", "write_report", "file_digest", "run_id_for"]
 
@@ -121,7 +115,7 @@ def write_report(report: TheoremReport, outdir) -> dict:
     manifest = {
         "run_id": run_id_for(report.config),
         "tool": "hardedge",
-        "version": _VERSION,
+        "version": __version__,
         "config": _plain(report.config),
         "artifacts": artifacts,
     }

@@ -8,9 +8,10 @@ resolvent sees exactly: diagonal entries obey
 
 with W_k the matrix minus column k and w_k the removed (scaled) column.
 
-Both forms are evaluated from the minor's complete left singular basis
-(`spectral.minor_basis`, one SVD per column, shared by every spectral point);
-each takes a sequence of points and evaluates them in one pass.
+Both forms are evaluated from the minors' complete left singular bases
+(`spectral.minor_basis`, one stacked SVD over all N minors, shared by every
+spectral point); each takes a sequence of points and evaluates every
+(point, column) pair in one pass.
 The two Gram orderings of the minor share a spectrum except for one null
 direction, so the second form runs over the N-1 range directions with the
 minor eigenvalues and the one extra (null) direction with eigenvalue 0, whose
@@ -45,24 +46,24 @@ def empirical_stieltjes(eigenvalues: np.ndarray, point: SpectralPoint):
 
 
 def resolvent_diag_leave_one_out(
-    minor: MinorBasis, points: Sequence[SpectralPoint]
+    minors: MinorBasis, points: Sequence[SpectralPoint]
 ) -> np.ndarray:
-    """G_kk at each point through the removed-column identity, never touching
-    the full matrix.
+    """G_kk at each point and column, shape (points, N), through the
+    removed-column identity, never touching the full matrix.
 
-    The quadratic form runs over the complete left basis of the minor,
+    The quadratic form runs over the complete left basis of each minor,
     null direction included.
     """
-    theta = np.array([p.theta for p in points])
-    quad = np.sum(minor.weights / (minor.eigenvalues - theta[:, None]), axis=-1)
-    quad += minor.null_weight / (0.0 - theta)
+    theta = np.array([p.theta for p in points])[:, None]
+    quad = np.sum(minors.weights / (minors.eigenvalues - theta[:, :, None]), axis=-1)
+    quad += minors.null_weights / (0.0 - theta)
     return -1.0 / (theta * (1.0 + quad))
 
 
-def resolvent_diag_schur(minor: MinorBasis, points: Sequence[SpectralPoint]) -> np.ndarray:
-    """G_kk at each point through the Schur complement form
-    1/(|w|^2 - theta - w* W (W*W - theta)^(-1) W* w)."""
-    theta = np.array([p.theta for p in points])
-    t = minor.eigenvalues
-    norm_sq = float(np.sum(np.abs(minor.column) ** 2))
-    return 1.0 / (norm_sq - theta - np.sum(minor.weights * t / (t - theta[:, None]), axis=-1))
+def resolvent_diag_schur(minors: MinorBasis, points: Sequence[SpectralPoint]) -> np.ndarray:
+    """G_kk at each point and column, shape (points, N), through the Schur
+    complement form 1/(|w|^2 - theta - w* W (W*W - theta)^(-1) W* w)."""
+    theta = np.array([p.theta for p in points])[:, None]
+    t = minors.eigenvalues
+    norm_sq = np.sum(np.abs(minors.columns) ** 2, axis=-1)
+    return 1.0 / (norm_sq - theta - np.sum(minors.weights * t / (t - theta[:, :, None]), axis=-1))

@@ -3,14 +3,20 @@
 Two routes, chosen by the accuracy the caller needs:
 
 - `decompose`, `eigenvalues_only` and `minor_basis` take the SVD of X itself
-  and square it, so the hard-edge values (of order 1/N^2) keep full relative
-  precision.  The identity suite, interlacing and everything read at the
-  hard edge use them.
+  (or of its column-minors) and square it, so the hard-edge values (of order
+  1/N^2) keep full relative precision.  The identity suite, interlacing and
+  everything read at the hard edge use them.
 - `gram_decompose` runs a Hermitian eigensolve of the formed Gram matrix
   X*X.  Its eigenvalues carry an absolute error of order machine epsilon
   times ||X*X|| (about 1e-15), so it serves only statistics whose eigenvalues
   lie far above that, such as delocalization's window [2(scale_min/(kappa
   N))^2, 4 - kappa].  It skips the left singular vectors and costs less.
+
+`minor_basis` stacks all N column-minors of X into one (N, N, N-1) array
+and runs one full SVD over it; LAPACK takes the stack a minor at a time, so
+every minor gets the bits of its own SVD.  `interlacing_check` and
+`eigenvector_identity_scan` read that MinorBasis and evaluate every removed
+column in one call, row k for column k.
 
 Decompositions are in ascending order; a MinorBasis keeps LAPACK's
 descending order.  Eigenvectors of X*X are the right singular vectors of X.
@@ -79,20 +85,20 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class MinorBasis:
-    """Left spectral data of the k-minor W_k (X with column k removed) from
-    one full SVD, shared by every spectral point and identity at column k,
-    interlacing included.
+    """Left spectral data of every column-minor W_k (X with column k removed),
+    from one stacked full SVD, shared by every spectral point and identity,
+    interlacing included.  Row k of each array belongs to column k.
 
-    eigenvalues holds the N-1 minor eigenvalues in LAPACK's descending order;
-    weights and null_weight are |<v_b, w_k>|^2 over the complete left basis
-    (range vectors in that order, then the null vector), w_k the removed scaled column.
+    eigenvalues holds each minor's N-1 eigenvalues in LAPACK's descending
+    order; weights and null_weights are |<v_b, w_k>|^2 over the minor's
+    complete left basis (range vectors in that order, then the null vector),
+    w_k = columns[k] the removed scaled column.
     """
 
-    k: int
     eigenvalues: np.ndarray
-    column: np.ndarray
+    columns: np.ndarray
     weights: np.ndarray
-    null_weight: float
+    null_weights: np.ndarray
 
 
 def decompose(sample: MatrixSample) -> SpectralDecomposition:
@@ -118,22 +124,25 @@ def eigenvalues_only(sample: MatrixSample) -> np.ndarray:
     return (sing[::-1] ** 2).copy()
 
 
-def minor_basis(sample: MatrixSample, k: int) -> MinorBasis:
-    """The k-minor's eigenvalues, removed column and the column's basis weights."""
+def minor_basis(sample: MatrixSample) -> MinorBasis:
+    """Every column-minor's eigenvalues, removed column and the column's basis
+    weights, from one full SVD of the (N, N, N-1) stack of minors."""
     n = sample.size
-    # np.delete would wrap a negative k around to a valid column
-    if not 0 <= k < n:
-        raise IndexError(f"column index {k} out of range for size {n}")
-    u, sing, _ = _lapack(
-        sample, np.linalg.svd, np.delete(sample.entries, k, axis=1), full_matrices=True
-    )
-    w = sample.entries[:, k].copy()
+    x = sample.entries
+    # row k of kept lists every column index but k, in order
+    kept = np.broadcast_to(np.arange(n), (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    u, sing, _ = _lapack(sample, np.linalg.svd, x[:, kept].transpose(1, 0, 2), full_matrices=True)
+    columns = x.T.copy()
+    # row k makes the same BLAS product and strided dot as minor k decomposed
+    # alone, so it keeps those bits; the null weight takes hypot's modulus,
+    # the one the exact-identities reports are computed with
+    range_proj = u[:, :, : n - 1].conj().transpose(0, 2, 1) @ columns[:, :, None]
+    null_proj = np.vecdot(u[:, :, n - 1], columns)
     return MinorBasis(
-        k=k,
         eigenvalues=sing**2,
-        column=w,
-        weights=np.abs(u[:, : n - 1].conj().T @ w) ** 2,
-        null_weight=abs(np.vdot(u[:, n - 1], w)) ** 2,
+        columns=columns,
+        weights=np.abs(range_proj[:, :, 0]) ** 2,
+        null_weights=np.hypot(null_proj.real, null_proj.imag) ** 2,
     )
 
 
@@ -156,38 +165,40 @@ def counting_bound(eigenvalues: np.ndarray, window: Window) -> float:
     return 2.0 * window.eta * float(np.sum((1.0 / (eigenvalues - theta)).imag))
 
 
-def interlacing_check(decomposition: SpectralDecomposition, minor: MinorBasis) -> float:
-    """Largest violation of s_a <= t_a <= s_(a+1) between X*X and its k-minor.
+def interlacing_check(decomposition: SpectralDecomposition, minors: MinorBasis) -> np.ndarray:
+    """Largest violation of s_a <= t_a <= s_(a+1) between X*X and each
+    column-minor, one value per removed column.
 
     Exact zero in exact arithmetic; anything above rounding noise indicates
     a broken decomposition.
     """
     s = decomposition.eigenvalues
-    t = minor.eigenvalues[::-1]
-    below = float(np.max(s[:-1] - t, initial=0.0))
-    above = float(np.max(t - s[1:], initial=0.0))
-    return max(below, above)
+    t = minors.eigenvalues[:, ::-1]
+    below = np.max(s[:-1] - t, axis=-1, initial=0.0)
+    above = np.max(t - s[1:], axis=-1, initial=0.0)
+    return np.maximum(below, above)
 
 
 def eigenvector_identity_scan(
-    minor: MinorBasis,
+    minors: MinorBasis,
     decomposition: SpectralDecomposition,
     gap_tol: float = DEFAULT_GAP_TOL,
 ) -> np.ndarray:
-    """Identity residual of every eigenvector at the minor's removed column.
+    """Identity residual of every eigenvector at every removed column.
 
     |u_a(k)|^2 must equal 1/(1 + sum_b t_b |<v_b, w_k>|^2 / (s_a - t_b)^2)
     where t_b are the k-minor's eigenvalues and |<v_b, w_k>|^2 its weights.
-    Entry a is the residual for eigenvalue index a, or inf when the
-    full/minor gap falls below gap_tol * (1 + s_max): such a pair is
+    Entry (k, a) is the residual for column k and eigenvalue index a, or inf
+    when the full/minor gap falls below gap_tol * (1 + s_max): such a pair is
     uncovered and carries no accuracy claim.  An empty minor (N = 1) leaves
     the right side exactly 1.
     """
     d = decomposition
-    lhs = np.abs(d.eigenvectors[minor.k, :]) ** 2
-    gaps = d.eigenvalues[:, None] - minor.eigenvalues[None, :]
-    covered = np.min(np.abs(gaps), axis=1, initial=math.inf) >= gap_tol * (1.0 + d.top)
+    lhs = np.abs(d.eigenvectors) ** 2
+    t = minors.eigenvalues[:, None, :]
+    gaps = d.eigenvalues[None, :, None] - t
+    covered = np.min(np.abs(gaps), axis=-1, initial=math.inf) >= gap_tol * (1.0 + d.top)
     with np.errstate(divide="ignore", invalid="ignore"):
         # rows that divide by a zero gap are the uncovered ones, masked below
-        rhs = 1.0 / (1.0 + np.sum(minor.eigenvalues * minor.weights / gaps**2, axis=1))
+        rhs = 1.0 / (1.0 + np.sum(t * minors.weights[:, None, :] / gaps**2, axis=-1))
     return np.where(covered, np.abs(lhs - rhs), math.inf)

@@ -140,14 +140,12 @@ def test_criterion_04_eigenvector_identity(identity_suite):
 def test_criterion_05_interlacing(n64_suite):
     pairs, build_seconds = n64_suite
     with Timer() as t:
-        rng = np.random.Generator(np.random.Philox(key=5))
         worst_rel = 0.0
         for sample, dec in pairs:
-            tolerance = 1e-10 * dec.top
-            for k in rng.choice(64, size=10, replace=False):
-                violation = interlacing_check(dec, minor_basis(sample, int(k)))
-                assert violation <= tolerance, (sample.trial_index, int(k))
-                worst_rel = max(worst_rel, violation / dec.top)
+            # one stacked minor SVD gives every column, not a sample of them
+            violation = float(np.max(interlacing_check(dec, minor_basis(sample))))
+            assert violation <= 1e-10 * dec.top, sample.trial_index
+            worst_rel = max(worst_rel, violation / dec.top)
     assert worst_rel <= 1e-10
     assert build_seconds + t.seconds < 60.0
 

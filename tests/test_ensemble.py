@@ -235,6 +235,51 @@ def test_stream_matches_a_fresh_philox(kind, halfwords):
     assert np.array_equal(threaded, expected_threaded)
 
 
+def _reference_parts(rng, kind, shape):
+    """The documented draw scheme, one call per part: the real block, then
+    the imaginary block, each row-major and with variance 1/2."""
+    if kind == "complex-gaussian":
+        return [rng.standard_normal(shape) * math.sqrt(0.5) for _ in range(2)]
+    if kind == "rademacher-pair":
+        return [(2.0 * rng.integers(0, 2, size=shape) - 1.0) * math.sqrt(0.5) for _ in range(2)]
+    return [rng.uniform(-math.sqrt(1.5), math.sqrt(1.5), size=shape) for _ in range(2)]
+
+
+def _keyed(seed, index, cached_half):
+    rng = np.random.Generator(np.random.Philox(key=derive_trial_seed(seed, index)))
+    if cached_half:
+        # three 32-bit draws leave the upper half of a 64-bit word cached
+        rng.integers(0, 2, size=3)
+    return rng
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("shape", [(1,), (7,), (4, 6), (3, 5)])
+@pytest.mark.parametrize("cached_half", [False, True])
+def test_draw_layout_matches_the_documented_scheme(kind, shape, cached_half):
+    ours = _keyed(5, 3, cached_half)
+    reference = _keyed(5, 3, cached_half)
+    re, im = _reference_parts(reference, kind, shape)
+    assert _same_bits(draw_entries(ours, kind, shape), re + 1j * im)
+    # the one-call draw consumes exactly the words of the two part draws
+    assert np.array_equal(ours.integers(0, 2**32, size=3), reference.integers(0, 2**32, size=3))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_sample_matrix_layout_matches_the_documented_scheme(kind, n):
+    # a stream left with a cached half word must not leak into the next sample
+    stream(6, 0).integers(0, 2, size=3)
+    spec = spec_of(n, EntryDistribution(kind), seed=6)
+    re, im = _reference_parts(_keyed(6, 4, cached_half=False), kind, (n, n))
+    # the stored matrix is X / sqrt(N), signed zeros included
+    assert _same_bits(sample_matrix(spec, 4).entries, (re + 1j * im) / math.sqrt(n))
+
+
 def test_stream_per_thread_under_contention():
     # more workers than cores and a short switch interval: a generator shared
     # between threads would hand one trial's draws to another

@@ -545,9 +545,9 @@ def test_identity_suite_one_minor_svd_per_column(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     run_identity_suite(sizes=(8,), trials=2, seed=7)
-    # per trial: the decomposition, then per column one full minor SVD shared
-    # by every theta, identity and the interlacing check
-    assert len(calls) == 2 * (1 + 8)
+    # per trial: the decomposition, then one full SVD of the stack of all 8
+    # minors, shared by every column, theta, identity and the interlacing check
+    assert len(calls) == 2 * (1 + 1)
     assert calls.count(False) == 0
 
 

@@ -61,39 +61,38 @@ def test_empirical_stieltjes_far_field():
 def test_leave_one_out_diagonal_matches_dense():
     for n, seed in ((12, 4), (16, 5)):
         s = make_sample(n, seed=seed)
-        dense_diags = [np.diag(dense_resolvent(s, p)) for p in THETA_GRID]
-        for k in range(n):
-            minor = minor_basis(s, k)
-            loo = resolvent_diag_leave_one_out(minor, THETA_GRID)
-            schur = resolvent_diag_schur(minor, THETA_GRID)
-            for i, p in enumerate(THETA_GRID):
-                assert abs(loo[i] - dense_diags[i][k]) < 1e-9, (n, k, p)
-                assert abs(schur[i] - dense_diags[i][k]) < 1e-9, (n, k, p)
+        dense_diags = np.array([np.diag(dense_resolvent(s, p)) for p in THETA_GRID])
+        minors = minor_basis(s)
+        loo = resolvent_diag_leave_one_out(minors, THETA_GRID)
+        schur = resolvent_diag_schur(minors, THETA_GRID)
+        assert loo.shape == schur.shape == (len(THETA_GRID), n)
+        assert np.max(np.abs(loo - dense_diags)) < 1e-9, n
+        assert np.max(np.abs(schur - dense_diags)) < 1e-9, n
 
 
 def test_leave_one_out_size_one():
     s = make_sample(1, seed=9)
     p = SpectralPoint(1.0, 0.5)
     expected = 1.0 / (abs(s.entries[0, 0]) ** 2 - p.theta)
-    minor = minor_basis(s, 0)
-    (loo,) = resolvent_diag_leave_one_out(minor, [p])
-    (schur,) = resolvent_diag_schur(minor, [p])
+    minors = minor_basis(s)
+    ((loo,),) = resolvent_diag_leave_one_out(minors, [p])
+    ((schur,),) = resolvent_diag_schur(minors, [p])
     assert abs(loo - expected) < 1e-14
     assert abs(schur - expected) < 1e-14
 
 
-def _scalar_leave_one_out(minor, point):
+def _scalar_leave_one_out(minors, k, point):
     theta = point.theta
-    quad = _fsum_complex(minor.weights / (minor.eigenvalues - theta))
-    quad += minor.null_weight / (0.0 - theta)
+    quad = _fsum_complex(minors.weights[k] / (minors.eigenvalues[k] - theta))
+    quad += minors.null_weights[k] / (0.0 - theta)
     return -1.0 / (theta * (1.0 + quad))
 
 
-def _scalar_schur(minor, point):
+def _scalar_schur(minors, k, point):
     theta = point.theta
-    t = minor.eigenvalues
-    norm_sq = float(np.sum(np.abs(minor.column) ** 2))
-    return 1.0 / (norm_sq - theta - _fsum_complex(minor.weights * t / (t - theta)))
+    t = minors.eigenvalues[k]
+    norm_sq = float(np.sum(np.abs(minors.columns[k]) ** 2))
+    return 1.0 / (norm_sq - theta - _fsum_complex(minors.weights[k] * t / (t - theta)))
 
 
 def _fsum_complex(values):
@@ -107,15 +106,15 @@ def _relative_error(values, reference):
 
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_batched_points_equal_scalar_reference(n):
-    # one pass over the theta grid repeats the exactly-rounded per-point
-    # values up to the rounding of numpy's pairwise sums
+    # one pass over the theta grid and every column repeats the
+    # exactly-rounded per-(point, column) values up to the rounding of
+    # numpy's pairwise sums
     for seed in range(3):
         s = make_sample(n, seed=seed)
-        for k in range(n):
-            minor = minor_basis(s, k)
-            loo = resolvent_diag_leave_one_out(minor, THETA_GRID)
-            schur = resolvent_diag_schur(minor, THETA_GRID)
-            reference_loo = [_scalar_leave_one_out(minor, p) for p in THETA_GRID]
-            reference_schur = [_scalar_schur(minor, p) for p in THETA_GRID]
-            assert _relative_error(loo, reference_loo) <= 1e-13
-            assert _relative_error(schur, reference_schur) <= 1e-13
+        minors = minor_basis(s)
+        loo = resolvent_diag_leave_one_out(minors, THETA_GRID)
+        schur = resolvent_diag_schur(minors, THETA_GRID)
+        reference_loo = [[_scalar_leave_one_out(minors, k, p) for k in range(n)] for p in THETA_GRID]
+        reference_schur = [[_scalar_schur(minors, k, p) for k in range(n)] for p in THETA_GRID]
+        assert _relative_error(loo, reference_loo) <= 1e-13
+        assert _relative_error(schur, reference_schur) <= 1e-13

@@ -117,55 +117,44 @@ def test_interlacing_all_columns():
     s = make_sample(24, seed=4)
     d = decompose(s)
     tol = 1e-10 * max(1.0, d.top)
-    for k in range(24):
-        assert interlacing_check(d, minor_basis(s, k)) <= tol
+    violations = interlacing_check(d, minor_basis(s))
+    assert violations.shape == (24,)
+    assert np.all(violations <= tol)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_minor_basis_reuses_thin_svd_bits(n):
-    # the identity suite's report rows rely on the full SVD repeating the
-    # thin SVD's eigenvalues and range weights bit for bit
+    # the identity suite's report rows rely on the stacked full SVD repeating
+    # each column's own thin SVD: eigenvalues and range weights bit for bit
     for trial in range(2):
         s = make_sample(n, seed=n, trial=trial)
+        minors = minor_basis(s)
+        assert minors.eigenvalues.shape == minors.weights.shape == (n, n - 1)
         for k in range(n):
-            minor = minor_basis(s, k)
             w = s.entries[:, k]
             u, sing, _ = np.linalg.svd(np.delete(s.entries, k, axis=1), full_matrices=False)
-            assert np.array_equal(minor.eigenvalues, sing**2)
-            assert np.array_equal(minor.weights, np.abs(u.conj().T @ w) ** 2)
-            assert np.array_equal(minor.column, w)
+            assert np.array_equal(minors.eigenvalues[k], sing**2)
+            assert np.array_equal(minors.weights[k], np.abs(u.conj().T @ w) ** 2)
+            assert np.array_equal(minors.columns[k], w)
             # the range and null weights split the column's squared norm
             norm_sq = float(np.sum(np.abs(w) ** 2))
-            assert abs(minor.null_weight + math.fsum(minor.weights) - norm_sq) < 1e-12
-
-
-def test_minor_basis_rejects_out_of_range_column():
-    s = make_sample(9)
-    # np.delete alone would wrap k = -1 around to the last column
-    for k in (9, -1):
-        with pytest.raises(IndexError):
-            minor_basis(s, k)
+            assert abs(minors.null_weights[k] + math.fsum(minors.weights[k]) - norm_sq) < 1e-12
 
 
 def test_eigenvector_identity_full_scan():
     s = make_sample(16, seed=6)
     d = decompose(s)
-    total = 0
-    covered = 0
-    for k in range(16):
-        for alpha, r in enumerate(eigenvector_identity_scan(minor_basis(s, k), d)):
-            total += 1
-            if math.isfinite(r):
-                covered += 1
-                assert r < 1e-8, (alpha, k, r)
-            else:
-                assert math.isinf(r)
-    assert covered / total >= 0.95
+    scan = eigenvector_identity_scan(minor_basis(s), d)
+    assert scan.shape == (16, 16)
+    covered = np.isfinite(scan)
+    assert np.all(np.isinf(scan[~covered]))
+    assert np.all(scan[covered] < 1e-8)
+    assert np.count_nonzero(covered) / scan.size >= 0.95
 
 
 def test_eigenvector_identity_size_one():
     s = make_sample(1, seed=2)
-    (r,) = eigenvector_identity_scan(minor_basis(s, 0), decompose(s))
+    ((r,),) = eigenvector_identity_scan(minor_basis(s), decompose(s))
     # empty minor: |u(0)|^2 = 1 and the identity right side is 1
     assert r < 1e-15
 
@@ -206,11 +195,11 @@ def test_eigenvector_identity_scan_matches_per_alpha(n):
     for trial in range(3):
         s = make_sample(n, seed=n + 1, trial=trial)
         d = decompose(s)
-        for k in range(n):
-            minor = minor_basis(s, k)
-            for gap_tol in (1e-6, 0.05):
-                scan = eigenvector_identity_scan(minor, d, gap_tol)
-                _assert_same_scan(scan, _per_alpha_scan(s, k, gap_tol, d))
+        minors = minor_basis(s)
+        for gap_tol in (1e-6, 0.05):
+            scan = eigenvector_identity_scan(minors, d, gap_tol)
+            for k in range(n):
+                _assert_same_scan(scan[k], _per_alpha_scan(s, k, gap_tol, d))
 
 
 def test_eigenvector_identity_scan_uncovered_pair():
@@ -220,10 +209,10 @@ def test_eigenvector_identity_scan_uncovered_pair():
     entries = np.diag([0.5, 0.9, 1.3, 1.7]).astype(complex)
     s = MatrixSample(entries=entries, spec=spec, trial_index=0)
     d = decompose(s)
-    minor = minor_basis(s, 1)
+    minors = minor_basis(s)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scan = eigenvector_identity_scan(minor, d)
+        scan = eigenvector_identity_scan(minors, d)[1]
     _assert_same_scan(scan, _per_alpha_scan(s, 1, 1e-6, d))
     assert sum(math.isinf(r) for r in scan) == 3
     (covered,) = [r for r in scan if math.isfinite(r)]
@@ -242,7 +231,7 @@ def test_decomposition_error_carries_trial_identity():
     [
         (decompose, "svd"),
         (eigenvalues_only, "svd"),
-        (lambda s: minor_basis(s, 1), "svd"),
+        (minor_basis, "svd"),
         (gram_decompose, "eigh"),
     ],
     ids=["decompose", "eigenvalues_only", "minor_basis", "gram_decompose"],
