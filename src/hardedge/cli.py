@@ -20,6 +20,10 @@ from .ensemble import KINDS, EnsembleSpec, EntryDistribution, sample_matrix, wri
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    _count,
+    _integer,
+    _seed,
+    _where,
     run_apriori,
     run_delocalization,
     run_hard_edge_scaling,
@@ -123,33 +127,34 @@ def _cmd_all(args) -> int:
     return max(_emit(runner(cfg, threads=args.threads), args.out) for _, runner in _spectra_experiments())
 
 
+def _bounds_line(point: SpectralPoint) -> str:
+    r = check_delta_bounds(point)
+    line = (f"all_ok={r.all_ok} modulus_margin={r.modulus_margin:.6g} "
+            f"shifted_margin={r.shifted_margin:.6g} inside_circle={r.inside_circle}")
+    return line if r.im_margin is None else f"{line} im_margin={r.im_margin:.6g}"
+
+
+# each `mp` flag, in output order, and how its value is shown
+_MP_QUANTITIES = {
+    "density": lambda e: "%.6g" % mp_density(e),
+    "cdf": lambda e: "%.6g" % mp_cdf(e),
+    "mass": lambda pair: "%.6g" % mp_window_mass(Window(*pair)),
+    "stieltjes": lambda pair: "{0.real:.6g}{0.imag:+.6g}i".format(mp_stieltjes(SpectralPoint(*pair))),
+    "bounds": lambda pair: _bounds_line(SpectralPoint(*pair)),
+    "moment": lambda k: "%.6g" % mp_moment_quadrature(k),
+}
+
+
 def _cmd_mp(args) -> int:
     results = []
-    if args.density is not None:
-        results.append(("density", "%.6g" % mp_density(args.density)))
-    if args.cdf is not None:
-        results.append(("cdf", "%.6g" % mp_cdf(args.cdf)))
-    if args.mass is not None:
-        e, eta = args.mass
-        results.append(("mass", "%.6g" % mp_window_mass(Window(e, eta))))
-    if args.stieltjes is not None:
-        e, eta = args.stieltjes
-        value = mp_stieltjes(SpectralPoint(e, eta))
-        results.append(("stieltjes", "%.6g%+.6gi" % (value.real, value.imag)))
-    if args.bounds is not None:
-        e, eta = args.bounds
-        report = check_delta_bounds(SpectralPoint(e, eta))
-        pieces = [
-            f"all_ok={report.all_ok}",
-            f"modulus_margin={report.modulus_margin:.6g}",
-            f"shifted_margin={report.shifted_margin:.6g}",
-            f"inside_circle={report.inside_circle}",
-        ]
-        if report.im_margin is not None:
-            pieces.append(f"im_margin={report.im_margin:.6g}")
-        results.append(("bounds", " ".join(pieces)))
-    if args.moment is not None:
-        results.append(("moment", "%.6g" % mp_moment_quadrature(args.moment)))
+    for name, show in _MP_QUANTITIES.items():
+        value = getattr(args, name)
+        if value is None:
+            continue
+        try:
+            results.append((name, show(value)))
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from exc
     if not results:
         print("mp: request at least one quantity (see --help)", file=sys.stderr)
         return 2
@@ -159,14 +164,12 @@ def _cmd_mp(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    spec = EnsembleSpec(
-        size=args.n,
-        distribution=EntryDistribution(args.dist),
-        master_seed=args.seed,
-    )
-    sample = sample_matrix(spec, args.trial)
-    write_sample(sample, args.out)
-    print(f"wrote {args.out} (N={args.n}, kind={args.dist}, seed={args.seed}, trial={args.trial})")
+    n = _count("n", args.n)
+    trial = _where(_integer, lambda i: i >= 0, ">= 0")("trial", args.trial)
+    seed = _seed("seed", args.seed)
+    spec = EnsembleSpec(size=n, distribution=EntryDistribution(args.dist), master_seed=seed)
+    write_sample(sample_matrix(spec, trial), args.out)
+    print(f"wrote {args.out} (N={n}, kind={args.dist}, seed={seed}, trial={trial})")
     return 0
 
 

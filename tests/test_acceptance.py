@@ -49,7 +49,7 @@ from hardedge import (
     write_report,
 )
 from hardedge import experiments
-from hardedge.mp import density_quadrature
+from mp_oracle import density_quadrature
 
 GAUSS = EntryDistribution("complex-gaussian")
 

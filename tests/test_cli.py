@@ -43,24 +43,22 @@ def _fresh_python(probe: str) -> str:
     return done.stdout
 
 
-def test_cli_import_defers_scipy_integrate(capsys):
-    # only the quadrature oracles need scipy.integrate; importing the CLI must not load it
-    assert _fresh_python("import sys, hardedge.cli; print('scipy.integrate' in sys.modules)") == "False\n"
-    code, out, _ = run(capsys, ["mp", "--moment", "5"])
-    assert code == 0
-    assert out == "42\n"
-
-
-def test_cli_and_deloc_do_not_load_scipy():
-    # scipy.linalg alone costs about 0.3 s and 23 MB at import; the CLI and
-    # the delocalization path run on numpy
+def test_package_runs_without_scipy():
+    # scipy is a test dependency only: no hardedge module imports it, and
+    # the mp, deloc, hw and projmass paths run on numpy alone
     probe = (
-        "import sys, hardedge.cli\n"
+        "import importlib, pkgutil, sys, hardedge\n"
+        "for info in pkgutil.iter_modules(hardedge.__path__):\n"
+        "    importlib.import_module('hardedge.' + info.name)\n"
+        "from hardedge.cli import main\n"
         "from hardedge.experiments import ExperimentConfig, run_delocalization\n"
+        "assert main(['mp', '--moment', '5']) == 0\n"
         "run_delocalization(ExperimentConfig(sizes=(64,), trials=30, scale_min=5.0))\n"
+        "hardedge.run_hw_experiment(trials=100, size=16)\n"
+        "hardedge.run_projection_mass_experiment(trials=200, size=16, m_grid=(1, 4))\n"
         "print('scipy' in sys.modules)"
     )
-    assert _fresh_python(probe) == "False\n"
+    assert _fresh_python(probe) == "42\nFalse\n"
 
 
 def test_mp_multiple_values_are_labelled(capsys):
@@ -94,6 +92,37 @@ def test_mp_without_quantity_errors(capsys):
     code, _, err = run(capsys, ["mp"])
     assert code == 2
     assert "request at least one quantity" in err
+
+
+def test_mp_moment_prints_the_catalan_number(capsys):
+    # C_15 = 9694845 is a tie for %.6g: a moment one ulp high would print 9.69485e+06
+    for k, text in ((0, "1"), (3, "5"), (15, "9.69484e+06"), (30, "3.81499e+15")):
+        assert run(capsys, ["mp", "--moment", str(k)])[:2] == (0, f"{text}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["mp", "--stieltjes", "1e308", "1e308"], "error: stieltjes: "),
+        (["mp", "--bounds", "1e308", "1e308"], "error: bounds: "),
+        (["mp", "--moment", "600"], "error: moment: "),
+        (["mp", "--moment", "-1"], "error: moment: "),
+        (["mp", "--moment", str(10**30)], "error: moment: "),
+        (["mp", "--mass", "1e308", "1e308"], "error: mass: "),
+        (["mp", "--density", "nan"], "error: density: "),
+        (["sample", "--n", "0"], "config error: n: "),
+        (["sample", "--n", "4", "--trial", "-1"], "config error: trial: "),
+        (["sample", "--n", "4", "--seed", "-1"], "config error: seed: "),
+        (["sample", "--n", "4", "--seed", str(2**64)], "config error: seed: "),
+    ],
+)
+def test_mp_and_sample_bad_input_exits_2_and_names_the_flag(tmp_path, capsys, argv, prefix):
+    if argv[0] == "sample":
+        argv = [*argv, "--out", str(tmp_path / "draw.bin")]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix)
+    assert not (tmp_path / "draw.bin").exists()
 
 
 def test_usage_errors_exit_2(capsys):

@@ -2,11 +2,12 @@
 
 Frozen reference values were produced by direct quadrature of the integral
 definitions (scipy.integrate.quad on the cos-substituted integrand), not by
-the functions under test.
+the functions under test; the live oracles are in mp_oracle.
 """
 
 import cmath
 import math
+from math import comb
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from hardedge import (
     mp_stieltjes,
     mp_window_mass,
 )
-from hardedge.mp import density_quadrature, stieltjes_quadrature
+from hardedge.mp import MAX_MOMENT_ORDER
+from mp_oracle import density_quadrature, moment_quadrature, stieltjes_quadrature
 
 INV_TWO_PI = 0.15915494309189535
 
@@ -81,6 +83,31 @@ def test_moments_by_quadrature():
     assert abs(mp_moment_quadrature(2) - 2.0) < 1e-6
     assert abs(mp_moment_quadrature(3) - 5.0) < 1e-6
     assert abs(mp_moment_quadrature(0) - 1.0) < 1e-10
+
+
+def test_moments_are_catalan_numbers():
+    for k in range(61):
+        catalan = comb(2 * k, k) // (k + 1)
+        assert abs(mp_moment_quadrature(k) - catalan) <= 1e-13 * catalan, k
+        # below 2^53 the rounded rule is exact
+        assert k > 30 or mp_moment_quadrature(k) == catalan, k
+
+
+def test_moments_match_adaptive_oracle():
+    for k in range(9):
+        assert mp_moment_quadrature(k) == pytest.approx(moment_quadrature(k), rel=1e-11, abs=1e-12), k
+
+
+def test_moment_order_range():
+    # MAX_MOMENT_ORDER is the last order whose Catalan number fits in a float
+    float(comb(2 * MAX_MOMENT_ORDER, MAX_MOMENT_ORDER) // (MAX_MOMENT_ORDER + 1))
+    with pytest.raises(OverflowError):
+        float(comb(2 * MAX_MOMENT_ORDER + 2, MAX_MOMENT_ORDER + 1) // (MAX_MOMENT_ORDER + 2))
+    top = mp_moment_quadrature(MAX_MOMENT_ORDER)
+    assert math.isfinite(top) and top > 1e308
+    for order in (-1, MAX_MOMENT_ORDER + 1, 10**18):
+        with pytest.raises(ValueError, match="order must be"):
+            mp_moment_quadrature(order)
 
 
 STIELTJES_QUAD_REFERENCE = [
