@@ -43,6 +43,26 @@ def _fresh_python(probe: str) -> str:
     return done.stdout
 
 
+def test_cli_import_defers_scipy_integrate(capsys):
+    # only the quadrature oracles need scipy.integrate; importing the CLI must not load it
+    assert _fresh_python("import sys, hardedge.cli; print('scipy.integrate' in sys.modules)") == "False\n"
+    code, out, _ = run(capsys, ["mp", "--moment", "5"])
+    assert code == 0
+    assert out == "42\n"
+
+
+def test_cli_and_deloc_do_not_load_scipy():
+    # scipy.linalg alone costs about 0.3 s and 23 MB at import; the CLI and
+    # the delocalization path run on numpy
+    probe = (
+        "import sys, hardedge.cli\n"
+        "from hardedge.experiments import ExperimentConfig, run_delocalization\n"
+        "run_delocalization(ExperimentConfig(sizes=(64,), trials=30, scale_min=5.0))\n"
+        "print('scipy' in sys.modules)"
+    )
+    assert _fresh_python(probe) == "False\n"
+
+
 def test_package_runs_without_scipy():
     # scipy is a test dependency only: no hardedge module imports it, and
     # the mp, deloc, hw and projmass paths run on numpy alone
