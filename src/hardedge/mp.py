@@ -129,6 +129,15 @@ def mp_window_mass(window: Window) -> float:
     return mp_cdf(window.right) - mp_cdf(window.energy)
 
 
+# binary exponent of max(|E|, eta) above which mp_stieltjes scales theta down
+_STIELTJES_MAX_EXP = 1000
+
+
+def _ldexp(z: complex, exp: int) -> complex:
+    """z * 2**exp, rounded once per part."""
+    return complex(math.ldexp(z.real, exp), math.ldexp(z.imag, exp))
+
+
 def mp_stieltjes(point: SpectralPoint) -> complex:
     """Stieltjes transform of the limiting law at theta = E + i*eta, eta > 0.
 
@@ -140,7 +149,11 @@ def mp_stieltjes(point: SpectralPoint) -> complex:
     root = cmath.sqrt(1.0 - 4.0 / theta)
     if root.real < 0.0:
         root = -root
-    value = -2.0 / (theta * (1.0 + root))
+    # theta * (1 + root) overflows beyond |theta| ~ 9e307, and so does Python's
+    # complex division by theta, while the transform (about -1/theta) does not:
+    # there theta and then the quotient are divided by one exact power of two
+    shift = max(0, math.frexp(max(abs(point.energy), point.eta))[1] - _STIELTJES_MAX_EXP)
+    value = _ldexp(-2.0 / (_ldexp(theta, -shift) * (1.0 + root)), -shift)
     if not value.imag > 0.0:
         raise ArithmeticError(
             f"Stieltjes transform left the upper half plane at theta={theta}: {value}"
@@ -196,6 +209,9 @@ def check_delta_bounds(
     modulus_margin = 1.0 / energy - mod_sq
     shifted = abs(1.0 + delta) ** 2
     norm_sq = energy * energy + eta * eta
+    if math.isinf(norm_sq):
+        # every bound below divides by E^2 + eta^2 or compares it with 4E
+        raise ArithmeticError(f"E^2 + eta^2 overflows at theta={point.theta}")
     shifted_floor = max(energy / norm_sq, 0.25)
     shifted_margin = shifted - shifted_floor
     inside = norm_sq <= 4.0 * energy

@@ -1,16 +1,22 @@
 """Spectral decompositions of X*X and the exact finite-N facts about them.
 
-Two routes, chosen by the accuracy the caller needs:
+Two routes, split between exact identities and Monte Carlo statistics:
 
-- `decompose`, `eigenvalues_only` and `minor_basis` take the SVD of X itself
-  (or of its column-minors) and square it, so the hard-edge values (of order
-  1/N^2) keep full relative precision.  The identity suite, interlacing and
-  everything read at the hard edge use them.
-- `gram_decompose` runs a Hermitian eigensolve of the formed Gram matrix
-  X*X.  Its eigenvalues carry an absolute error of order machine epsilon
-  times ||X*X|| (about 1e-15), so it serves only statistics whose eigenvalues
-  lie far above that, such as delocalization's window [2(scale_min/(kappa
-  N))^2, 4 - kappa].  It skips the left singular vectors and costs less.
+- `decompose` and `minor_basis` take the SVD of X itself (or of its
+  column-minors) and square it, so even the hard-edge values (of order 1/N^2)
+  keep full relative precision, about 1e-14.  The exact finite-N identities,
+  interlacing among them, use this route: their residuals are checked at
+  1e-8 and below.
+- `gram_decompose` and `eigenvalues_only` run a Hermitian eigensolve of the
+  formed Gram matrix X*X, and cost less.  Their eigenvalues carry an
+  absolute error of order machine epsilon times ||X*X|| (about 1e-14), so a
+  relative error of 1e-11 to 1e-9 at a typical lambda_1 ~ 1/N^2 for
+  N <= 1024 (more at a rare lambda_1 far below it).  That is far below the
+  sampling error (1e-2 and more) of the Monte Carlo statistics they feed:
+  delocalization's eigenvectors, and the spectra pass behind the window
+  counts, the near-zero counts in [0, K/N^2] and the median of N^2 lambda_1.
+  `eigenvalues_only` clips at 0, so a zero mode never drops out of a window
+  that starts at 0.
 
 `minor_basis` stacks all N column-minors of X into one (N, N, N-1) array
 and runs one full SVD over it; LAPACK takes the stack a minor at a time, so
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import MatrixSample
+from .ensemble import EnsembleSpec, MatrixSample
 from .mp import Window
 
 __all__ = [
@@ -50,25 +56,28 @@ DEFAULT_GAP_TOL = 1e-6
 
 
 class DecompositionError(RuntimeError):
-    """SVD or eigensolver non-convergence, tagged with the trial that produced it."""
+    """SVD or eigensolver non-convergence, tagged with the trial that produced
+    it: the family's spec and the trial index, which redraw it with
+    sample_matrix.  The sample itself is not kept, since eigenvalues_only lets
+    it go before its solve."""
 
-    def __init__(self, sample: MatrixSample, original: Exception):
-        spec = sample.spec
+    def __init__(self, spec: EnsembleSpec, trial_index: int, original: Exception):
         super().__init__(
             f"decomposition failed for size={spec.size}, kind={spec.distribution.kind}, "
-            f"seed={spec.master_seed}, trial={sample.trial_index}: {original}"
+            f"seed={spec.master_seed}, trial={trial_index}: {original}"
         )
-        self.sample = sample
+        self.spec = spec
+        self.trial_index = trial_index
 
 
-def _lapack(sample: MatrixSample, routine, matrix: np.ndarray, **kwargs):
-    """routine(matrix) (np.linalg.svd or eigh) for a matrix drawn from sample,
-    failures tagged with its trial."""
+def _lapack(spec: EnsembleSpec, trial_index: int, routine, matrix: np.ndarray, **kwargs):
+    """routine(matrix) (np.linalg.svd, eigh or eigvalsh) for a matrix made from
+    one trial's draw, failures tagged with that trial."""
     try:
         # matrix goes positionally: the benchmark's SVD tracer reads args[0]
         return routine(matrix, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise DecompositionError(sample, exc) from exc
+        raise DecompositionError(spec, trial_index, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -103,7 +112,7 @@ class MinorBasis:
 
 def decompose(sample: MatrixSample) -> SpectralDecomposition:
     """Full decomposition of X*X via the SVD of X (eigenvalues ascending)."""
-    _, sing, vh = _lapack(sample, np.linalg.svd, sample.entries)
+    _, sing, vh = _lapack(sample.spec, sample.trial_index, np.linalg.svd, sample.entries)
     eigenvalues = (sing[::-1] ** 2).copy()
     eigenvectors = vh[::-1].conj().T.copy()
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
@@ -114,14 +123,26 @@ def gram_decompose(sample: MatrixSample) -> SpectralDecomposition:
     matrix (eigenvalues ascending, absolute accuracy only; see the module
     docstring)."""
     x = sample.entries
-    eigenvalues, eigenvectors = _lapack(sample, np.linalg.eigh, x.conj().T @ x)
+    eigenvalues, eigenvectors = _lapack(sample.spec, sample.trial_index, np.linalg.eigh, x.conj().T @ x)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def eigenvalues_only(sample: MatrixSample) -> np.ndarray:
-    """Ascending eigenvalues of X*X without vectors (sigma-only SVD)."""
-    sing = _lapack(sample, np.linalg.svd, sample.entries, compute_uv=False)
-    return (sing[::-1] ** 2).copy()
+    """Ascending eigenvalues of X*X without vectors, by a Hermitian eigensolve
+    of the formed Gram matrix (absolute accuracy only; see the module
+    docstring), clipped at 0: X*X is positive semidefinite, and the solve
+    returns a zero mode as a value of either sign near 1e-15.
+
+    The sample is let go before the Gram is formed, so when the caller hands
+    over its only reference, as the spectra pass does, X is freed before the
+    solve: the solve holds the Gram and its working copy, not X as well.
+    """
+    spec, trial_index, x = sample.spec, sample.trial_index, sample.entries
+    del sample
+    gram = x.conj().T @ x
+    del x
+    eigenvalues = _lapack(spec, trial_index, np.linalg.eigvalsh, gram)
+    return np.maximum(eigenvalues, 0.0, out=eigenvalues)
 
 
 def minor_basis(sample: MatrixSample) -> MinorBasis:
@@ -131,7 +152,9 @@ def minor_basis(sample: MatrixSample) -> MinorBasis:
     x = sample.entries
     # row k of kept lists every column index but k, in order
     kept = np.broadcast_to(np.arange(n), (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    u, sing, _ = _lapack(sample, np.linalg.svd, x[:, kept].transpose(1, 0, 2), full_matrices=True)
+    u, sing, _ = _lapack(
+        sample.spec, sample.trial_index, np.linalg.svd, x[:, kept].transpose(1, 0, 2), full_matrices=True
+    )
     columns = x.T.copy()
     # row k makes the same BLAS product and strided dot as minor k decomposed
     # alone, so it keeps those bits; the null weight takes hypot's modulus,

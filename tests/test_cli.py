@@ -101,6 +101,11 @@ def test_mp_stieltjes_format(capsys):
     assert "+" in out or out.count("-") >= 1
 
 
+def test_mp_stieltjes_at_huge_theta(capsys):
+    # about -1/theta, subnormal but finite and in the upper half plane
+    assert run(capsys, ["mp", "--stieltjes", "1e308", "1e308"])[:2] == (0, "-5e-309+5e-309i\n")
+
+
 def test_mp_bounds_line(capsys):
     code, out, _ = run(capsys, ["mp", "--bounds", "2", "0.1"])
     assert code == 0
@@ -123,7 +128,7 @@ def test_mp_moment_prints_the_catalan_number(capsys):
 @pytest.mark.parametrize(
     "argv, prefix",
     [
-        (["mp", "--stieltjes", "1e308", "1e308"], "error: stieltjes: "),
+        (["mp", "--stieltjes", "2", "0"], "error: stieltjes: "),
         (["mp", "--bounds", "1e308", "1e308"], "error: bounds: "),
         (["mp", "--moment", "600"], "error: moment: "),
         (["mp", "--moment", "-1"], "error: moment: "),

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,27 @@ def test_spectra_drawn_once_per_config(small_cfg, draw_counter):
     assert len(draw_counter) == len(small_cfg.sizes) * small_cfg.trials
 
 
+def test_spectra_pass_frees_each_draw_before_its_eigensolve(small_cfg, monkeypatch):
+    drawn = []
+    real_draw, real_solve = experiments.sample_matrix, np.linalg.eigvalsh
+
+    def recording(spec, t):
+        sample = real_draw(spec, t)
+        drawn.append(weakref.ref(sample.entries))
+        return sample
+
+    def solve(gram):
+        # the solve runs beside the Gram only: the trial's X is gone
+        assert drawn[-1]() is None
+        return real_solve(gram)
+
+    monkeypatch.setattr(experiments, "sample_matrix", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    experiments._spectra(small_cfg, threads=1)
+    assert len(drawn) == len(small_cfg.sizes) * small_cfg.trials
+
+
 def test_spectra_are_read_only_and_ascending(small_cfg):
     spectra = experiments._spectra(small_cfg, threads=1)
     assert sorted(spectra) == sorted(small_cfg.sizes)
@@ -322,6 +344,7 @@ def test_spectra_are_read_only_and_ascending(small_cfg):
         assert eigs.dtype == np.float64
         assert not eigs.flags.writeable
         assert np.all(np.diff(eigs, axis=1) >= 0)
+        assert np.all(eigs >= 0)
         with pytest.raises(ValueError):
             eigs[0, 0] = 1.0
 
@@ -510,6 +533,17 @@ def test_hard_edge_small(small_cfg):
     assert max(medians) <= 2.0 * min(medians)
     for row in rep.rows:
         assert 0.5 < row["spacing_median"] < 2.0
+
+
+def test_hard_edge_report_thread_count_invisible():
+    # unlike the apriori counts, this report's bytes carry the eigensolver's
+    # last bits (the N^2 lambda_1 quantiles); the eigen-suite workload's config
+    cfg = ExperimentConfig(sizes=(256, 512), trials=30, seed=1)
+    experiments._SPECTRA.clear()
+    serial = render_csv(run_hard_edge_scaling(cfg, threads=1))
+    experiments._SPECTRA.clear()
+    pooled = render_csv(run_hard_edge_scaling(cfg, threads=2))
+    assert serial == pooled
 
 
 # --- exact identities ------------------------------------------------------

@@ -7,6 +7,7 @@ the functions under test; the live oracles are in mp_oracle.
 
 import cmath
 import math
+import sys
 from math import comb
 
 import numpy as np
@@ -143,6 +144,26 @@ def test_stieltjes_far_field_series():
     series = -(1.0 / theta) * (1.0 + 1.0 / theta + 2.0 / theta**2)
     value = mp_stieltjes(SpectralPoint(0.0, 1e6))
     assert abs(value - series) < 1e-21
+
+
+@pytest.mark.parametrize("modulus", [1e300, 1e308, sys.float_info.max], ids=["1e300", "1e308", "max"])
+@pytest.mark.parametrize("angle", [0.1, math.pi / 4, math.pi / 2, 3 * math.pi / 4, 3.0])
+def test_stieltjes_at_huge_theta_is_minus_one_over_theta(modulus, angle):
+    # theta * (1 + root) overflows beyond |theta| ~ 9e307, but the transform
+    # -1/theta + O(|theta|^-2) is representable (subnormal at the largest moduli)
+    energy, eta = modulus * math.cos(angle), modulus * math.sin(angle)
+    value = mp_stieltjes(SpectralPoint(energy, eta))
+    # -1/theta = -conj(theta)/|theta|^2, divided through twice so nothing overflows
+    r = math.hypot(energy, eta)
+    reference = complex(-(energy / r) / r, (eta / r) / r)
+    assert value.imag > 0.0
+    assert abs(value - reference) <= 1e-15 * abs(reference)
+
+
+def test_bounds_refuse_an_overflowing_norm():
+    # E^2 + eta^2 overflows, so the envelope checks have no finite margins
+    with pytest.raises(ArithmeticError, match="overflows"):
+        check_delta_bounds(SpectralPoint(1e308, 1e308))
 
 
 def test_fixed_point_residual_on_log_grid():

@@ -2,7 +2,8 @@
 
 The dense Hermitian eigensolver (numpy.linalg.eigh on the explicitly formed
 gram matrix) serves as the independent oracle for the SVD route; the Gram
-route (gram_decompose) is held to the SVD route where deloc reads it.
+route (gram_decompose, eigenvalues_only) is held to the SVD route where deloc
+and the spectra pass read it.
 """
 
 import math
@@ -84,6 +85,22 @@ def test_gram_decompose_agrees_with_decompose(kind, n):
     assert np.array_equal(*inside) and np.any(inside[0])
     stats = [n * np.max(np.abs(d.eigenvectors[:, m]) ** 2) for d, m in zip((svd, gram), inside)]
     assert stats[1] == pytest.approx(stats[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [128, 512])
+def test_eigenvalues_only_holds_to_the_svd(kind, n):
+    # the spectra pass reads eigenvalues_only; the SVD route is the reference
+    s = make_sample(n, seed=13, dist=EntryDistribution(kind))
+    gram, svd = eigenvalues_only(s), decompose(s).eigenvalues
+    assert np.max(np.abs(gram - svd)) <= 1e-12 * (1.0 + svd[-1])
+    # lambda_1 ~ 1/N^2 is what the hard-edge median reads
+    assert abs(gram[0] - svd[0]) <= 1e-7 * svd[0]
+    # a duplicated column makes X singular: a zero mode, clipped, never negative
+    x = s.entries.copy()
+    x[:, 1] = x[:, 0]
+    singular = MatrixSample(entries=x, spec=s.spec, trial_index=s.trial_index)
+    assert 0.0 <= eigenvalues_only(singular)[0] <= 1e-12
 
 
 def test_eigenvalue_count_inclusive_endpoints():
@@ -221,7 +238,7 @@ def test_eigenvector_identity_scan_uncovered_pair():
 
 def test_decomposition_error_carries_trial_identity():
     s = make_sample(4, seed=77, trial=3)
-    err = DecompositionError(s, RuntimeError("svd failed"))
+    err = DecompositionError(s.spec, s.trial_index, RuntimeError("svd failed"))
     text = str(err)
     assert "77" in text and "3" in text
 
@@ -230,7 +247,7 @@ def test_decomposition_error_carries_trial_identity():
     "decomposer, routine",
     [
         (decompose, "svd"),
-        (eigenvalues_only, "svd"),
+        (eigenvalues_only, "eigvalsh"),
         (minor_basis, "svd"),
         (gram_decompose, "eigh"),
     ],
@@ -244,5 +261,8 @@ def test_svd_failure_names_seed_and_trial(decomposer, routine, monkeypatch):
     monkeypatch.setattr(np.linalg, routine, failing)
     with pytest.raises(DecompositionError, match="seed=77, trial=3") as err:
         decomposer(s)
-    assert err.value.sample is s
+    # the spec and trial index redraw the failed sample bit for bit
+    assert err.value.spec is s.spec and err.value.trial_index == s.trial_index
+    redrawn = sample_matrix(err.value.spec, err.value.trial_index)
+    assert np.array_equal(redrawn.entries, s.entries)
     assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
