@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 experiment ran but a threshold failed, 2 usage or
 config error.  Reports land in --out, defaulting to $HARDEDGE_OUT and then
-./reports.  --threads is a parallelism hint only (>= 1, capped at the CPU
-count); every report is byte-identical for any thread count because trial
-seeds are derived from (seed, trial index), never from scheduling.
+./reports.  Reports are byte-identical for a fixed config, seed, machine,
+numpy/OpenBLAS build and BLAS thread count (OPENBLAS_NUM_THREADS).  --threads
+(>= 1) is accepted so that existing command lines keep running; no effect.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="override the master seed")
     sub.add_argument("--trials", type=int, help="override trials per size")
     sub.add_argument("--out", default=_default_out(), metavar="DIR", help="report directory")
-    sub.add_argument("--threads", type=int, default=1, help="parallelism hint")
+    sub.add_argument("--threads", type=int, default=1, help="accepted so existing command lines keep running; no effect")
 
 
 def _config_from(args) -> ExperimentConfig:
@@ -81,6 +81,7 @@ def _config_from(args) -> ExperimentConfig:
         cfg = replace(cfg, seed=args.seed)
     if args.trials is not None:
         cfg = replace(cfg, trials=args.trials)
+    _count("threads", args.threads)
     return cfg
 
 
@@ -124,7 +125,7 @@ def _cmd_direct(args) -> int:
 
 def _cmd_all(args) -> int:
     cfg = _config_from(args)
-    return max(_emit(runner(cfg, threads=args.threads), args.out) for _, runner in _spectra_experiments())
+    return max(_emit(runner(cfg), args.out) for _, runner in _spectra_experiments())
 
 
 def _bounds_line(point: SpectralPoint) -> str:
@@ -213,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, runner in (*_spectra_experiments(), ("deloc", run_delocalization)):
         sub = subs.add_parser(name, help=f"run the {name} experiment")
         _add_experiment_flags(sub)
-        sub.set_defaults(func=lambda args, r=runner: _emit(r(_config_from(args), threads=args.threads), args.out))
+        sub.set_defaults(func=lambda args, r=runner: _emit(r(_config_from(args)), args.out))
     every = subs.add_parser("all", help="run apriori, locallaw, wegner and hardedge on one spectra pass")
     _add_experiment_flags(every)
     every.set_defaults(func=_cmd_all)
@@ -230,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     identities = _add_direct_parser(subs, "identities", "exact finite-N identity suite")
     identities.add_argument("--n", type=int, nargs="+", dest="sizes", metavar="N")
-    identities.add_argument("--threads", type=int)
 
     return parser
 

@@ -9,10 +9,11 @@ constants, and not configurable; the calibration provenance is
 complex-gaussian pilot runs at N <= 1024, seeds O(1), 2026-08.
 
 Every experiment derives one sub-seed per matrix size and one seed per trial
-below that, so trials are order- and schedule-independent; reports aggregate
-in trial-index order and are reproducible bit for bit from (config, seed) on
-one machine and numpy/OpenBLAS build.  OpenBLAS picks its kernels per CPU,
-so no summation rule could make the last bits portable; sums are numpy's.
+below that, and runs its trials in order; BLAS threads are the only
+parallelism.  Reports are reproducible bit for bit from (config, seed) on one
+machine, numpy/OpenBLAS build and OPENBLAS_NUM_THREADS: OpenBLAS picks its
+kernels per CPU and splits work per thread, so no summation rule could make
+the last bits portable; sums are numpy's.
 
 Each config field's rule lives once, in the parser table `_FIELDS`, which
 `ExperimentConfig.__post_init__` runs: a config built in Python, read from
@@ -31,9 +32,7 @@ process, however many of them run on the same config.
 from __future__ import annotations
 
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -264,19 +263,7 @@ class TheoremReport:
         return not self.failures
 
 
-def _workers(threads: int) -> int:
-    return min(_count("threads", threads), os.cpu_count() or 1)
-
-
-def _map_trials(fn, trials: int, threads: int) -> list:
-    workers = _workers(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(trials)))
-    return [fn(t) for t in range(trials)]
-
-
-def _per_trial(fn, distribution: str, seed: int, sizes, trials: int, threads: int) -> dict[int, list]:
+def _per_trial(fn, distribution: str, seed: int, sizes, trials: int) -> dict[int, list]:
     """{size: [fn(sample) for each trial]} over the seeded draws of each size.
 
     The one place a size's ensemble is built: a sub-master seed per size, so
@@ -289,7 +276,7 @@ def _per_trial(fn, distribution: str, seed: int, sizes, trials: int, threads: in
     out = {}
     for size in sizes:
         spec = EnsembleSpec(size=size, distribution=dist, master_seed=derive_trial_seed(seed, size))
-        out[size] = _map_trials(lambda t, spec=spec: fn(sample_matrix(spec, t)), trials, threads)
+        out[size] = [fn(sample_matrix(spec, t)) for t in range(trials)]
     return out
 
 
@@ -306,7 +293,7 @@ def _exceedance(hits: int | None, trials: int) -> dict:
 _SPECTRA: dict[tuple, dict[int, np.ndarray]] = {}
 
 
-def _spectra(cfg: ExperimentConfig, threads: int) -> dict[int, np.ndarray]:
+def _spectra(cfg: ExperimentConfig) -> dict[int, np.ndarray]:
     """Ascending eigenvalues of every trial as {size: read-only (trials, N) array}.
 
     Each trial's eigenvalues come from the Gram eigensolve (eigenvalues_only),
@@ -317,13 +304,12 @@ def _spectra(cfg: ExperimentConfig, threads: int) -> dict[int, np.ndarray]:
     experiments on one config share a single pass; a different config
     evicts it.
     """
-    _workers(threads)  # a bad thread count is rejected even when the pass is cached
     key = (cfg.distribution, cfg.seed, cfg.sizes, cfg.trials)
     cached = _SPECTRA.get(key)
     if cached is not None:
         return cached
     _SPECTRA.clear()
-    per_trial = _per_trial(eigenvalues_only, cfg.distribution, cfg.seed, cfg.sizes, cfg.trials, threads)
+    per_trial = _per_trial(eigenvalues_only, cfg.distribution, cfg.seed, cfg.sizes, cfg.trials)
     spectra = {size: np.array(eigs) for size, eigs in per_trial.items()}
     for eigs in spectra.values():
         eigs.flags.writeable = False
@@ -381,10 +367,10 @@ def _pfx(size: int, w: Window) -> str:
     return f"N={size}, window E={w.energy:.6g}, eta={w.eta:.6g}"
 
 
-def run_apriori(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
+def run_apriori(cfg: ExperimentConfig) -> TheoremReport:
     """Tail of the window eigenvalue count against thresholds K * N*eta/sqrt(E)."""
     windows_by_size = {size: _windows_for(cfg, size, enforce_scale=True) for size in cfg.sizes}
-    spectra = _spectra(cfg, threads)
+    spectra = _spectra(cfg)
 
     rows = []
     failures = []
@@ -429,13 +415,13 @@ def run_apriori(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     )
 
 
-def run_local_law(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
+def run_local_law(cfg: ExperimentConfig) -> TheoremReport:
     """Deviation tails of the empirical transform and of the window counting form."""
     _require_bounded_density(cfg, "local-law")
     eps_grid = tuple(sorted(set(cfg.epsilon_grid) | {LOCALLAW_EPSILON}))
 
     windows_by_size = {size: _windows_for(cfg, size, enforce_scale=False) for size in cfg.sizes}
-    spectra = _spectra(cfg, threads)
+    spectra = _spectra(cfg)
 
     rows = []
     failures = []
@@ -505,7 +491,7 @@ def run_local_law(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     )
 
 
-def run_delocalization(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
+def run_delocalization(cfg: ExperimentConfig) -> TheoremReport:
     """Sup-norm statistics of eigenvectors with eigenvalues away from the edges."""
     _require_bounded_density(cfg, "delocalization")
     upper = 4.0 - cfg.kappa
@@ -528,7 +514,7 @@ def run_delocalization(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport
             return math.nan
         return float(sample.size * np.max(np.abs(d.eigenvectors[:, lo:hi]) ** 2))
 
-    per_trial = _per_trial(max_supsq, cfg.distribution, cfg.seed, cfg.sizes, cfg.trials, threads)
+    per_trial = _per_trial(max_supsq, cfg.distribution, cfg.seed, cfg.sizes, cfg.trials)
     rows = []
     failures = []
     medians_over_ln = {}
@@ -602,7 +588,7 @@ def run_delocalization(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport
     )
 
 
-def run_wegner(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
+def run_wegner(cfg: ExperimentConfig) -> TheoremReport:
     """Tails of the near-zero eigenvalue count in [0, K/N^2] over the L grid.
 
     Hard-edge repulsion makes levels beyond the first one or two unobservable
@@ -611,7 +597,7 @@ def run_wegner(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     only where the data can show it.
     """
     _require_bounded_density(cfg, "near-zero counting")
-    spectra = _spectra(cfg, threads)
+    spectra = _spectra(cfg)
     rows = []
     failures = []
     slopes = {}
@@ -649,10 +635,10 @@ def run_wegner(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
     )
 
 
-def run_hard_edge_scaling(cfg: ExperimentConfig, threads: int = 1) -> TheoremReport:
+def run_hard_edge_scaling(cfg: ExperimentConfig) -> TheoremReport:
     """N^2 scaling of the smallest eigenvalue and the 1/(N rho) bulk spacing near E=2."""
     rho2 = mp_density(2.0)
-    spectra = _spectra(cfg, threads)
+    spectra = _spectra(cfg)
     rows = []
     failures = []
     medians = {}
@@ -715,7 +701,6 @@ def run_identity_suite(
     trials: int = 20,
     seed: int = 1,
     distribution: str = "complex-gaussian",
-    threads: int = 1,
 ) -> TheoremReport:
     """Exact finite-N identities: leave-one-out diagonals vs dense inversion,
     eigenvector identity, interlacing, counting inequality, trace identity."""
@@ -752,7 +737,7 @@ def run_identity_suite(
         trace_dev = abs(float(np.sum(d.eigenvalues)) - float(np.sum(np.abs(sample.entries) ** 2)))
         return loo_dev, schur_dev, mean_dev, inter, resid, covered, count_ok, trace_dev
 
-    per_trial = _per_trial(one_trial, distribution, seed, sizes, trials, threads)
+    per_trial = _per_trial(one_trial, distribution, seed, sizes, trials)
     rows = []
     failures = []
     for size in sizes:

@@ -5,7 +5,8 @@ are written with 17 significant digits (round-trip exact for IEEE doubles),
 JSON keys are sorted, and nothing except the manifest run id carries a
 timestamp.  Non-finite floats (possible in summaries, e.g. an exceedance
 ratio at a zero-hit cell) are encoded as the strings "inf"/"-inf"/"nan"
-because JSON has no literal for them.
+because JSON has no literal for them.  The manifest records the numpy and
+BLAS build and the BLAS thread settings, on which the last bits depend.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def write_report(report: TheoremReport, outdir) -> dict:
 
     Returns {"json": path, "csv": path, "manifest": path}.  The manifest's
     artifact digests are merged with those of earlier reports in the same
-    directory; run id and config are the latest report's.  Every file is
-    written to a temporary name and renamed into place.
+    directory; run id, config and environment are the latest report's.  Every
+    file is written to a temporary name and renamed into place.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -112,12 +113,19 @@ def write_report(report: TheoremReport, outdir) -> dict:
     _write_atomic(csv_path, render_csv(report))
     artifacts[json_path.name] = file_digest(json_path)
     artifacts[csv_path.name] = file_digest(csv_path)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "run_id": run_id_for(report.config),
         "tool": "hardedge",
         "version": __version__,
         "config": _plain(report.config),
         "artifacts": artifacts,
+        "environment": {
+            "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "cpu_count": os.cpu_count(),
+            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        },
     }
     _write_atomic(manifest_path, _dump(manifest))
     return {"json": json_path, "csv": csv_path, "manifest": manifest_path}

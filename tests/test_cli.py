@@ -328,15 +328,15 @@ def test_experiment_commands_call_the_current_module_attribute(tmp_path, capsys,
     seen = []
     real = cli.run_wegner
 
-    def recording(cfg, threads):
-        seen.append(threads)
-        return real(cfg, threads=threads)
+    def recording(cfg):
+        seen.append(cfg.seed)
+        return real(cfg)
 
     monkeypatch.setattr(cli, "run_wegner", recording)
     cfg = write_config(tmp_path, BASE)
     run(capsys, ["wegner", "--config", cfg, "--out", str(tmp_path / "w")])
-    run(capsys, ["all", "--config", cfg, "--threads", "2", "--out", str(tmp_path / "a")])
-    assert seen == [1, 2]
+    run(capsys, ["all", "--config", cfg, "--seed", "9", "--threads", "2", "--out", str(tmp_path / "a")])
+    assert seen == [BASE["seed"], 9]
 
 
 def test_all_exit_codes(tmp_path, capsys, monkeypatch):
@@ -352,12 +352,35 @@ def test_all_exit_codes(tmp_path, capsys, monkeypatch):
     assert err.startswith("config error: distribution:")
 
 
-@pytest.mark.parametrize("command", ["apriori", "all", "deloc"])
+@pytest.mark.parametrize("command", ["apriori", "locallaw", "wegner", "hardedge", "all", "deloc"])
 def test_threads_below_one_exits_2(tmp_path, capsys, command):
     cfg = write_config(tmp_path, BASE)
-    code, _, err = run(capsys, [command, "--config", cfg, "--threads", "0", "--out", str(tmp_path)])
+    for threads in ("0", "-1"):
+        argv = [command, "--config", cfg, "--threads", threads, "--out", str(tmp_path / "r")]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("config error: threads:")
+    assert not (tmp_path / "r").exists()
+
+
+def test_hardedge_report_bytes_ignore_the_threads_flag(tmp_path, capsys):
+    # the benchmark's untimed reference run passes --threads 2 and must write
+    # the bytes of its --threads 1 runs
+    cfg = write_config(tmp_path, BASE)
+    digests = []
+    for threads in ("1", "2"):
+        experiments._SPECTRA.clear()  # as in a fresh process per command
+        out = tmp_path / f"threads-{threads}"
+        code, _, _ = run(capsys, ["hardedge", "--config", cfg, "--threads", threads, "--out", str(out)])
+        assert code in (0, 1)
+        digests.append(file_digest(out / "hard-edge-scaling.csv"))
+    assert digests[0] == digests[1]
+
+
+def test_identities_rejects_the_threads_flag(tmp_path, capsys):
+    code, _, err = run(capsys, ["identities", "--threads", "2", "--out", str(tmp_path / "r")])
     assert code == 2
-    assert err.startswith("config error: threads:")
+    assert "--threads" in err
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

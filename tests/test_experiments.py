@@ -275,21 +275,12 @@ def test_report_columns_come_from_rows(small_cfg, runner):
     assert render_csv(rep).splitlines()[0] == ",".join(rep.columns)
 
 
-def test_apriori_thread_count_invisible(small_cfg):
-    experiments._SPECTRA.clear()
-    serial = run_apriori(small_cfg, threads=1)
-    experiments._SPECTRA.clear()
-    pooled = run_apriori(small_cfg, threads=3)
-    assert serial.rows == pooled.rows
-    assert serial.summary == pooled.summary
-
-
 def test_report_config_survives_from_dict(small_cfg):
     rep = run_apriori(small_cfg)
     assert ExperimentConfig.from_dict(rep.config) == small_cfg
 
 
-# --- spectra engine and thread pool ---------------------------------------
+# --- spectra engine ------------------------------------------------------
 
 
 @pytest.fixture
@@ -332,12 +323,12 @@ def test_spectra_pass_frees_each_draw_before_its_eigensolve(small_cfg, monkeypat
     monkeypatch.setattr(experiments, "sample_matrix", recording)
     monkeypatch.setattr(np.linalg, "eigvalsh", solve)
     monkeypatch.setattr(experiments, "_SPECTRA", {})
-    experiments._spectra(small_cfg, threads=1)
+    experiments._spectra(small_cfg)
     assert len(drawn) == len(small_cfg.sizes) * small_cfg.trials
 
 
 def test_spectra_are_read_only_and_ascending(small_cfg):
-    spectra = experiments._spectra(small_cfg, threads=1)
+    spectra = experiments._spectra(small_cfg)
     assert sorted(spectra) == sorted(small_cfg.sizes)
     for size, eigs in spectra.items():
         assert eigs.shape == (small_cfg.trials, size)
@@ -354,17 +345,26 @@ def test_spectra_are_read_only_and_ascending(small_cfg):
     [{"seed": 6}, {"trials": 31}, {"sizes": (96,)}, {"distribution": "uniform-symmetric"}],
 )
 def test_spectra_recomputed_and_old_entry_evicted(small_cfg, draw_counter, change):
-    experiments._spectra(small_cfg, threads=1)
+    experiments._spectra(small_cfg)
     before = len(draw_counter)
     other = dataclasses.replace(small_cfg, **change)
-    experiments._spectra(other, threads=1)
+    experiments._spectra(other)
     assert len(draw_counter) == before + len(other.sizes) * other.trials
     assert list(experiments._SPECTRA) == [
         (other.distribution, other.seed, tuple(other.sizes), other.trials)
     ]
     # fields that do not decide the draws share the pass
-    experiments._spectra(dataclasses.replace(other, kappa=0.3, scale_min=30.0), threads=2)
+    experiments._spectra(dataclasses.replace(other, kappa=0.3, scale_min=30.0))
     assert len(draw_counter) == before + len(other.sizes) * other.trials
+
+
+RUNNER_COMMANDS = {
+    "run_apriori": "apriori",
+    "run_local_law": "locallaw",
+    "run_wegner": "wegner",
+    "run_hard_edge_scaling": "hardedge",
+    "run_delocalization": "deloc",
+}
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -372,40 +372,22 @@ def test_spectra_recomputed_and_old_entry_evicted(small_cfg, draw_counter, chang
     "runner",
     [run_apriori, run_local_law, run_wegner, run_hard_edge_scaling, run_delocalization],
 )
-def test_threads_below_one_rejected(small_cfg, runner, threads):
-    with pytest.raises(ConfigError) as err:
-        runner(small_cfg, threads=threads)
-    assert str(err.value).startswith("threads:")
+def test_threads_below_one_rejected(small_cfg, runner, threads, tmp_path, capsys, monkeypatch):
+    # the runners take no thread count; the command that reaches each one
+    # rejects --threads below one before the runner is called
+    import hardedge.cli as cli
 
+    def refuse(cfg):
+        raise AssertionError(f"{runner.__name__} called with threads={threads}")
 
-def test_identity_suite_rejects_zero_threads():
-    with pytest.raises(ConfigError, match="^threads:"):
-        run_identity_suite(sizes=(8,), trials=1, threads=0)
-
-
-def test_thread_pool_clamped_to_cpu_count(monkeypatch):
-    pools = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", FakePool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-    assert experiments._map_trials(lambda t: t * t, 5, threads=64) == [0, 1, 4, 9, 16]
-    assert pools == [2]
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
-    assert experiments._map_trials(lambda t: t, 3, threads=8) == [0, 1, 2]
-    assert pools == [2]
+    monkeypatch.setattr(cli, runner.__name__, refuse)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small_cfg.to_dict()), encoding="utf-8")
+    out = tmp_path / "r"
+    argv = [RUNNER_COMMANDS[runner.__name__], "--config", str(config), "--threads", str(threads), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: threads:")
+    assert not out.exists()
 
 
 # --- local law ----------------------------------------------------------
@@ -444,12 +426,6 @@ def test_delocalization_small(small_cfg):
     sizes = [row["size"] for row in rep.rows]
     assert sizes == sorted(sizes)
     assert rep.summary["empty_window_trials"] == {str(n): 0 for n in small_cfg.sizes}
-
-
-def test_delocalization_thread_count_invisible(small_cfg):
-    assert render_csv(run_delocalization(small_cfg, threads=2)) == render_csv(
-        run_delocalization(small_cfg, threads=1)
-    )
 
 
 def test_delocalization_checks_every_window_before_drawing(draw_counter):
@@ -535,17 +511,6 @@ def test_hard_edge_small(small_cfg):
         assert 0.5 < row["spacing_median"] < 2.0
 
 
-def test_hard_edge_report_thread_count_invisible():
-    # unlike the apriori counts, this report's bytes carry the eigensolver's
-    # last bits (the N^2 lambda_1 quantiles); the eigen-suite workload's config
-    cfg = ExperimentConfig(sizes=(256, 512), trials=30, seed=1)
-    experiments._SPECTRA.clear()
-    serial = render_csv(run_hard_edge_scaling(cfg, threads=1))
-    experiments._SPECTRA.clear()
-    pooled = render_csv(run_hard_edge_scaling(cfg, threads=2))
-    assert serial == pooled
-
-
 # --- exact identities ------------------------------------------------------
 
 
@@ -562,11 +527,6 @@ def test_identity_suite_small(identity_report):
     assert "interlacing_violation" in checks and len(checks) == 8
     for row in rep.rows:
         assert math.isfinite(row["statistic"])
-
-
-def test_identity_suite_thread_count_invisible(identity_report):
-    pooled = run_identity_suite(sizes=(8, 16), trials=3, seed=7, threads=2)
-    assert pooled.rows == identity_report.rows
 
 
 def test_identity_suite_one_minor_svd_per_column(monkeypatch):

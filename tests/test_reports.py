@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -87,6 +88,25 @@ def test_manifest_merges_reports_in_one_directory(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["manifest.json", "toy.json", "toy.csv", "other.json", "other.csv"]
     )
+
+
+def test_manifest_records_the_environment_across_a_merge(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    first = write_report(toy_report(), tmp_path)
+    second = write_report(toy_report(theorem="other"), tmp_path)
+    manifest = json.loads(second["manifest"].read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["environment"] == {
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "cpu_count": os.cpu_count(),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": None,
+    }
+    assert len(manifest["artifacts"]) == 4
+    # the environment lives in the manifest only
+    assert first["json"].read_text() == render_json(toy_report())
 
 
 def test_unreadable_manifest_is_not_overwritten(tmp_path):
