@@ -252,12 +252,10 @@ def write_sample(sample: MatrixSample, path) -> None:
         sample.spec.master_seed,
         sample.trial_index,
     )
-    flat = np.empty(2 * n * n, dtype="<f8")
-    flat[0::2] = sample.entries.real.ravel()
-    flat[1::2] = sample.entries.imag.ravel()
+    # a little-endian complex128 is the (re, im) float64 pair, bit for bit
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(flat.tobytes())
+        fh.write(sample.entries.astype("<c16", copy=False).tobytes())
 
 
 def read_sample(path) -> MatrixSample:
@@ -273,8 +271,8 @@ def read_sample(path) -> MatrixSample:
     kinds_by_code = {info[0]: kind for kind, info in _KIND_TABLE.items()}
     if code not in kinds_by_code:
         raise ValueError(f"{path}: unknown distribution code {code}")
-    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    entries = (flat[0::2] + 1j * flat[1::2]).reshape(n, n)
+    # the same view the writer used: no arithmetic, so -0.0 and inf parts survive
+    entries = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(n, n).astype(np.complex128)
     spec = EnsembleSpec(
         size=n,
         distribution=EntryDistribution(kinds_by_code[code]),

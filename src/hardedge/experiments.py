@@ -3,7 +3,11 @@
 Asymptotic log-powers are unreachable at any size a workstation can
 decompose ((log 512)^4 alone is ~1.5e3), so windows are parameterized by the
 resolution scale N*eta/sqrt(E) directly (default floor 50) and the log-power
-exponent b travels along as report metadata.  The pass/fail bands are the
+exponent b travels along as report metadata.  Each size N has one desk band,
+[2 (scale_min / (kappa N))^2, 4 - kappa], computed by `_band`: the derived
+windows span it and deloc takes its eigenvectors from it.  A size whose floor
+is not below its ceiling fails with one message for both uses, "sizes: N=...
+cannot host windows ...", before any draw.  The pass/fail bands are the
 module constants below: desk-calibrated, not claims about the theory's
 constants, and not configurable; the calibration provenance is
 complex-gaussian pilot runs at N <= 1024, seeds O(1), 2026-08.
@@ -317,22 +321,22 @@ def _spectra(cfg: ExperimentConfig) -> dict[int, np.ndarray]:
     return spectra
 
 
-def _hard_edge_floor(cfg: ExperimentConfig, size: int) -> float:
-    """Lowest energy 2 (scale_min / (kappa N))^2 a desk-scale window or
-    eigenvalue band may start at."""
-    return 2.0 * (cfg.scale_min / (cfg.kappa * size)) ** 2
+def _band(cfg: ExperimentConfig, size: int) -> tuple[float, float]:
+    """(floor, ceiling) of the desk band of size N; an empty band is a ConfigError."""
+    floor = 2.0 * (cfg.scale_min / (cfg.kappa * size)) ** 2
+    ceiling = 4.0 - cfg.kappa
+    if floor >= ceiling:
+        raise ConfigError(
+            f"sizes: N={size} cannot host windows at scale_min={cfg.scale_min} "
+            f"with kappa={cfg.kappa} (floor {floor:.3g} >= ceiling {ceiling:.3g})"
+        )
+    return floor, ceiling
 
 
 def derived_windows(cfg: ExperimentConfig, size: int) -> tuple[Window, ...]:
-    """Geometric energy ladder from the desk-scale hard-edge floor to 4 - kappa,
-    each window at the exact resolution scale scale_min."""
-    lo = _hard_edge_floor(cfg, size)
-    hi = 4.0 - cfg.kappa
-    if lo >= hi:
-        raise ConfigError(
-            f"sizes: N={size} cannot host windows at scale_min={cfg.scale_min} "
-            f"with kappa={cfg.kappa} (floor {lo:.3g} >= ceiling {hi:.3g})"
-        )
+    """Geometric energy ladder across the desk band of N, each window at the
+    exact resolution scale scale_min."""
+    lo, hi = _band(cfg, size)
     if cfg.n_windows == 1:
         energies = [hi / 2.0]
     else:
@@ -494,21 +498,14 @@ def run_local_law(cfg: ExperimentConfig) -> TheoremReport:
 def run_delocalization(cfg: ExperimentConfig) -> TheoremReport:
     """Sup-norm statistics of eigenvectors with eigenvalues away from the edges."""
     _require_bounded_density(cfg, "delocalization")
-    upper = 4.0 - cfg.kappa
-    lower_of = {}
-    for size in cfg.sizes:
-        lower_of[size] = _hard_edge_floor(cfg, size)
-        if lower_of[size] >= upper:
-            raise ConfigError(
-                f"sizes: N={size} leaves no eigenvalue window "
-                f"(floor {lower_of[size]:.3g} >= {upper:.3g})"
-            )
+    band = {size: _band(cfg, size) for size in cfg.sizes}
 
     def max_supsq(sample) -> float:
         # the window's floor is far above the Gram eigensolve's absolute error
         d = gram_decompose(sample)
         # ascending eigenvalues: the inclusive window is one slice of columns
-        lo = np.searchsorted(d.eigenvalues, lower_of[sample.size], side="left")
+        lower, upper = band[sample.size]
+        lo = np.searchsorted(d.eigenvalues, lower, side="left")
         hi = np.searchsorted(d.eigenvalues, upper, side="right")
         if lo == hi:
             return math.nan
@@ -520,7 +517,7 @@ def run_delocalization(cfg: ExperimentConfig) -> TheoremReport:
     medians_over_ln = {}
     empty = {}
     for size in cfg.sizes:
-        lower = lower_of[size]
+        lower, upper = band[size]
         stats = np.asarray(per_trial[size])
         ln_n = math.log(size)
         empty[size] = int(np.count_nonzero(np.isnan(stats)))

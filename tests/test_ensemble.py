@@ -187,6 +187,21 @@ def test_dump_roundtrip(tmp_path):
     assert back.trial_index == 7
 
 
+def test_dump_roundtrip_keeps_signed_zeros_and_infinities(tmp_path):
+    # the payload is read back through the writer's own complex128 view:
+    # rebuilding re + 1j*im would turn 3+inf*j into nan+inf*j and drop -0.0
+    entries = np.zeros((2, 2), dtype=np.complex128)
+    parts = entries.reshape(-1).view(np.float64)
+    parts[:] = [-0.0, 0.0, 3.0, math.inf, -math.inf, -0.0, 0.0, -math.inf]
+    s = MatrixSample(entries=entries, spec=spec_of(2), trial_index=0)
+    path = tmp_path / "sample.bin"
+    write_sample(s, path)
+    assert path.read_bytes()[40:] == parts.astype("<f8").tobytes()
+    back = read_sample(path)
+    assert back.entries.tobytes() == entries.tobytes()
+    assert back.entries.flags.writeable
+
+
 def test_dump_rejects_corruption(tmp_path):
     path = tmp_path / "sample.bin"
     s = sample_matrix(spec_of(6), 0)

@@ -431,7 +431,7 @@ def test_delocalization_small(small_cfg):
 def test_delocalization_checks_every_window_before_drawing(draw_counter):
     # N=64 hosts the window, N=2 does not: the config fails before any draw
     cfg = ExperimentConfig(sizes=(64, 2), trials=30, scale_min=5.0)
-    with pytest.raises(ConfigError, match="^sizes: N=2 leaves no eigenvalue window"):
+    with pytest.raises(ConfigError, match="^sizes: N=2 cannot host windows"):
         run_delocalization(cfg)
     assert draw_counter == []
 

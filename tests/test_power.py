@@ -4,7 +4,9 @@ Every cell wraps `experiments.sample_matrix` to corrupt each draw and runs a
 shipped runner on it.  The spectra cache is swapped for an empty one per
 cell, so corrupted spectra never reach another test.  An honest-draw cell
 (no corruption) pins a verdict that must pass and, when a runner rejects
-honest draws, is a strict xfail naming the item that will mend it.
+honest draws, is a strict xfail naming the item that will mend it.  A cell
+the math says must fail, on a runner whose band passes it today, is a strict
+xfail naming the ROADMAP item that flips it.
 """
 
 import dataclasses
@@ -12,10 +14,22 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
-from hardedge import ExperimentConfig, experiments, run_hard_edge_scaling, run_local_law, run_wegner
+from hardedge import (
+    ExperimentConfig,
+    experiments,
+    run_apriori,
+    run_delocalization,
+    run_hard_edge_scaling,
+    run_local_law,
+    run_wegner,
+)
 from hardedge.cli import main
+
+# the panel config of ROADMAP item 1's power scan
+PANEL = ExperimentConfig(sizes=(128, 256), trials=30, seed=7)
 
 
 def _corrupt_draws(monkeypatch, mutate):
@@ -32,6 +46,24 @@ def _corrupt_draws(monkeypatch, mutate):
 def _zero_column(entries):
     entries[:, 0] = 0.0
     return entries
+
+
+def _real_part(entries):
+    # the real ensemble (beta = 1) at the same entry variance
+    return math.sqrt(2.0) * entries.real
+
+
+def _block_diagonal(entries):
+    # two independent N/2 blocks, rescaled to keep the spectrum on [0, 4]
+    half = entries.shape[0] // 2
+    blocks = np.zeros_like(entries)
+    blocks[:half, :half] = entries[:half, :half]
+    blocks[half:, half:] = entries[half:, half:]
+    return math.sqrt(2.0) * blocks
+
+
+def _variance(factor):
+    return lambda entries: math.sqrt(factor) * entries
 
 
 def test_zero_column_fails_hardedge_without_a_traceback(tmp_path, capsys, monkeypatch):
@@ -60,10 +92,10 @@ def test_zero_column_fails_hardedge_without_a_traceback(tmp_path, capsys, monkey
 @pytest.mark.parametrize(
     "mutate, passed",
     [
-        (lambda entries: entries * math.sqrt(2.0), False),
-        (lambda entries: entries * math.sqrt(1.2), False),
+        (_variance(2.0), False),
+        (_variance(1.2), False),
         # the real ensemble (beta = 1) obeys the same local law
-        (lambda entries: math.sqrt(2.0) * entries.real, True),
+        (_real_part, True),
         (lambda entries: entries, True),
     ],
     ids=["variance-2", "variance-1.2", "real-part-beta-1", "none"],
@@ -71,7 +103,7 @@ def test_zero_column_fails_hardedge_without_a_traceback(tmp_path, capsys, monkey
 def test_local_law_transform_cells(monkeypatch, mutate, passed):
     # a rescaled spectrum moves the empirical transform off the MP limit
     _corrupt_draws(monkeypatch, mutate)
-    rep = run_local_law(ExperimentConfig(sizes=(128, 256), trials=30, seed=7))
+    rep = run_local_law(PANEL)
     assert rep.passed is passed
     exceedance = rep.summary["max_transform_exceedance_at_reference"]
     if passed:
@@ -91,3 +123,64 @@ def test_local_law_transform_cells(monkeypatch, mutate, passed):
 def test_wegner_passes_honest_draws_at_the_benchmark_config():
     # the eigen-suite benchmark config: complex-gaussian, sizes 256/512, 30 trials, seed 1
     assert run_wegner(ExperimentConfig(sizes=(256, 512), trials=30, seed=1)).passed
+
+
+@pytest.mark.parametrize(
+    "runner, mutate",
+    [
+        # counting and the local law hold for the real ensemble and for a
+        # block-diagonal X, whose spectrum is two draws of the same MP law
+        (run_apriori, _real_part),
+        (run_apriori, _block_diagonal),
+        (run_local_law, _block_diagonal),
+    ],
+    ids=["apriori-real-part-beta-1", "apriori-block-diagonal", "locallaw-block-diagonal"],
+)
+def test_cells_the_math_says_must_pass(monkeypatch, runner, mutate):
+    _corrupt_draws(monkeypatch, mutate)
+    rep = runner(PANEL)
+    assert rep.passed, rep.failures
+
+
+def _until_item(item, why):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"{why}; ROADMAP item {item} flips it")
+
+
+@pytest.mark.parametrize(
+    "runner, mutate",
+    [
+        pytest.param(
+            run_hard_edge_scaling,
+            _variance(2.0),
+            marks=_until_item(2, "the spread of the N^2*s_1 medians across sizes cannot see a global rescaling"),
+            id="hardedge-variance-2",
+        ),
+        pytest.param(
+            run_hard_edge_scaling,
+            _variance(1.2),
+            marks=_until_item(5, "neither the median spread nor the spacing band sees a 1.2 rescaling"),
+            id="hardedge-variance-1.2",
+        ),
+        pytest.param(
+            run_hard_edge_scaling,
+            _real_part,
+            marks=_until_item(2, "the real law's N^2*s_1 medians (about 0.297) agree across sizes"),
+            id="hardedge-real-part-beta-1",
+        ),
+        pytest.param(
+            run_hard_edge_scaling,
+            _block_diagonal,
+            marks=_until_item(2, "the block minimum's N^2*s_1 median (2 ln 2) agrees across sizes"),
+            id="hardedge-block-diagonal",
+        ),
+        pytest.param(
+            run_delocalization,
+            _block_diagonal,
+            marks=_until_item(3, "the cap and the cross-size spread band do not fire on localized blocks"),
+            id="deloc-block-diagonal",
+        ),
+    ],
+)
+def test_cells_the_math_says_must_fail(monkeypatch, runner, mutate):
+    _corrupt_draws(monkeypatch, mutate)
+    assert not runner(PANEL).passed
