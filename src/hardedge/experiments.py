@@ -3,11 +3,11 @@
 Asymptotic log-powers are unreachable at any size a workstation can
 decompose ((log 512)^4 alone is ~1.5e3), so windows are parameterized by the
 resolution scale N*eta/sqrt(E) directly (default floor 50) and the log-power
-exponent b travels along as report metadata.  Each size N has one desk band,
-[2 (scale_min / (kappa N))^2, 4 - kappa], computed by `_band`: the derived
-windows span it and deloc takes its eigenvectors from it.  A size whose floor
-is not below its ceiling fails with one message for both uses, "sizes: N=...
-cannot host windows ...", before any draw.  The pass/fail bands are the
+exponent b travels along as report metadata.  The derived windows of size N
+span the desk band [2 (scale_min / (kappa N))^2, 4 - kappa]; a size whose
+floor is not below its ceiling fails with "sizes: N=... cannot host windows
+...", before any draw.  deloc takes every eigenvector in [0, 4 - kappa], down
+to the hard edge, and does not read scale_min.  The pass/fail bands are the
 module constants below: desk-calibrated, not claims about the theory's
 constants, and not configurable; the calibration provenance is
 complex-gaussian pilot runs at N <= 1024, seeds O(1), 2026-08.
@@ -321,22 +321,16 @@ def _spectra(cfg: ExperimentConfig) -> dict[int, np.ndarray]:
     return spectra
 
 
-def _band(cfg: ExperimentConfig, size: int) -> tuple[float, float]:
-    """(floor, ceiling) of the desk band of size N; an empty band is a ConfigError."""
-    floor = 2.0 * (cfg.scale_min / (cfg.kappa * size)) ** 2
-    ceiling = 4.0 - cfg.kappa
-    if floor >= ceiling:
+def derived_windows(cfg: ExperimentConfig, size: int) -> tuple[Window, ...]:
+    """Geometric energy ladder across the desk band [2 (scale_min / (kappa N))^2,
+    4 - kappa] of N, each window at scale exactly scale_min (ConfigError if empty)."""
+    lo = 2.0 * (cfg.scale_min / (cfg.kappa * size)) ** 2
+    hi = 4.0 - cfg.kappa
+    if lo >= hi:
         raise ConfigError(
             f"sizes: N={size} cannot host windows at scale_min={cfg.scale_min} "
-            f"with kappa={cfg.kappa} (floor {floor:.3g} >= ceiling {ceiling:.3g})"
+            f"with kappa={cfg.kappa} (floor {lo:.3g} >= ceiling {hi:.3g})"
         )
-    return floor, ceiling
-
-
-def derived_windows(cfg: ExperimentConfig, size: int) -> tuple[Window, ...]:
-    """Geometric energy ladder across the desk band of N, each window at the
-    exact resolution scale scale_min."""
-    lo, hi = _band(cfg, size)
     if cfg.n_windows == 1:
         energies = [hi / 2.0]
     else:
@@ -365,6 +359,12 @@ def _require_bounded_density(cfg: ExperimentConfig, theorem: str) -> None:
             f"distribution: {cfg.distribution!r} has an atomic part density and is "
             f"excluded from the {theorem} experiment"
         )
+
+
+def _require_two_or_more(cfg: ExperimentConfig, why: str) -> None:
+    for i, size in enumerate(cfg.sizes):
+        if size < 2:
+            raise ConfigError(f"sizes[{i}]: must be >= 2 ({why}), got {size}")
 
 
 def _pfx(size: int, w: Window) -> str:
@@ -496,20 +496,19 @@ def run_local_law(cfg: ExperimentConfig) -> TheoremReport:
 
 
 def run_delocalization(cfg: ExperimentConfig) -> TheoremReport:
-    """Sup-norm statistics of eigenvectors with eigenvalues away from the edges."""
+    """Sup-norm statistics of the eigenvectors with eigenvalues in [0, 4 - kappa]."""
     _require_bounded_density(cfg, "delocalization")
-    band = {size: _band(cfg, size) for size in cfg.sizes}
+    _require_two_or_more(cfg, "the statistic is divided by ln N, which is 0 at N=1")
+    upper = 4.0 - cfg.kappa
 
     def max_supsq(sample) -> float:
-        # the window's floor is far above the Gram eigensolve's absolute error
+        # the Gram eigensolve's vectors hold to the SVD's down to the hard edge
         d = gram_decompose(sample)
-        # ascending eigenvalues: the inclusive window is one slice of columns
-        lower, upper = band[sample.size]
-        lo = np.searchsorted(d.eigenvalues, lower, side="left")
+        # ascending eigenvalues: the band [0, upper] is the leading columns
         hi = np.searchsorted(d.eigenvalues, upper, side="right")
-        if lo == hi:
+        if hi == 0:
             return math.nan
-        return float(sample.size * np.max(np.abs(d.eigenvectors[:, lo:hi]) ** 2))
+        return float(sample.size * np.max(np.abs(d.eigenvectors[:, :hi]) ** 2))
 
     per_trial = _per_trial(max_supsq, cfg.distribution, cfg.seed, cfg.sizes, cfg.trials)
     rows = []
@@ -517,24 +516,20 @@ def run_delocalization(cfg: ExperimentConfig) -> TheoremReport:
     medians_over_ln = {}
     empty = {}
     for size in cfg.sizes:
-        lower, upper = band[size]
         stats = np.asarray(per_trial[size])
         ln_n = math.log(size)
         empty[size] = int(np.count_nonzero(np.isnan(stats)))
         if empty[size] == cfg.trials:
             # nothing to reduce: the row carries nan and the size stays out
             # of the cross-size spread
-            failures.append(
-                f"N={size}: no trial had an eigenvalue in the window "
-                f"[{lower:.6g}, {upper:.6g}]"
-            )
+            failures.append(f"N={size}: no trial had an eigenvalue in the band [0, {upper:.6g}]")
             tail = _exceedance(None, cfg.trials)
             median = q95 = top = math.nan
         else:
             if empty[size]:
                 failures.append(
                     f"N={size}: {empty[size]} of {cfg.trials} trials had no eigenvalues "
-                    "in the window"
+                    "in the band"
                 )
                 stats = stats[~np.isnan(stats)]
             ratio = stats / ln_n
@@ -546,7 +541,7 @@ def run_delocalization(cfg: ExperimentConfig) -> TheoremReport:
         rows.append(
             {
                 "size": size,
-                "lower_edge": lower,
+                "lower_edge": 0.0,
                 "upper_edge": upper,
                 "nominal_edge_b": math.log(size) ** cfg.b / (cfg.kappa**2 * size**2),
                 "nominal_edge_2b": math.log(size) ** (2 * cfg.b) / (cfg.kappa**2 * size**2),
@@ -634,6 +629,7 @@ def run_wegner(cfg: ExperimentConfig) -> TheoremReport:
 
 def run_hard_edge_scaling(cfg: ExperimentConfig) -> TheoremReport:
     """N^2 scaling of the smallest eigenvalue and the 1/(N rho) bulk spacing near E=2."""
+    _require_two_or_more(cfg, "the central spacing needs two eigenvalues")
     rho2 = mp_density(2.0)
     spectra = _spectra(cfg)
     rows = []

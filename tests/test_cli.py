@@ -223,8 +223,8 @@ def test_failed_verdict_exits_1(tmp_path, capsys, monkeypatch):
     assert data["passed"] is False
 
 
-def test_deloc_empty_window_exits_1_with_nan_row(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"sizes": [2], "trials": 30, "kappa": 0.999, "scale_min": 2.447})
+def test_deloc_empty_window_exits_1_with_nan_row(tmp_path, capsys, draws_above_the_band):
+    cfg = write_config(tmp_path, {"sizes": [2], "trials": 30})
     outdir = tmp_path / "reports"
     code, out, _ = run(capsys, ["deloc", "--config", cfg, "--out", str(outdir)])
     assert code == 1
@@ -232,6 +232,39 @@ def test_deloc_empty_window_exits_1_with_nan_row(tmp_path, capsys):
     data = json.loads((outdir / "delocalization.json").read_text())
     assert data["rows"][0]["median_over_ln"] == "nan"
     assert data["summary"]["empty_window_trials"] == {"2": 30}
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        # ln 1 = 0 would divide the statistic by zero
+        ("deloc", {"sizes": [1, 64], "trials": 30, "scale_min": 0.1}),
+        # one eigenvalue leaves no gap for the central spacing
+        ("hardedge", {"sizes": [1, 2], "trials": 30}),
+    ],
+    ids=["deloc", "hardedge"],
+)
+def test_n1_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, command, data):
+    monkeypatch.setattr(experiments, "sample_matrix", lambda spec, t: pytest.fail(f"drew N={spec.size}"))
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    outdir = tmp_path / "reports"
+    code, out, err = run(capsys, [command, "--config", write_config(tmp_path, data), "--out", str(outdir)])
+    assert code == 2
+    assert err.startswith("config error: sizes[0]: must be >= 2 (")
+    assert out == "" and not outdir.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sizes", [[1, 2], [2, 3]], ids=["sizes-1-2", "sizes-2-3"])
+@pytest.mark.parametrize("command", ["apriori", "locallaw", "wegner", "hardedge", "deloc", "all"])
+def test_config_commands_at_tiny_sizes(tmp_path, capsys, command, sizes):
+    # a verdict, or one config error line naming sizes; never a traceback or a warning
+    cfg = write_config(tmp_path, {"sizes": sizes, "trials": 30})
+    code, _, err = run(capsys, [command, "--config", cfg, "--out", str(tmp_path / "r")])
+    if code == 2:
+        assert err.startswith("config error: sizes") and err.count("\n") == 1
+    else:
+        assert code in (0, 1) and err == ""
 
 
 def test_config_error_exits_2_and_names_field(tmp_path, capsys):

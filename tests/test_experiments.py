@@ -422,16 +422,24 @@ def test_delocalization_small(small_cfg):
     for row in rep.rows:
         assert row["statistic"] == 0.0
         assert 1.0 < row["median_over_ln"] < 2.5
-        assert row["lower_edge"] < row["upper_edge"] == 3.5
+        # one band per size, down to the hard edge
+        assert (row["lower_edge"], row["upper_edge"]) == (0.0, 3.5)
     sizes = [row["size"] for row in rep.rows]
     assert sizes == sorted(sizes)
     assert rep.summary["empty_window_trials"] == {str(n): 0 for n in small_cfg.sizes}
 
 
+def test_delocalization_ignores_scale_min(small_cfg):
+    # scale_min sets the resolution of counting windows; it means nothing for eigenvectors
+    rep = run_delocalization(small_cfg)
+    again = run_delocalization(dataclasses.replace(small_cfg, scale_min=500.0))
+    assert again.rows == rep.rows and again.failures == rep.failures
+
+
 def test_delocalization_checks_every_window_before_drawing(draw_counter):
-    # N=64 hosts the window, N=2 does not: the config fails before any draw
-    cfg = ExperimentConfig(sizes=(64, 2), trials=30, scale_min=5.0)
-    with pytest.raises(ConfigError, match="^sizes: N=2 cannot host windows"):
+    # N=64 is a valid size, N=1 is not: the config fails before any draw
+    cfg = ExperimentConfig(sizes=(64, 1), trials=30, scale_min=0.1)
+    with pytest.raises(ConfigError, match=r"^sizes\[1\]: must be >= 2 \(the statistic is divided by ln N"):
         run_delocalization(cfg)
     assert draw_counter == []
 
@@ -443,12 +451,10 @@ def test_delocalization_cap_failure(small_cfg, monkeypatch):
     assert any("cap" in f for f in rep.failures)
 
 
-def test_delocalization_empty_window_reports_nan_row():
-    # at N=2 the window [lower, 4 - kappa] is about 1e-3 wide: no trial lands in it
-    cfg = ExperimentConfig(sizes=(2,), trials=30, kappa=0.999, scale_min=2.447)
-    rep = run_delocalization(cfg)
+def test_delocalization_empty_window_reports_nan_row(draws_above_the_band):
+    rep = run_delocalization(ExperimentConfig(sizes=(2,), trials=30))
     assert not rep.passed
-    assert any(f.startswith("N=2: no trial") for f in rep.failures)
+    assert "N=2: no trial had an eigenvalue in the band [0, 3.5]" in rep.failures
     (row,) = rep.rows
     assert row["size"] == 2 and row["trials"] == 30
     for column in ("median_max_supsq", "median_over_ln", "q95_over_ln", "max_over_ln",

@@ -48,6 +48,11 @@ def _zero_column(entries):
     return entries
 
 
+def _small_column(entries):
+    entries[:, 0] *= 1e-3
+    return entries
+
+
 def _real_part(entries):
     # the real ensemble (beta = 1) at the same entry variance
     return math.sqrt(2.0) * entries.real
@@ -87,6 +92,16 @@ def test_zero_column_fails_hardedge_without_a_traceback(tmp_path, capsys, monkey
     assert code == 1
     assert "hard-edge-scaling: FAIL" in out
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("mutate", [_zero_column, _small_column], ids=["zero-column", "column-0-times-1e-3"])
+def test_deloc_sees_a_localized_hard_edge_vector(monkeypatch, mutate):
+    # a (near-)zero column puts a near-coordinate vector at the hard edge, with
+    # N*|u|^2 close to N: far above the cap in every trial
+    _corrupt_draws(monkeypatch, mutate)
+    rep = run_delocalization(PANEL)
+    assert not rep.passed
+    assert [row["statistic"] for row in rep.rows] == [1.0, 1.0]
 
 
 @pytest.mark.parametrize(

@@ -80,11 +80,14 @@ def test_gram_decompose_agrees_with_decompose(kind, n):
     s = make_sample(n, seed=11, dist=EntryDistribution(kind))
     svd, gram = decompose(s), gram_decompose(s)
     assert np.max(np.abs(gram.eigenvalues - svd.eigenvalues)) <= 1e-12 * (1.0 + svd.top)
-    # deloc's statistic over a window well above the Gram route's absolute error
-    inside = [(d.eigenvalues >= 0.3) & (d.eigenvalues <= 3.5) for d in (svd, gram)]
-    assert np.array_equal(*inside) and np.any(inside[0])
-    stats = [n * np.max(np.abs(d.eigenvectors[:, m]) ** 2) for d, m in zip((svd, gram), inside)]
+    # deloc's statistic over its band [0, 3.5], which reaches the hard edge
+    hi = [np.searchsorted(d.eigenvalues, 3.5, side="right") for d in (svd, gram)]
+    assert hi[0] == hi[1] > 0
+    stats = [n * np.max(np.abs(d.eigenvectors[:, : hi[0]]) ** 2) for d in (svd, gram)]
     assert stats[1] == pytest.approx(stats[0], rel=1e-10)
+    # the lowest vectors, where the eigenvalues carry only absolute accuracy
+    lowest = [np.abs(d.eigenvectors[:, :5]) ** 2 for d in (svd, gram)]
+    assert np.max(np.abs(lowest[1] - lowest[0])) <= 1e-11
 
 
 @pytest.mark.parametrize("kind", KINDS)
