@@ -70,7 +70,10 @@ def hw_tail_curve(
     lam = np.asarray(spectrum).astype(complex)
     if lam.ndim != 1 or not np.all(np.isfinite(lam)):
         raise ValueError(f"spectrum must be a 1-d array of finite values, got shape {lam.shape}")
-    norm = float(np.sum(np.abs(lam) ** 2))
+    with np.errstate(over="ignore"):
+        norm = float(np.sum(np.abs(lam) ** 2))
+    if norm == math.inf:
+        raise ValueError("spectrum must have a finite Tr A*A = sum |lambda_i|^2; it overflows")
     if norm == 0.0:
         raise ValueError("degenerate matrix: Tr A*A = 0")
     deltas = np.asarray(deltas, dtype=float)

@@ -2,15 +2,14 @@
 
 Asymptotic log-powers are unreachable at any size a workstation can
 decompose ((log 512)^4 alone is ~1.5e3), so windows are parameterized by the
-resolution scale N*eta/sqrt(E) directly (default floor 50) and the log-power
-exponent b travels along as report metadata.  The derived windows of size N
-span the desk band [2 (scale_min / (kappa N))^2, 4 - kappa]; a size whose
-floor is not below its ceiling fails with "sizes: N=... cannot host windows
-...", before any draw.  deloc takes every eigenvector in [0, 4 - kappa], down
-to the hard edge, and does not read scale_min.  The pass/fail bands are the
-module constants below: desk-calibrated, not claims about the theory's
-constants, and not configurable; the calibration provenance is
-complex-gaussian pilot runs at N <= 1024, seeds O(1), 2026-08.
+resolution scale N*eta/sqrt(E) directly (default floor 50).  The derived
+windows of size N span the desk band [2 (scale_min / (kappa N))^2, 4 - kappa];
+a size whose floor is not below its ceiling fails with "sizes: N=... cannot
+host windows ...", before any draw.  deloc takes every eigenvector in
+[0, 4 - kappa], down to the hard edge, and does not read scale_min.  The
+pass/fail bands are the module constants below: desk-calibrated, not claims
+about the theory's constants, and not configurable; the calibration
+provenance is complex-gaussian pilot runs at N <= 1024, seeds O(1), 2026-08.
 
 Every experiment derives one sub-seed per matrix size and one seed per trial
 below that, and runs its trials in order; BLAS threads are the only
@@ -196,7 +195,6 @@ _FIELDS = {
     "sizes": _sizes,
     "trials": _where(_integer, lambda n: n >= 30, ">= 30"),
     "distribution": _kind,
-    "b": _positive,
     "kappa": _where(_number, lambda x: 0 < x < 1, "in (0, 1)"),
     "epsilon_grid": _list_of(_positive),
     "k_grid": _list_of(_positive, increasing=True),
@@ -215,7 +213,6 @@ class ExperimentConfig:
     sizes: tuple[int, ...] = (128, 256, 512)
     trials: int = 100
     distribution: str = "complex-gaussian"
-    b: float = 4.0
     kappa: float = 0.5
     epsilon_grid: tuple[float, ...] = (0.05, 0.1, 0.15, 0.2, 0.3)
     k_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -446,9 +443,6 @@ def run_local_law(cfg: ExperimentConfig) -> TheoremReport:
                 for eps in eps_grid:
                     tail = _exceedance(int(np.sum(devs >= eps)), cfg.trials)
                     p = tail["statistic"]
-                    nominal = math.exp(-eps * math.sqrt(scale)) + math.exp(
-                        -math.log(size) ** (cfg.b / 4.0)
-                    )
                     rows.append(
                         {
                             "size": size,
@@ -457,7 +451,6 @@ def run_local_law(cfg: ExperimentConfig) -> TheoremReport:
                             "scale": scale,
                             "form": form,
                             "epsilon": eps,
-                            "nominal_tail": nominal,
                             **tail,
                         }
                     )
@@ -543,8 +536,6 @@ def run_delocalization(cfg: ExperimentConfig) -> TheoremReport:
                 "size": size,
                 "lower_edge": 0.0,
                 "upper_edge": upper,
-                "nominal_edge_b": math.log(size) ** cfg.b / (cfg.kappa**2 * size**2),
-                "nominal_edge_2b": math.log(size) ** (2 * cfg.b) / (cfg.kappa**2 * size**2),
                 "cap": DELOC_CAP,
                 "median_max_supsq": median,
                 "median_over_ln": median / ln_n,
@@ -584,9 +575,10 @@ def run_wegner(cfg: ExperimentConfig) -> TheoremReport:
     """Tails of the near-zero eigenvalue count in [0, K/N^2] over the L grid.
 
     Hard-edge repulsion makes levels beyond the first one or two unobservable
-    at desk trial counts (P ~ 1e-6 or less); zero-hit cells are therefore
-    upper-bounded by 1/trials and the decay check requires strict decrease
-    only where the data can show it.
+    at desk trial counts (P(count >= 3) is about 8e-9 at N=256, K=1), so a
+    cell fails only on what its trials can show: zero hits at the first level,
+    or equal positive hits at two neighbouring levels.  A last positive level
+    with a single hit is a limit of the trial count, not a failure.
     """
     _require_bounded_density(cfg, "near-zero counting")
     spectra = _spectra(cfg)
@@ -608,11 +600,6 @@ def run_wegner(cfg: ExperimentConfig) -> TheoremReport:
                 if 0 < h1 == h2:
                     failures.append(f"{cell}: no strict decay from L={l1} to L={l2}")
             positive = [(l, h) for l, h in pairs if h > 0]
-            if positive and positive[-1][1] < 2 and len(positive) < len(levels):
-                failures.append(
-                    f"{cell}: last resolvable level L={positive[-1][0]} has a single hit; "
-                    "zero cells cannot be placed above it"
-                )
             if len(positive) >= 2:
                 ls = np.array([l for l, _ in positive], dtype=float)
                 lp = np.array([-math.log(h / cfg.trials) for _, h in positive])

@@ -109,7 +109,8 @@ def mp_density(energy: float) -> float:
         raise ValueError(f"energy must be finite, got {energy}")
     if energy <= 0.0 or energy > SUPPORT_RIGHT:
         return 0.0
-    return math.sqrt((SUPPORT_RIGHT - energy) / energy) / (2.0 * math.pi)
+    # two roots, not one of the quotient: (4-E)/E overflows for subnormal E
+    return math.sqrt(SUPPORT_RIGHT - energy) / math.sqrt(energy) / (2.0 * math.pi)
 
 
 def mp_cdf(energy: float) -> float:

@@ -101,6 +101,11 @@ def test_mp_stieltjes_format(capsys):
     assert "+" in out or out.count("-") >= 1
 
 
+def test_mp_density_at_a_subnormal_energy(capsys):
+    # (4-E)/E overflows at E = 1e-320; the density there is finite
+    assert run(capsys, ["mp", "--density", "1e-320"])[:2] == (0, "3.18312e+159\n")
+
+
 def test_mp_stieltjes_at_huge_theta(capsys):
     # about -1/theta, subnormal but finite and in the upper half plane
     assert run(capsys, ["mp", "--stieltjes", "1e308", "1e308"])[:2] == (0, "-5e-309+5e-309i\n")
@@ -280,11 +285,13 @@ def test_config_error_exits_2_and_names_field(tmp_path, capsys):
         ("trials", None, "trials"),
         ("sizes", ["a"], "sizes[0]"),
         ("seed", 1.5, "seed"),
-        ("b", "4", "b"),
+        ("scale_min", "50", "scale_min"),
         ("windows", [{"energy": "2", "eta": 0.1}], "windows[0].energy"),
         ("thresholds", {"deloc_cap": 15.0}, "thresholds"),
         ("epsilon_grid", [math.nan], "epsilon_grid[0]"),
         ("k_grid", [1.0, math.inf], "k_grid[1]"),
+        # like thresholds, the log-power exponent b is no config key: no report reads it
+        ("b", 4, "b"),
     ],
 )
 def test_config_of_wrong_json_type_exits_2_and_names_field(tmp_path, capsys, key, value, path):
@@ -324,6 +331,8 @@ def test_zero_energy_window_exits_2_and_names_it(tmp_path, capsys):
         (["hw", "--trials", "0"], "config error: trials: must be >= 100"),
         (["hw", "--trials", "99"], "config error: trials: must be >= 100"),
         (["projmass", "--trials", "0"], "config error: trials: must be >= 1"),
+        # Tr A*A overflows: rejected before any draw, not a report with normalizer inf
+        (["hw", "--spectrum", "1e200", "1e200"], "error: spectrum must have a finite Tr A*A"),
     ],
 )
 def test_direct_command_bad_grid_exits_2_and_names_it(tmp_path, capsys, argv, prefix):

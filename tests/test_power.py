@@ -3,10 +3,9 @@
 Every cell wraps `experiments.sample_matrix` to corrupt each draw and runs a
 shipped runner on it.  The spectra cache is swapped for an empty one per
 cell, so corrupted spectra never reach another test.  An honest-draw cell
-(no corruption) pins a verdict that must pass and, when a runner rejects
-honest draws, is a strict xfail naming the item that will mend it.  A cell
-the math says must fail, on a runner whose band passes it today, is a strict
-xfail naming the ROADMAP item that flips it.
+(no corruption) pins a verdict that must pass.  A cell the math says must
+fail, on a runner whose band passes it today, is a strict xfail naming the
+ROADMAP item that flips it.
 """
 
 import dataclasses
@@ -128,16 +127,13 @@ def test_local_law_transform_cells(monkeypatch, mutate, passed):
         assert all("transform exceedance" in f for f in rep.failures)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="wegner's single-hit heuristic fails honest draws (N=256 and N=512, K=2: "
-    "last resolvable level L=2 has a single hit); ROADMAP item 2 brings the exact "
-    "count law and item 4 retires the heuristic",
-)
-def test_wegner_passes_honest_draws_at_the_benchmark_config():
-    # the eigen-suite benchmark config: complex-gaussian, sizes 256/512, 30 trials, seed 1
-    assert run_wegner(ExperimentConfig(sizes=(256, 512), trials=30, seed=1)).passed
+@pytest.mark.parametrize("distribution", ["complex-gaussian", "uniform-symmetric"])
+def test_wegner_passes_honest_draws_at_the_benchmark_config(distribution):
+    # the eigen-suite benchmark config (sizes 256/512, 30 trials, seed 1), where
+    # both kinds see a single hit at L=2 and none above it at N=256 and N=512, K=2
+    cfg = ExperimentConfig(sizes=(256, 512), trials=30, seed=1, distribution=distribution)
+    rep = run_wegner(cfg)
+    assert rep.passed, rep.failures
 
 
 @pytest.mark.parametrize(
