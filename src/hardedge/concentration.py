@@ -75,7 +75,10 @@ def hw_tail_curve(
     if norm == math.inf:
         raise ValueError("spectrum must have a finite Tr A*A = sum |lambda_i|^2; it overflows")
     if norm == 0.0:
-        raise ValueError("degenerate matrix: Tr A*A = 0")
+        raise ValueError(
+            "spectrum must have a nonzero Tr A*A = sum |lambda_i|^2 "
+            "(degenerate, or its squares underflow)"
+        )
     deltas = np.asarray(deltas, dtype=float)
     # negated comparisons, so that nan fails them; inf can only come last
     if deltas.ndim != 1 or len(deltas) == 0 or not (

@@ -126,8 +126,12 @@ def mp_cdf(energy: float) -> float:
 
 
 def mp_window_mass(window: Window) -> float:
-    """Law mass of [E, E+eta] as a CDF difference (exact additivity by construction)."""
-    return mp_cdf(window.right) - mp_cdf(window.energy)
+    """Law mass of [E, E+eta] as a CDF difference (exact additivity by construction).
+
+    The right end is clipped to the support, so E+eta may overflow to inf:
+    a window beyond the support has mass exactly 0.
+    """
+    return mp_cdf(min(window.right, SUPPORT_RIGHT)) - mp_cdf(window.energy)
 
 
 # binary exponent of max(|E|, eta) above which mp_stieltjes scales theta down

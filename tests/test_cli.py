@@ -106,6 +106,11 @@ def test_mp_density_at_a_subnormal_energy(capsys):
     assert run(capsys, ["mp", "--density", "1e-320"])[:2] == (0, "3.18312e+159\n")
 
 
+def test_mp_mass_beyond_the_support(capsys):
+    # E + eta overflows to inf; the window lies beyond the support, so its mass is 0
+    assert run(capsys, ["mp", "--mass", "1e308", "1e308"])[:2] == (0, "0\n")
+
+
 def test_mp_stieltjes_at_huge_theta(capsys):
     # about -1/theta, subnormal but finite and in the upper half plane
     assert run(capsys, ["mp", "--stieltjes", "1e308", "1e308"])[:2] == (0, "-5e-309+5e-309i\n")
@@ -138,7 +143,7 @@ def test_mp_moment_prints_the_catalan_number(capsys):
         (["mp", "--moment", "600"], "error: moment: "),
         (["mp", "--moment", "-1"], "error: moment: "),
         (["mp", "--moment", str(10**30)], "error: moment: "),
-        (["mp", "--mass", "1e308", "1e308"], "error: mass: "),
+        (["mp", "--mass", "2", "0"], "error: mass: "),
         (["mp", "--density", "nan"], "error: density: "),
         (["sample", "--n", "0"], "config error: n: "),
         (["sample", "--n", "4", "--trial", "-1"], "config error: trial: "),
@@ -333,6 +338,9 @@ def test_zero_energy_window_exits_2_and_names_it(tmp_path, capsys):
         (["projmass", "--trials", "0"], "config error: trials: must be >= 1"),
         # Tr A*A overflows: rejected before any draw, not a report with normalizer inf
         (["hw", "--spectrum", "1e200", "1e200"], "error: spectrum must have a finite Tr A*A"),
+        # Tr A*A is 0, or its squares underflow to 0
+        (["hw", "--spectrum", "1e-200", "1e-200"], "error: spectrum"),
+        (["hw", "--spectrum", "0", "0"], "error: spectrum"),
     ],
 )
 def test_direct_command_bad_grid_exits_2_and_names_it(tmp_path, capsys, argv, prefix):
@@ -395,7 +403,14 @@ def test_all_exit_codes(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["apriori", "locallaw", "wegner", "hardedge", "all", "deloc"])
-def test_threads_below_one_exits_2(tmp_path, capsys, command):
+def test_threads_below_one_exits_2(tmp_path, capsys, monkeypatch, command):
+    # the runners take no thread count; the command rejects --threads below
+    # one before any runner is called
+    def refuse(cfg):
+        raise AssertionError(f"a runner was called by {command}")
+
+    for runner in ("run_apriori", "run_local_law", "run_wegner", "run_hard_edge_scaling", "run_delocalization"):
+        monkeypatch.setattr(f"hardedge.cli.{runner}", refuse)
     cfg = write_config(tmp_path, BASE)
     for threads in ("0", "-1"):
         argv = [command, "--config", cfg, "--threads", threads, "--out", str(tmp_path / "r")]
