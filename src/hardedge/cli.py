@@ -125,7 +125,10 @@ def _cmd_direct(args) -> int:
 
 def _cmd_all(args) -> int:
     cfg = _config_from(args)
-    return max(_emit(runner(cfg), args.out) for _, runner in _spectra_experiments())
+    # every report is built before any is written, so a runner that refuses
+    # the config leaves no report of the runners before it behind
+    reports = [runner(cfg) for _, runner in _spectra_experiments()]
+    return max(_emit(report, args.out) for report in reports)
 
 
 def _bounds_line(point: SpectralPoint) -> str:
@@ -227,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     projmass = _add_direct_parser(subs, "projmass", "projection mass lower-tail experiment")
     projmass.add_argument("--size", type=int)
     projmass.add_argument("--m-grid", type=int, nargs="+", dest="m_grid")
-    projmass.add_argument("--family", choices=("auto", "coordinate", "haar"))
 
     identities = _add_direct_parser(subs, "identities", "exact finite-N identity suite")
     identities.add_argument("--n", type=int, nargs="+", dest="sizes", metavar="N")

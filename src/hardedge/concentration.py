@@ -90,54 +90,50 @@ def hw_tail_curve(
     return np.array([int(np.sum(stats >= d)) for d in deltas]), norm
 
 
-def projection_mass_probe(
-    m: int,
-    size: int,
-    dist: EntryDistribution,
-    trials: int,
-    seed: int,
-    family: str = "auto",
-) -> tuple[int, str]:
-    """Hits of sum_{a<=m} |<x, v_a>|^2 <= m/2 for an orthonormal family of
-    size m, and the family used.
+def _coordinate_hits(m: int, kind: str, trials: int, seed: int) -> int:
+    """Hits of the mass on the first m coordinate vectors, sum_{a<=m} |x_a|^2 <= m/2."""
+    draws = _chunked_draws(kind, trials, m, seed)
+    return sum(int(np.sum(np.sum(np.abs(x) ** 2, axis=1) <= m / 2.0)) for x in draws)
 
-    family="coordinate" uses the first m coordinate vectors (statistic
-    distribution is family-independent only for the gaussian kind);
-    family="haar" redraws a Haar-distributed subspace each trial, the span of
-    an m-column complex Gaussian matrix (trials run in stacked chunks, each
-    with its own seed).  "auto" selects coordinate for complex-gaussian and
-    haar otherwise.
+
+def _haar_hits(m: int, size: int, kind: str, trials: int, seed: int) -> int:
+    """Hits of the mass on span(G) for an m-column complex Gaussian G redrawn
+    each trial, a Haar m-subspace.  Each trial keeps its own stream: x, then
+    G's real and imaginary parts in one call into a real block.  The mass is
+    |P x|^2 = b^H (G^H G)^-1 b with b = G^H x, one stacked solve per chunk."""
+    hits = 0
+    x = np.empty((_HAAR_CHUNK, size, 1), dtype=complex)
+    g_parts = np.empty((_HAAR_CHUNK, 2, size, m))
+    for start in range(0, trials, _HAAR_CHUNK):
+        take = min(_HAAR_CHUNK, trials - start)
+        for i in range(take):
+            rng = stream(seed, start + i)
+            x[i, :, 0] = draw_entries(rng, kind, (size,))
+            rng.standard_normal(out=g_parts[i])
+        g = g_parts[:take, 0] + 1j * g_parts[:take, 1]
+        gh = g.conj().transpose(0, 2, 1)
+        b = gh @ x[:take]
+        mass = np.real(b.conj().transpose(0, 2, 1) @ np.linalg.solve(gh @ g, b))
+        hits += int(np.sum(mass <= m / 2.0))
+    return hits
+
+
+def projection_mass_probe(
+    m: int, size: int, dist: EntryDistribution, trials: int, seed: int
+) -> tuple[int, str]:
+    """Hits of sum_{a<=m} |<x, v_a>|^2 <= m/2 for an orthonormal family
+    v_1..v_m independent of x, and the family used.
+
+    complex-gaussian x is rotation invariant, so every such family sees the
+    same law as the first m coordinate vectors, Gamma(m, 1); the probe takes
+    that cheap family.  No other kind has that invariance (for rademacher-pair
+    the coordinate mass is m surely), so the others redraw a Haar family
+    each trial.
     """
     if not 1 <= m <= size:
         raise ValueError(f"m must lie in [1, {size}], got {m}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if family == "auto":
-        family = "coordinate" if dist.kind == "complex-gaussian" else "haar"
-    if family not in ("coordinate", "haar"):
-        raise ValueError(f"family must be auto|coordinate|haar, got {family!r}")
-
-    threshold = m / 2.0
-    hits = 0
-    if family == "coordinate":
-        for x in _chunked_draws(dist.kind, trials, m, seed):
-            hits += int(np.sum(np.sum(np.abs(x) ** 2, axis=1) <= threshold))
-    else:
-        # each trial keeps its own stream: x first, then G's real and
-        # imaginary parts in one call into a real block; the chunk's complex G
-        # is built once.  The mass is the projection of x onto span(G),
-        # |P x|^2 = b^H (G^H G)^-1 b with b = G^H x, one stacked solve per chunk
-        x = np.empty((_HAAR_CHUNK, size, 1), dtype=complex)
-        g_parts = np.empty((_HAAR_CHUNK, 2, size, m))
-        for start in range(0, trials, _HAAR_CHUNK):
-            take = min(_HAAR_CHUNK, trials - start)
-            for i in range(take):
-                rng = stream(seed, start + i)
-                x[i, :, 0] = draw_entries(rng, dist.kind, (size,))
-                rng.standard_normal(out=g_parts[i])
-            g = g_parts[:take, 0] + 1j * g_parts[:take, 1]
-            gh = g.conj().transpose(0, 2, 1)
-            b = gh @ x[:take]
-            mass = np.real(b.conj().transpose(0, 2, 1) @ np.linalg.solve(gh @ g, b))
-            hits += int(np.sum(mass <= threshold))
-    return hits, family
+    if dist.kind == "complex-gaussian":
+        return _coordinate_hits(m, dist.kind, trials, seed), "coordinate"
+    return _haar_hits(m, size, dist.kind, trials, seed), "haar"

@@ -830,7 +830,6 @@ def run_projection_mass_experiment(
     seed: int = 1,
     size: int = 64,
     m_grid: tuple[int, ...] = _MASS_M_GRID,
-    family: str = "auto",
 ) -> TheoremReport:
     """Superlinear-in-sqrt(m) decay of -log P(projection mass <= m/2).
 
@@ -849,7 +848,7 @@ def run_projection_mass_experiment(
     ratios = []
     for m in m_grid:
         m_seed = derive_trial_seed(seed, m)
-        hits, resolved = projection_mass_probe(m, size, dist, trials, m_seed, family)
+        hits, resolved = projection_mass_probe(m, size, dist, trials, m_seed)
         tail = _exceedance(hits, trials)
         rows.append({"m": m, "sqrt_m": math.sqrt(m), "family": resolved, **tail})
         if hits == 0:
@@ -872,7 +871,6 @@ def run_projection_mass_experiment(
             "seed": seed,
             "size": size,
             "m_grid": list(m_grid),
-            "family": family,
         },
         rows=tuple(rows),
         summary={"ratios": ratios},

@@ -10,19 +10,22 @@ integral ever samples the singular endpoint.
 
 The Stieltjes transform of the law is evaluated in the rationalised form
 
-    -2 / (theta * (1 + sqrt(1 - 4/theta)))
+    -2 / (theta + sqrt(theta) * sqrt(theta - 4))
 
-which is algebraically identical to -1/2 + (1/2) sqrt(1 - 4/theta) but avoids
-the large-|theta| cancellation of the naive form (sqrt(1-4/theta) - 1 loses
-~|theta|/4 digits when computed by subtraction).  The principal square root
-already has nonnegative real part; the sign flip below is a guard for
-arguments that land exactly on the branch cut.
+with principal roots, which is algebraically identical to
+-1/2 + (1/2) sqrt(1 - 4/theta) on the upper half plane but avoids the
+large-|theta| cancellation of the naive form (sqrt(1-4/theta) - 1 loses
+~|theta|/4 digits when computed by subtraction).  Both roots have arguments
+in (0, pi/2) there, so their product is the branch that grows like theta,
+and the form never divides by theta: it stays finite at subnormal theta,
+where 4/theta overflows.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +46,7 @@ __all__ = [
 
 SUPPORT_RIGHT = 4.0
 
-# Default constant for the lower bound on the imaginary part inside the
+# Constant c of the lower bound on the imaginary part inside the
 # circle E^2 + eta^2 <= 4E.  The provable constant is 2^(-9/4) ~ 0.2102;
 # 0.2 leaves margin for rounding.
 IM_BOUND_CONSTANT = 0.2
@@ -114,14 +117,18 @@ def mp_density(energy: float) -> float:
 
 
 def mp_cdf(energy: float) -> float:
-    """Closed-form CDF: (t + sin t)/pi with t = arccos(1 - E/2), clamped outside [0, 4]."""
+    """Closed-form CDF: (t + sin t)/pi with t = arccos(1 - E/2), clamped outside [0, 4].
+
+    t is taken as 2 arcsin(sqrt(E)/2), the same angle: 1 - E/2 rounds to 1
+    for E below about 2e-16, so arccos of it would lose every digit there.
+    """
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy}")
     if energy <= 0.0:
         return 0.0
     if energy >= SUPPORT_RIGHT:
         return 1.0
-    t = math.acos(1.0 - energy / 2.0)
+    t = 2.0 * math.asin(math.sqrt(energy) / 2.0)
     return (t + math.sin(t)) / math.pi
 
 
@@ -144,21 +151,18 @@ def _ldexp(z: complex, exp: int) -> complex:
 
 
 def mp_stieltjes(point: SpectralPoint) -> complex:
-    """Stieltjes transform of the limiting law at theta = E + i*eta, eta > 0.
-
-    Branch: principal root of 1 - 4/theta (nonnegative real part), flipped if
-    a cut-edge evaluation returns a negative real part.  The result is
-    verified to lie in the upper half plane before returning.
+    """Stieltjes transform of the limiting law at theta = E + i*eta, eta > 0,
+    in the rationalised form of the module docstring.  The result is verified
+    to lie in the upper half plane before returning.
     """
     theta = point.theta
-    root = cmath.sqrt(1.0 - 4.0 / theta)
-    if root.real < 0.0:
-        root = -root
-    # theta * (1 + root) overflows beyond |theta| ~ 9e307, and so does Python's
-    # complex division by theta, while the transform (about -1/theta) does not:
-    # there theta and then the quotient are divided by one exact power of two
+    # the denominator (about 2 theta) overflows beyond |theta| ~ 9e307, while
+    # the transform (about -1/theta) does not: there theta, the 4 and then the
+    # quotient are scaled by one exact power of two
     shift = max(0, math.frexp(max(abs(point.energy), point.eta))[1] - _STIELTJES_MAX_EXP)
-    value = _ldexp(-2.0 / (_ldexp(theta, -shift) * (1.0 + root)), -shift)
+    scaled = _ldexp(theta, -shift)
+    root = cmath.sqrt(scaled) * cmath.sqrt(scaled - math.ldexp(4.0, -shift))
+    value = _ldexp(-2.0 / (scaled + root), -shift)
     if not value.imag > 0.0:
         raise ArithmeticError(
             f"Stieltjes transform left the upper half plane at theta={theta}: {value}"
@@ -201,9 +205,7 @@ class DeltaBoundsReport:
         return self.modulus_ok and self.shifted_ok and (self.im_ok is not False)
 
 
-def check_delta_bounds(
-    point: SpectralPoint, im_constant: float = IM_BOUND_CONSTANT
-) -> DeltaBoundsReport:
+def check_delta_bounds(point: SpectralPoint) -> DeltaBoundsReport:
     """Check |delta|^2 <= 1/E, |1+delta|^2 >= max(E/(E^2+eta^2), 1/4), and the
     in-circle lower bound Im delta >= c*(|E-4|^(1/2)+eta^(1/2))/(E^2+eta^2)^(1/4)."""
     energy, eta = point.energy, point.eta
@@ -214,15 +216,16 @@ def check_delta_bounds(
     modulus_margin = 1.0 / energy - mod_sq
     shifted = abs(1.0 + delta) ** 2
     norm_sq = energy * energy + eta * eta
-    if math.isinf(norm_sq):
+    if not sys.float_info.min <= norm_sq < math.inf:
         # every bound below divides by E^2 + eta^2 or compares it with 4E
-        raise ArithmeticError(f"E^2 + eta^2 overflows at theta={point.theta}")
+        way = "overflows" if norm_sq == math.inf else "underflows"
+        raise ArithmeticError(f"E^2 + eta^2 {way} at theta={point.theta}")
     shifted_floor = max(energy / norm_sq, 0.25)
     shifted_margin = shifted - shifted_floor
     inside = norm_sq <= 4.0 * energy
     if inside:
         floor = (
-            im_constant
+            IM_BOUND_CONSTANT
             * (math.sqrt(abs(energy - 4.0)) + math.sqrt(eta))
             / norm_sq**0.25
         )

@@ -203,25 +203,21 @@ def interlacing_check(decomposition: SpectralDecomposition, minors: MinorBasis) 
     return np.maximum(below, above)
 
 
-def eigenvector_identity_scan(
-    minors: MinorBasis,
-    decomposition: SpectralDecomposition,
-    gap_tol: float = DEFAULT_GAP_TOL,
-) -> np.ndarray:
+def eigenvector_identity_scan(minors: MinorBasis, decomposition: SpectralDecomposition) -> np.ndarray:
     """Identity residual of every eigenvector at every removed column.
 
     |u_a(k)|^2 must equal 1/(1 + sum_b t_b |<v_b, w_k>|^2 / (s_a - t_b)^2)
     where t_b are the k-minor's eigenvalues and |<v_b, w_k>|^2 its weights.
     Entry (k, a) is the residual for column k and eigenvalue index a, or inf
-    when the full/minor gap falls below gap_tol * (1 + s_max): such a pair is
-    uncovered and carries no accuracy claim.  An empty minor (N = 1) leaves
-    the right side exactly 1.
+    when the full/minor gap falls below DEFAULT_GAP_TOL * (1 + s_max): such a
+    pair is uncovered and carries no accuracy claim.  An empty minor (N = 1)
+    leaves the right side exactly 1.
     """
     d = decomposition
     lhs = np.abs(d.eigenvectors) ** 2
     t = minors.eigenvalues[:, None, :]
     gaps = d.eigenvalues[None, :, None] - t
-    covered = np.min(np.abs(gaps), axis=-1, initial=math.inf) >= gap_tol * (1.0 + d.top)
+    covered = np.min(np.abs(gaps), axis=-1, initial=math.inf) >= DEFAULT_GAP_TOL * (1.0 + d.top)
     with np.errstate(divide="ignore", invalid="ignore"):
         # rows that divide by a zero gap are the uncovered ones, masked below
         rhs = 1.0 / (1.0 + np.sum(t * minors.weights[:, None, :] / gaps**2, axis=-1))

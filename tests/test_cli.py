@@ -116,6 +116,17 @@ def test_mp_stieltjes_at_huge_theta(capsys):
     assert run(capsys, ["mp", "--stieltjes", "1e308", "1e308"])[:2] == (0, "-5e-309+5e-309i\n")
 
 
+def test_mp_cdf_and_mass_at_a_tiny_energy(capsys):
+    # 1 - E/2 rounds to 1 at E = 1e-20; the CDF there is 2 sqrt(E)/pi to leading order
+    assert run(capsys, ["mp", "--cdf", "1e-20"])[:2] == (0, "6.3662e-11\n")
+    assert run(capsys, ["mp", "--mass", "0", "1e-20"])[:2] == (0, "6.3662e-11\n")
+
+
+def test_mp_stieltjes_at_subnormal_theta(capsys):
+    # 4/theta overflows at |theta| = 1e-310; the transform is about 1/sqrt(-theta)
+    assert run(capsys, ["mp", "--stieltjes", "0", "1e-310"])[:2] == (0, "7.07107e+154+7.07107e+154i\n")
+
+
 def test_mp_bounds_line(capsys):
     code, out, _ = run(capsys, ["mp", "--bounds", "2", "0.1"])
     assert code == 0
@@ -149,6 +160,7 @@ def test_mp_moment_prints_the_catalan_number(capsys):
         (["sample", "--n", "4", "--trial", "-1"], "config error: trial: "),
         (["sample", "--n", "4", "--seed", "-1"], "config error: seed: "),
         (["sample", "--n", "4", "--seed", str(2**64)], "config error: seed: "),
+        (["mp", "--bounds", "1e-170", "1e-170"], "error: bounds: "),
     ],
 )
 def test_mp_and_sample_bad_input_exits_2_and_names_the_flag(tmp_path, capsys, argv, prefix):
@@ -400,6 +412,16 @@ def test_all_exit_codes(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["all", "--config", cfg, "--out", str(tmp_path / "r")])
     assert code == 2
     assert err.startswith("config error: distribution:")
+
+
+def test_all_writes_nothing_when_a_runner_refuses_the_config(tmp_path, capsys):
+    # apriori admits rademacher-pair and locallaw refuses it: no apriori
+    # report or manifest may be left behind the config error
+    cfg = write_config(tmp_path, {**BASE, "distribution": "rademacher-pair"})
+    code, out, err = run(capsys, ["all", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: distribution:")
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("command", ["apriori", "locallaw", "wegner", "hardedge", "all", "deloc"])

@@ -21,6 +21,7 @@ from hardedge import (
     run_projection_mass_experiment,
     wilson_interval,
 )
+from hardedge.concentration import _coordinate_hits, _haar_hits
 from hardedge.ensemble import draw_entries
 
 GAUSS = EntryDistribution("complex-gaussian")
@@ -168,8 +169,7 @@ def test_projmass_gaussian_gamma_oracle():
 
 def test_projmass_haar_matches_gamma_for_gaussian():
     # rotation invariance: a Haar family sees the same law
-    hits, family = projection_mass_probe(4, 16, GAUSS, 4000, seed=1, family="haar")
-    assert family == "haar"
+    hits = _haar_hits(4, 16, GAUSS.kind, 4000, seed=1)
     lo, hi = wide_interval(float(gammainc(4, 2.0)), 4000)
     assert lo <= hits / 4000 <= hi
 
@@ -177,18 +177,16 @@ def test_projmass_haar_matches_gamma_for_gaussian():
 def test_projmass_uniform_coordinate_m1():
     # P(a^2 + b^2 <= 1/2) for (a, b) uniform on [-sqrt(1.5), sqrt(1.5)]^2
     trials = 20000
-    hits, _ = projection_mass_probe(1, 8, UNIFORM, trials, seed=6, family="coordinate")
+    hits = _coordinate_hits(1, UNIFORM.kind, trials, seed=6)
     lo, hi = wide_interval(math.pi / 12, trials)
     assert lo <= hits / trials <= hi
 
 
 def test_projmass_rademacher_coordinate_is_zero():
     # coordinate mass equals m surely, never <= m/2
-    hits, _ = projection_mass_probe(5, 16, RADEMACHER, 300, seed=0, family="coordinate")
-    assert hits == 0
-    report = run_projection_mass_experiment(
-        "rademacher-pair", 300, 0, size=16, m_grid=(5,), family="coordinate"
-    )
+    assert _coordinate_hits(5, RADEMACHER.kind, 300, seed=0) == 0
+    # a zero-hit row: P(Gamma(64, 1) <= 32) = 4e-7
+    report = run_projection_mass_experiment("complex-gaussian", 300, 0, size=64, m_grid=(64,))
     assert report.rows[0]["statistic"] == 0.0
     assert report.rows[0]["ci_lo"] == 0.0
 
@@ -220,7 +218,7 @@ def _haar_hits_per_trial(m, size, dist, trials, seed):
 @pytest.mark.parametrize("m, size, trials", [(1, 8, 33), (4, 16, 65), (8, 8, 40), (2, 2, 40)])
 def test_projmass_haar_chunks_match_per_trial_qr(dist, m, size, trials):
     # trial counts off the chunk grid, m = 1 and m = size
-    hits, _ = projection_mass_probe(m, size, dist, trials, seed=size + m, family="haar")
+    hits, _ = projection_mass_probe(m, size, dist, trials, seed=size + m)
     assert hits == _haar_hits_per_trial(m, size, dist, trials, size + m)
 
 
@@ -231,5 +229,3 @@ def test_projmass_rejects_bad_arguments():
         projection_mass_probe(0, 8, GAUSS, 100, seed=0)
     with pytest.raises(ValueError, match="trials"):
         projection_mass_probe(2, 8, GAUSS, 0, seed=0)
-    with pytest.raises(ValueError, match="family"):
-        projection_mass_probe(2, 8, GAUSS, 100, seed=0, family="grid")

@@ -18,6 +18,7 @@ from hardedge import (
     Window,
     check_delta_bounds,
     fixed_point_residual,
+    mp,
     mp_cdf,
     mp_density,
     mp_moment_quadrature,
@@ -59,6 +60,13 @@ def test_cdf_values():
 )
 def test_cdf_against_quadrature(energy, expected):
     assert mp_cdf(energy) == pytest.approx(expected, abs=1e-11)
+
+
+def test_cdf_is_exact_down_to_zero():
+    # mp_cdf(E) = 2 sqrt(E)/pi (1 + O(E)); 1 - E/2 rounds to 1 below about 2e-16
+    for energy in [*np.logspace(-12, -323, 32), 5e-324]:
+        ratio = mp_cdf(float(energy)) * math.pi / (2.0 * math.sqrt(energy))
+        assert ratio == pytest.approx(1.0, rel=1e-12, abs=0.0), energy
 
 
 def test_cdf_monotone():
@@ -149,7 +157,7 @@ def test_stieltjes_far_field_series():
 @pytest.mark.parametrize("modulus", [1e300, 1e308, sys.float_info.max], ids=["1e300", "1e308", "max"])
 @pytest.mark.parametrize("angle", [0.1, math.pi / 4, math.pi / 2, 3 * math.pi / 4, 3.0])
 def test_stieltjes_at_huge_theta_is_minus_one_over_theta(modulus, angle):
-    # theta * (1 + root) overflows beyond |theta| ~ 9e307, but the transform
+    # the denominator overflows beyond |theta| ~ 9e307, but the transform
     # -1/theta + O(|theta|^-2) is representable (subnormal at the largest moduli)
     energy, eta = modulus * math.cos(angle), modulus * math.sin(angle)
     value = mp_stieltjes(SpectralPoint(energy, eta))
@@ -158,6 +166,22 @@ def test_stieltjes_at_huge_theta_is_minus_one_over_theta(modulus, angle):
     reference = complex(-(energy / r) / r, (eta / r) / r)
     assert value.imag > 0.0
     assert abs(value - reference) <= 1e-15 * abs(reference)
+
+
+@pytest.mark.parametrize("energy, eta", [(0.0, 1e-310), (0.0, 5e-324), (1e-310, 1e-310), (-1e-310, 1e-320)])
+def test_stieltjes_at_subnormal_theta_is_one_over_sqrt_minus_theta(energy, eta):
+    # 4/theta overflows there; the transform is 1/sqrt(-theta) - 1/2 + O(|theta|^(1/2))
+    theta = complex(energy, eta)
+    value = mp_stieltjes(SpectralPoint(energy, eta))
+    reference = 1.0 / cmath.sqrt(-theta)
+    assert value.imag > 0.0
+    assert abs(value - reference) <= 1e-15 * abs(reference)
+
+
+def test_bounds_refuse_an_underflowing_norm():
+    # E^2 + eta^2 underflows, and every bound divides by it
+    with pytest.raises(ArithmeticError, match="underflows"):
+        check_delta_bounds(SpectralPoint(1e-170, 1e-170))
 
 
 def test_bounds_refuse_an_overflowing_norm():
@@ -210,9 +234,10 @@ def test_delta_bounds_gating():
         check_delta_bounds(SpectralPoint(-1.0, 0.3))
 
 
-def test_delta_bounds_constant_is_sharp_enough_to_fail():
+def test_delta_bounds_constant_is_sharp_enough_to_fail(monkeypatch):
     # the lower bound cannot hold with an arbitrarily large constant
-    report = check_delta_bounds(SpectralPoint(2.0, 0.1), im_constant=10.0)
+    monkeypatch.setattr(mp, "IM_BOUND_CONSTANT", 10.0)
+    report = check_delta_bounds(SpectralPoint(2.0, 0.1))
     assert report.im_ok is False
     assert not report.all_ok
 

@@ -190,6 +190,24 @@ def _until_item(item, why):
             marks=_until_item(3, "the cap and the cross-size spread band do not fire on localized blocks"),
             id="deloc-block-diagonal",
         ),
+        pytest.param(
+            run_wegner,
+            _zero_column,
+            marks=_until_item(2, "a zero mode hits L=1 in every trial, and neither rule reads the hit rate"),
+            id="wegner-zero-column",
+        ),
+        pytest.param(
+            run_wegner,
+            _variance(2.0),
+            marks=_until_item(2, "a rescaled spectrum keeps hits at the first level and a strict decay"),
+            id="wegner-variance-2",
+        ),
+        pytest.param(
+            run_wegner,
+            _real_part,
+            marks=_until_item(2, "the real law's near-zero counts keep hits at the first level and a strict decay"),
+            id="wegner-real-part-beta-1",
+        ),
     ],
 )
 def test_cells_the_math_says_must_fail(monkeypatch, runner, mutate):

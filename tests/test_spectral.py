@@ -26,6 +26,7 @@ from hardedge import (
     interlacing_check,
     minor_basis,
     sample_matrix,
+    spectral,
 )
 from hardedge.ensemble import MatrixSample
 from hardedge.spectral import DecompositionError
@@ -211,13 +212,14 @@ def _assert_same_scan(scan, reference):
 
 
 @pytest.mark.parametrize("n", [1, 2, 16])
-def test_eigenvector_identity_scan_matches_per_alpha(n):
+def test_eigenvector_identity_scan_matches_per_alpha(n, monkeypatch):
     for trial in range(3):
         s = make_sample(n, seed=n + 1, trial=trial)
         d = decompose(s)
         minors = minor_basis(s)
         for gap_tol in (1e-6, 0.05):
-            scan = eigenvector_identity_scan(minors, d, gap_tol)
+            monkeypatch.setattr(spectral, "DEFAULT_GAP_TOL", gap_tol)
+            scan = eigenvector_identity_scan(minors, d)
             for k in range(n):
                 _assert_same_scan(scan[k], _per_alpha_scan(s, k, gap_tol, d))
 
