@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -48,6 +49,12 @@ from .reports import write_report
 __all__ = ["main", "load_config"]
 
 _OUT_ENV = "HARDEDGE_OUT"
+
+# argparse reads an argument that starts with "-" as a negative number, not a
+# flag, only if it matches the parser's pattern; its default pattern has no
+# exponent, so "-1e-3" would be a flag.  The parsers whose flags take floats
+# use this one.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -205,6 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--bounds", type=float, nargs=2, metavar=("E", "ETA"))
     mp.add_argument("--moment", type=int, metavar="K")
     mp.set_defaults(func=_cmd_mp)
+    mp._negative_number_matcher = _NEGATIVE_NUMBER
 
     sample = subs.add_parser("sample", help="draw one matrix and write a binary dump")
     sample.add_argument("--n", type=int, required=True)
@@ -226,6 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hw.add_argument("--size", type=int)
     hw.add_argument("--deltas", type=float, nargs="+")
     hw.add_argument("--spectrum", type=float, nargs="+")
+    hw._negative_number_matcher = _NEGATIVE_NUMBER
 
     projmass = _add_direct_parser(subs, "projmass", "projection mass lower-tail experiment")
     projmass.add_argument("--size", type=int)

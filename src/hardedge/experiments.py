@@ -10,6 +10,9 @@ host windows ...", before any draw.  deloc takes every eigenvector in
 pass/fail bands are the module constants below: desk-calibrated, not claims
 about the theory's constants, and not configurable; the calibration
 provenance is complex-gaussian pilot runs at N <= 1024, seeds O(1), 2026-08.
+The grids the verdicts read (apriori's K thresholds, locallaw's deviation
+levels, the number of derived windows) are constants too; `k_grid` is
+wegner's alone.
 
 Every experiment derives one sub-seed per matrix size and one seed per trial
 below that, and runs its trials in order; BLAS threads are the only
@@ -105,6 +108,13 @@ HARDEDGE_MEDIAN_FACTOR = 2.0
 SPACING_LO = 0.5
 SPACING_HI = 2.0
 
+# apriori: the K of the thresholds K * N*eta/sqrt(E); holds APRIORI_REFERENCE_K
+APRIORI_K_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+# locallaw: the sqrt(E)-scaled deviations whose tails are reported; holds LOCALLAW_EPSILON
+LOCALLAW_EPSILON_GRID = (0.05, 0.1, 0.15, 0.2, 0.3)
+# windows per size on the derived energy ladder
+N_WINDOWS = 4
+
 
 def _integer(path: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
@@ -196,12 +206,10 @@ _FIELDS = {
     "trials": _where(_integer, lambda n: n >= 30, ">= 30"),
     "distribution": _kind,
     "kappa": _where(_number, lambda x: 0 < x < 1, "in (0, 1)"),
-    "epsilon_grid": _list_of(_positive),
     "k_grid": _list_of(_positive, increasing=True),
     "l_grid": _list_of(_count, increasing=True),
     "seed": _seed,
     "scale_min": _positive,
-    "n_windows": _count,
     "windows": lambda path, value: None if value is None else _list_of(_window)(path, value),
 }
 
@@ -214,21 +222,15 @@ class ExperimentConfig:
     trials: int = 100
     distribution: str = "complex-gaussian"
     kappa: float = 0.5
-    epsilon_grid: tuple[float, ...] = (0.05, 0.1, 0.15, 0.2, 0.3)
     k_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
     l_grid: tuple[int, ...] = (1, 2, 3, 4, 5)
     seed: int = 1
     scale_min: float = 50.0
-    n_windows: int = 4
     windows: tuple[Window, ...] | None = None
 
     def __post_init__(self) -> None:
         for name, parse in _FIELDS.items():
             object.__setattr__(self, name, parse(name, getattr(self, name)))
-
-    @property
-    def entry_distribution(self) -> EntryDistribution:
-        return EntryDistribution(self.distribution)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -328,11 +330,8 @@ def derived_windows(cfg: ExperimentConfig, size: int) -> tuple[Window, ...]:
             f"sizes: N={size} cannot host windows at scale_min={cfg.scale_min} "
             f"with kappa={cfg.kappa} (floor {lo:.3g} >= ceiling {hi:.3g})"
         )
-    if cfg.n_windows == 1:
-        energies = [hi / 2.0]
-    else:
-        ratio = (hi / lo) ** (1.0 / (cfg.n_windows - 1))
-        energies = [lo * ratio**j for j in range(cfg.n_windows)]
+    ratio = (hi / lo) ** (1.0 / (N_WINDOWS - 1))
+    energies = [lo * ratio**j for j in range(N_WINDOWS)]
     return tuple(Window(e, cfg.scale_min * math.sqrt(e) / size) for e in energies)
 
 
@@ -351,7 +350,7 @@ def _windows_for(cfg: ExperimentConfig, size: int, enforce_scale: bool) -> tuple
 
 
 def _require_bounded_density(cfg: ExperimentConfig, theorem: str) -> None:
-    if not cfg.entry_distribution.density_bounded:
+    if not EntryDistribution(cfg.distribution).density_bounded:
         raise ConfigError(
             f"distribution: {cfg.distribution!r} has an atomic part density and is "
             f"excluded from the {theorem} experiment"
@@ -380,7 +379,7 @@ def run_apriori(cfg: ExperimentConfig) -> TheoremReport:
         for w in windows_by_size[size]:
             counts = eigenvalue_count(spectra[size], w)
             scale = w.point.scale(size)
-            for k in cfg.k_grid:
+            for k in APRIORI_K_GRID:
                 threshold = k * scale
                 tail = _exceedance(int(np.sum(counts >= threshold)), cfg.trials)
                 p = tail["statistic"]
@@ -404,7 +403,7 @@ def run_apriori(cfg: ExperimentConfig) -> TheoremReport:
                         )
     summary = {
         "reference_k": APRIORI_REFERENCE_K,
-        "max_reference_exceedance": max(reference_cells) if reference_cells else None,
+        "max_reference_exceedance": max(reference_cells),
         "cells": len(rows),
     }
     return TheoremReport(
@@ -419,8 +418,6 @@ def run_apriori(cfg: ExperimentConfig) -> TheoremReport:
 def run_local_law(cfg: ExperimentConfig) -> TheoremReport:
     """Deviation tails of the empirical transform and of the window counting form."""
     _require_bounded_density(cfg, "local-law")
-    eps_grid = tuple(sorted(set(cfg.epsilon_grid) | {LOCALLAW_EPSILON}))
-
     windows_by_size = {size: _windows_for(cfg, size, enforce_scale=False) for size in cfg.sizes}
     spectra = _spectra(cfg)
 
@@ -440,7 +437,7 @@ def run_local_law(cfg: ExperimentConfig) -> TheoremReport:
             )
             scale = w.point.scale(size)
             for form, devs in (("transform", transform_devs), ("count", counting_devs)):
-                for eps in eps_grid:
+                for eps in LOCALLAW_EPSILON_GRID:
                     tail = _exceedance(int(np.sum(devs >= eps)), cfg.trials)
                     p = tail["statistic"]
                     rows.append(
@@ -614,6 +611,17 @@ def run_wegner(cfg: ExperimentConfig) -> TheoremReport:
     )
 
 
+def _central_gaps(block: np.ndarray) -> np.ndarray:
+    """Per trial of a (trials, N) ascending block: the mean of the up to ten
+    consecutive gaps around the eigenvalue nearest 2.  The gaps telescope, so
+    the mean is the span of the slice over its number of gaps."""
+    center = np.argmin(np.abs(block - 2.0), axis=1)
+    lo = np.maximum(center - 5, 0)
+    hi = np.minimum(center + 5, block.shape[1] - 1)
+    trial = np.arange(len(block))
+    return (block[trial, hi] - block[trial, lo]) / (hi - lo)
+
+
 def run_hard_edge_scaling(cfg: ExperimentConfig) -> TheoremReport:
     """N^2 scaling of the smallest eigenvalue and the 1/(N rho) bulk spacing near E=2."""
     _require_two_or_more(cfg, "the central spacing needs two eigenvalues")
@@ -624,11 +632,7 @@ def run_hard_edge_scaling(cfg: ExperimentConfig) -> TheoremReport:
     medians = {}
     for size in cfg.sizes:
         scaled = spectra[size][:, 0] * size**2
-        spacing = []
-        for eigs in spectra[size]:
-            center = int(np.argmin(np.abs(eigs - 2.0)))
-            gaps = np.diff(eigs[max(0, center - 5) : min(len(eigs), center + 6)])
-            spacing.append(float(np.mean(gaps)) * size * rho2)
+        spacing = _central_gaps(spectra[size]) * size * rho2
         if np.any(scaled <= 0):
             failures.append(f"N={size}: nonpositive smallest eigenvalue observed")
         median = float(np.median(scaled))
@@ -687,6 +691,7 @@ def run_identity_suite(
     trials = _count("trials", trials)
     sizes = _sizes("sizes", sizes)
     seed = _seed("seed", seed)
+    distribution = _kind("distribution", distribution)
     points = [SpectralPoint(e, h) for e, h in _IDENTITY_THETA_GRID]
     thetas = np.array([p.theta for p in points])[:, None, None]
 
@@ -783,7 +788,7 @@ def run_hw_experiment(
         _count("size", size)
     trials = _where(_integer, lambda n: n >= 100, ">= 100")("trials", trials)
     seed = _seed("seed", seed)
-    dist = EntryDistribution(distribution)
+    dist = EntryDistribution(_kind("distribution", distribution))
     operator = np.ones(size) if spectrum is None else np.asarray(spectrum, dtype=float)
     hits, norm = hw_tail_curve(operator, dist, trials, deltas, seed)
     grid = np.asarray(deltas, dtype=float)
@@ -842,7 +847,7 @@ def run_projection_mass_experiment(
     seed = _seed("seed", seed)
     m_entry = _where(_integer, lambda m: 1 <= m <= size, f"in [1, {size}]")
     m_grid = _list_of(m_entry, increasing=True)("m_grid", m_grid)
-    dist = EntryDistribution(distribution)
+    dist = EntryDistribution(_kind("distribution", distribution))
     rows = []
     failures = []
     ratios = []

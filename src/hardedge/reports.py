@@ -1,8 +1,9 @@
 """Deterministic report files: JSON, CSV, and a digest manifest.
 
-Reports must be byte-identical for identical (config, seed) runs, so floats
-are written with 17 significant digits (round-trip exact for IEEE doubles),
-JSON keys are sorted, and nothing except the manifest run id carries a
+Reports must be byte-identical for identical (config, seed) runs, so CSV
+floats are written with 17 significant digits (`%.17g`) and JSON floats in
+Python's shortest round-trip form (both read back to the same double), JSON
+keys are sorted, and nothing except the manifest run id carries a
 timestamp.  Non-finite floats (possible in summaries, e.g. an exceedance
 ratio at a zero-hit cell) are encoded as the strings "inf"/"-inf"/"nan"
 because JSON has no literal for them.  The manifest records the numpy and

@@ -171,7 +171,6 @@ def test_criterion_08_local_law_desk_scale():
                 trials=200,
                 seed=102,
                 windows=(Window(2.0, 0.1),),
-                epsilon_grid=(0.15,),
             )
         )
         exceedance = {

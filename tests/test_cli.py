@@ -122,6 +122,24 @@ def test_mp_cdf_and_mass_at_a_tiny_energy(capsys):
     assert run(capsys, ["mp", "--mass", "0", "1e-20"])[:2] == (0, "6.3662e-11\n")
 
 
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        pytest.param(["mp", "--cdf", "-1e-3"], "0\n", id="cdf"),
+        pytest.param(["mp", "--stieltjes", "-1e2", "1e-3"], "0.00990195+9.80581e-08i\n", id="stieltjes"),
+    ],
+)
+def test_mp_reads_negative_numbers_with_an_exponent(capsys, argv, printed):
+    # argparse's own negative-number pattern has no exponent: "-1e-3" was a flag
+    assert run(capsys, argv)[:2] == (0, printed)
+
+
+def test_hw_reads_a_negative_spectrum_entry_with_an_exponent(tmp_path, capsys):
+    code, out, err = run(capsys, ["hw", "--spectrum", "-1e-3", "1", "--trials", "100", "--out", str(tmp_path)])
+    assert code in (0, 1), err
+    assert "quadratic-form-tail:" in out
+
+
 def test_mp_stieltjes_at_subnormal_theta(capsys):
     # 4/theta overflows at |theta| = 1e-310; the transform is about 1/sqrt(-theta)
     assert run(capsys, ["mp", "--stieltjes", "0", "1e-310"])[:2] == (0, "7.07107e+154+7.07107e+154i\n")
@@ -305,10 +323,12 @@ def test_config_error_exits_2_and_names_field(tmp_path, capsys):
         ("scale_min", "50", "scale_min"),
         ("windows", [{"energy": "2", "eta": 0.1}], "windows[0].energy"),
         ("thresholds", {"deloc_cap": 15.0}, "thresholds"),
-        ("epsilon_grid", [math.nan], "epsilon_grid[0]"),
-        ("k_grid", [1.0, math.inf], "k_grid[1]"),
+        pytest.param("k_grid", [1.0, math.inf], "k_grid[1]", id="k_grid-value7-k_grid[1]"),
         # like thresholds, the log-power exponent b is no config key: no report reads it
         ("b", 4, "b"),
+        # nor are the verdict grids: apriori's K, locallaw's epsilon, the window count
+        ("n_windows", 4, "n_windows"),
+        ("epsilon_grid", [0.15], "epsilon_grid"),
     ],
 )
 def test_config_of_wrong_json_type_exits_2_and_names_field(tmp_path, capsys, key, value, path):

@@ -5,6 +5,7 @@ full-scale sweeps live in the acceptance tests.  Statistical verdicts are
 deterministic because every runner derives its stream from (seed, size).
 """
 
+import ast
 import dataclasses
 import json
 import math
@@ -71,34 +72,27 @@ def test_config_round_trip_with_windows():
         ("scale_min", math.inf),
         ("kappa", 0.0),
         ("kappa", 1.0),
-        ("epsilon_grid", ()),
-        pytest.param("epsilon_grid[1]", (0.1, -0.2), id="epsilon_grid-value9"),
         pytest.param("k_grid[0]", (0.0,), id="k_grid-value10"),
-        ("l_grid", (2, 1)),
-        ("l_grid", (1, 1)),
+        pytest.param("l_grid", (2, 1), id="l_grid-value11"),
+        pytest.param("l_grid", (1, 1), id="l_grid-value12"),
         pytest.param("l_grid[0]", (0, 1), id="l_grid-value13"),
         ("seed", -1),
         ("seed", 2**64),
         ("scale_min", 0.0),
-        ("n_windows", 0),
-        ("windows", ()),
-        ("sizes[1]", (128, 128)),
-        ("sizes[2]", (64, 96, 64)),
-        ("sizes[0]", (64.0,)),
+        pytest.param("windows", (), id="windows-value18"),
+        pytest.param("sizes[1]", (128, 128), id="sizes[1]-value19"),
+        pytest.param("sizes[2]", (64, 96, 64), id="sizes[2]-value20"),
+        pytest.param("sizes[0]", (64.0,), id="sizes[0]-value21"),
         ("trials", 30.5),
-        ("k_grid", (4.0, 0.25)),
-        ("k_grid", (1.0, 1.0)),
-        ("l_grid[1]", (1, 2.5)),
+        pytest.param("k_grid", (4.0, 0.25), id="k_grid-value23"),
+        pytest.param("k_grid", (1.0, 1.0), id="k_grid-value24"),
+        pytest.param("l_grid[1]", (1, 2.5), id="l_grid[1]-value25"),
         ("seed", 1.5),
-        ("n_windows", 2.5),
-        pytest.param("epsilon_grid[0]", (math.nan,), id="epsilon_grid-value28"),
-        pytest.param("epsilon_grid[1]", (0.1, math.inf), id="epsilon_grid-value29"),
         pytest.param("k_grid[1]", (1.0, math.inf), id="k_grid-value30"),
         pytest.param("k_grid[0]", (math.nan, 1.0), id="k_grid-value31"),
         pytest.param("k_grid[1]", (1.0, math.nan, 2.0), id="k_grid-value32"),
         ("scale_min", False),
         ("scale_min", True),
-        ("epsilon_grid[0]", (True,)),
     ],
 )
 def test_config_rejects_and_names_the_field(field, value):
@@ -120,6 +114,23 @@ def test_from_dict_rejects_unknown_key():
     # no report reads the log-power exponent b, so it is no config key
     with pytest.raises(ConfigError, match="^b: unknown config key"):
         ExperimentConfig.from_dict({"b": 4})
+    # nor are the grids the verdicts read: they are module constants
+    with pytest.raises(ConfigError, match="^n_windows: unknown config key"):
+        ExperimentConfig.from_dict({"n_windows": 4})
+    with pytest.raises(ConfigError, match="^epsilon_grid: unknown config key"):
+        ExperimentConfig.from_dict({"epsilon_grid": [0.15]})
+
+
+def test_verdict_grids_are_no_config_fields():
+    # apriori's K grid, locallaw's epsilon grid and the window count are
+    # module constants; k_grid is wegner's window widths alone
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        "sizes", "trials", "distribution", "kappa", "k_grid", "l_grid", "seed", "scale_min", "windows",
+    ]
+    with pytest.raises(TypeError):
+        ExperimentConfig(n_windows=4)
+    with pytest.raises(TypeError):
+        ExperimentConfig(epsilon_grid=(0.15,))
 
 
 def test_from_dict_rejects_non_object():
@@ -148,17 +159,17 @@ def test_from_dict_parses_every_field():
 @pytest.mark.parametrize(
     "data, path",
     [
-        ({"n_windows": True}, "n_windows"),
+        # Python counts a bool as an int; JSON does not
+        ({"seed": True}, "seed"),
         ({"trials": 30.0}, "trials"),
         ({"l_grid": [1, 2.5]}, "l_grid[1]"),
         ({"k_grid": [1.0, False]}, "k_grid[1]"),
         ({"windows": [{"energy": 2.0, "eta": None}]}, "windows[0].eta"),
         # Python's json reads NaN and Infinity as floats
-        ({"epsilon_grid": [math.nan]}, "epsilon_grid[0]"),
-        ({"k_grid": [1.0, math.inf]}, "k_grid[1]"),
-        ({"scale_min": -math.inf}, "scale_min"),
-        ({"windows": [{"energy": 2.0, "eta": math.nan}]}, "windows[0].eta"),
-        ({"scale_min": 10**400}, "scale_min"),
+        pytest.param({"k_grid": [1.0, math.inf]}, "k_grid[1]", id="data6-k_grid[1]"),
+        pytest.param({"scale_min": -math.inf}, "scale_min", id="data7-scale_min"),
+        pytest.param({"windows": [{"energy": 2.0, "eta": math.nan}]}, "windows[0].eta", id="data8-windows[0].eta"),
+        pytest.param({"scale_min": 10**400}, "scale_min", id="data9-scale_min"),
     ],
 )
 def test_from_dict_accepts_only_json_numbers(data, path):
@@ -168,9 +179,9 @@ def test_from_dict_accepts_only_json_numbers(data, path):
 
 
 def test_from_dict_coerces_lists():
-    cfg = ExperimentConfig.from_dict({"sizes": [64, 96], "epsilon_grid": [0.1, 0.2]})
+    cfg = ExperimentConfig.from_dict({"sizes": [64, 96], "k_grid": [0.1, 0.2]})
     assert cfg.sizes == (64, 96)
-    assert cfg.epsilon_grid == (0.1, 0.2)
+    assert cfg.k_grid == (0.1, 0.2)
 
 
 def test_every_construction_path_normalises():
@@ -201,26 +212,29 @@ def test_readme_config_example_is_the_default():
         assert ExperimentConfig.from_dict(json.loads(block)) == ExperimentConfig()
 
 
+def test_readme_constants_table_matches_the_module():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Experiment configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, re.M)
+    assert rows
+    for name, value in rows:
+        assert getattr(experiments, name) == ast.literal_eval(value.strip()), name
+
+
 # --- window ladder ------------------------------------------------------
 
 
 def test_derived_windows_formula():
-    cfg = ExperimentConfig(sizes=(96,), scale_min=20.0, kappa=0.5, n_windows=4)
+    cfg = ExperimentConfig(sizes=(96,), scale_min=20.0, kappa=0.5)
     windows = derived_windows(cfg, 96)
     lo = 2.0 * (20.0 / (0.5 * 96)) ** 2
     hi = 3.5
     ratio = (hi / lo) ** (1.0 / 3.0)
-    assert len(windows) == 4
+    assert len(windows) == experiments.N_WINDOWS == 4
     for j, w in enumerate(windows):
         assert w.energy == pytest.approx(lo * ratio**j, rel=1e-12)
         assert w.eta == pytest.approx(20.0 * math.sqrt(w.energy) / 96, rel=1e-12)
     assert windows[-1].energy == pytest.approx(hi, rel=1e-12)
-
-
-def test_derived_windows_single():
-    cfg = ExperimentConfig(sizes=(96,), n_windows=1, kappa=0.5, scale_min=20.0)
-    (w,) = derived_windows(cfg, 96)
-    assert w.energy == pytest.approx(1.75)
 
 
 def test_derived_windows_rejects_small_size():
@@ -254,6 +268,18 @@ def test_apriori_small(small_cfg):
         # one set of counts per window: the tail is nonincreasing in K
         assert all(a >= b for a, b in zip(stats, stats[1:]))
     assert rep.summary["max_reference_exceedance"] <= 0.01
+
+
+def test_apriori_verdict_can_fail_whatever_k_grid_says(monkeypatch):
+    # criterion 11's config sets wegner's k_grid to (1.0,); apriori keeps its
+    # own K grid, so its reference cells exist and its tail bound is judged
+    cfg = ExperimentConfig(sizes=(256,), trials=30, seed=105, k_grid=(1.0,), l_grid=(2, 3, 4, 5))
+    rep = run_apriori(cfg)
+    assert sorted({row["K"] for row in rep.rows}) == list(experiments.APRIORI_K_GRID)
+    assert rep.summary["cells"] == experiments.N_WINDOWS * len(experiments.APRIORI_K_GRID)
+    assert isinstance(rep.summary["max_reference_exceedance"], float)
+    monkeypatch.setattr(experiments, "APRIORI_TAIL", -1.0)
+    assert not run_apriori(cfg).passed
 
 
 @pytest.mark.parametrize(
@@ -401,9 +427,9 @@ def test_local_law_small(small_cfg):
     assert rep.passed
     forms = {row["form"] for row in rep.rows}
     assert forms == {"transform", "count"}
-    # per (size, window, form): one row per grid epsilon plus the reference
-    n_eps = len(set(small_cfg.epsilon_grid) | {experiments.LOCALLAW_EPSILON})
-    assert len(rep.rows) == 2 * 4 * 2 * n_eps
+    # per (size, window, form): one row per grid epsilon, the reference among them
+    assert experiments.LOCALLAW_EPSILON in experiments.LOCALLAW_EPSILON_GRID
+    assert len(rep.rows) == 2 * experiments.N_WINDOWS * 2 * len(experiments.LOCALLAW_EPSILON_GRID)
     assert rep.summary["max_transform_exceedance_at_reference"] <= 0.05
 
 
@@ -533,6 +559,23 @@ def test_hard_edge_small(small_cfg):
         assert 0.5 < row["spacing_median"] < 2.0
 
 
+def test_central_gaps_is_the_mean_of_the_slice_gaps():
+    spectra = experiments._spectra(ExperimentConfig(sizes=(8, 128), trials=200, seed=3))
+    for size, rtol in ((128, 0.0), (8, 1e-15)):
+        block = spectra[size]
+        expected = []
+        for eigs in block:
+            center = int(np.argmin(np.abs(eigs - 2.0)))
+            expected.append(np.mean(np.diff(eigs[max(0, center - 5) : center + 6])))
+        got = experiments._central_gaps(block)
+        if rtol == 0.0:
+            # the span over the gap count is the slice mean bit for bit
+            assert np.array_equal(got, expected), size
+        else:
+            # eigenvalues below 1 at N=8: the telescoped sum rounds differently
+            np.testing.assert_allclose(got, expected, rtol=rtol, atol=0.0)
+
+
 # --- exact identities ------------------------------------------------------
 
 
@@ -609,6 +652,19 @@ def test_identity_suite_rejects_bad_sizes(sizes, path):
     with pytest.raises(ConfigError) as err:
         run_identity_suite(sizes=sizes, trials=2)
     assert str(err.value).startswith(f"{path}:")
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [
+        pytest.param(lambda: run_identity_suite(sizes=(8,), trials=2, distribution="nope"), id="identities"),
+        pytest.param(lambda: run_hw_experiment(distribution="nope", trials=100, size=8), id="hw"),
+        pytest.param(lambda: run_projection_mass_experiment(distribution="nope", trials=100, size=8, m_grid=(2, 4)), id="projmass"),
+    ],
+)
+def test_direct_runners_name_a_bad_distribution(runner):
+    with pytest.raises(ConfigError, match="^distribution: unknown kind 'nope'"):
+        runner()
 
 
 # --- tail experiments -------------------------------------------------------
