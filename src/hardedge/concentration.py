@@ -3,7 +3,9 @@ quadratic-form (Hanson-Wright type) tails and projection-mass lower tails.
 
 Shapes and monotone trends are what gets verified; the inequalities' absolute
 constants are left alone.  The probes return raw hit counts; the experiments
-turn them into report rows with Wilson intervals.
+turn them into report rows with Wilson intervals.  Each probe serves its whole
+grid from one sample set: hw's deltas share the quadratic forms, and
+projmass's m grid shares one nested frame per trial, read a prefix per m.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ __all__ = [
 ]
 
 _CHUNK = 2048
-# Haar trials per stacked Gram solve.  Kept small on purpose: each trial
-# holds a size x m family, so _CHUNK trials would draw 52 MB at m=25, while
-# 32 keeps the transient near 2 MB and is no slower than larger stacks.
+# Haar trials per stacked Cholesky solve.  Kept small on purpose: each trial
+# holds a size x M frame (M the last m), so _CHUNK trials would draw 52 MB at
+# size 64 and M=25, while 32 keeps the frame near 0.8 MB and ran faster than
+# stacks of 64 or 256.
 _HAAR_CHUNK = 32
 _Z95 = 1.959963984540054
 
@@ -43,11 +46,12 @@ def wilson_interval(hits: int, trials: int, z: float = _Z95) -> tuple[float, flo
     return lo, hi
 
 
-def _chunked_draws(kind: str, trials: int, width: int, seed: int):
-    """Yield trials x width entry draws in blocks of _CHUNK rows; block i has
-    its own stream, seeded derive_trial_seed(seed, i)."""
+def _chunks(trials: int, seed: int):
+    """Yield (generator, rows) for blocks of _CHUNK trials; block i draws from
+    its own stream, seeded derive_trial_seed(seed, i).  The generator is valid
+    until the next block is taken."""
     for index, start in enumerate(range(0, trials, _CHUNK)):
-        yield draw_entries(stream(seed, index), kind, (min(_CHUNK, trials - start), width))
+        yield stream(seed, index), min(_CHUNK, trials - start)
 
 
 def hw_tail_curve(
@@ -85,44 +89,69 @@ def hw_tail_curve(
         0 <= deltas[0] and deltas[-1] < math.inf and np.all(np.diff(deltas) > 0)
     ):
         raise ValueError("deltas must be a nonempty, strictly increasing grid of finite reals >= 0")
-    draws = _chunked_draws(dist.kind, trials, len(lam), seed)
-    stats = np.concatenate([np.abs((np.abs(x) ** 2 - 1.0) @ lam) for x in draws])
+    stats = np.concatenate([
+        np.abs((np.abs(draw_entries(rng, dist.kind, (rows, len(lam)))) ** 2 - 1.0) @ lam)
+        for rng, rows in _chunks(trials, seed)
+    ])
     return np.array([int(np.sum(stats >= d)) for d in deltas]), norm
 
 
-def _coordinate_hits(m: int, kind: str, trials: int, seed: int) -> int:
-    """Hits of the mass on the first m coordinate vectors, sum_{a<=m} |x_a|^2 <= m/2."""
-    draws = _chunked_draws(kind, trials, m, seed)
-    return sum(int(np.sum(np.sum(np.abs(x) ** 2, axis=1) <= m / 2.0)) for x in draws)
+def _steps(m_grid) -> list[tuple[int, int]]:
+    """The grid's steps (0, m_1), (m_1, m_2), ...: the columns each one adds."""
+    return list(zip((0, *m_grid), m_grid))
 
 
-def _haar_hits(m: int, size: int, kind: str, trials: int, seed: int) -> int:
-    """Hits of the mass on span(G) for an m-column complex Gaussian G redrawn
-    each trial, a Haar m-subspace.  Each trial keeps its own stream: x, then
-    G's real and imaginary parts in one call into a real block.  The mass is
-    |P x|^2 = b^H (G^H G)^-1 b with b = G^H x, one stacked solve per chunk."""
-    hits = 0
+def _coordinate_hits(m_grid, kind: str, trials: int, seed: int) -> np.ndarray:
+    """Hits of the mass on the first m coordinate vectors, sum_{a<=m} |x_a|^2
+    <= m/2, for every m of the grid.  Each block draws x's coordinates in grid
+    steps from its stream, and the mass of m is the running sum up to m."""
+    hits = np.zeros(len(m_grid), dtype=np.int64)
+    for rng, rows in _chunks(trials, seed):
+        mass = np.zeros(rows)
+        for j, (lo, hi) in enumerate(_steps(m_grid)):
+            mass += np.sum(np.abs(draw_entries(rng, kind, (rows, hi - lo))) ** 2, axis=1)
+            hits[j] += int(np.sum(mass <= hi / 2.0))
+    return hits
+
+
+def _haar_hits(m_grid, size: int, kind: str, trials: int, seed: int) -> np.ndarray:
+    """Hits of the mass on span(G_m), the first m columns of a complex Gaussian
+    G redrawn each trial, for every m of the grid; G_m spans a Haar
+    m-subspace.  Each trial keeps its own stream: x, then G's columns in grid
+    steps, each step's real and imaginary parts in one call into a real block.
+
+    With G^H G = L L^H (Cholesky) and w = L^-1 G^H x, the leading m x m block
+    of L is the factor of G_m^H G_m, so |P_m x|^2 = sum_{a<=m} |w_a|^2: one
+    stacked factor and solve per chunk serve the whole grid."""
+    grid = np.asarray(m_grid)
+    hits = np.zeros(len(grid), dtype=np.int64)
     x = np.empty((_HAAR_CHUNK, size, 1), dtype=complex)
-    g_parts = np.empty((_HAAR_CHUNK, 2, size, m))
+    blocks = [np.empty((_HAAR_CHUNK, 2, size, hi - lo)) for lo, hi in _steps(m_grid)]
     for start in range(0, trials, _HAAR_CHUNK):
         take = min(_HAAR_CHUNK, trials - start)
         for i in range(take):
             rng = stream(seed, start + i)
             x[i, :, 0] = draw_entries(rng, kind, (size,))
-            rng.standard_normal(out=g_parts[i])
-        g = g_parts[:take, 0] + 1j * g_parts[:take, 1]
+            for block in blocks:
+                rng.standard_normal(out=block[i])
+        g = np.concatenate([b[:take, 0] + 1j * b[:take, 1] for b in blocks], axis=2)
         gh = g.conj().transpose(0, 2, 1)
-        b = gh @ x[:take]
-        mass = np.real(b.conj().transpose(0, 2, 1) @ np.linalg.solve(gh @ g, b))
-        hits += int(np.sum(mass <= m / 2.0))
+        w = np.linalg.solve(np.linalg.cholesky(gh @ g), gh @ x[:take])[..., 0]
+        mass = np.cumsum(np.abs(w) ** 2, axis=1)[:, grid - 1]
+        hits += np.sum(mass <= grid / 2.0, axis=0)
     return hits
 
 
 def projection_mass_probe(
-    m: int, size: int, dist: EntryDistribution, trials: int, seed: int
-) -> tuple[int, str]:
-    """Hits of sum_{a<=m} |<x, v_a>|^2 <= m/2 for an orthonormal family
-    v_1..v_m independent of x, and the family used.
+    m_grid, size: int, dist: EntryDistribution, trials: int, seed: int
+) -> tuple[np.ndarray, str]:
+    """Hits of sum_{a<=m} |<x, v_a>|^2 <= m/2 for each m of the strictly
+    increasing m_grid, where v_1..v_M (M the last m) is an orthonormal family
+    independent of x, and the family used.
+
+    The families are nested: each trial draws one x and one M-frame, and every
+    m reads its first m vectors, so the rows share their random numbers, and
+    each row depends only on the grid up to its own m.
 
     complex-gaussian x is rotation invariant, so every such family sees the
     same law as the first m coordinate vectors, Gamma(m, 1); the probe takes
@@ -130,10 +159,13 @@ def projection_mass_probe(
     the coordinate mass is m surely), so the others redraw a Haar family
     each trial.
     """
-    if not 1 <= m <= size:
-        raise ValueError(f"m must lie in [1, {size}], got {m}")
+    grid = tuple(m_grid)
+    if not (grid and 1 <= grid[0] and grid[-1] <= size and all(a < b for a, b in zip(grid, grid[1:]))):
+        raise ValueError(
+            f"m_grid must be a nonempty, strictly increasing grid in [1, {size}], got {m_grid}"
+        )
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if dist.kind == "complex-gaussian":
-        return _coordinate_hits(m, dist.kind, trials, seed), "coordinate"
-    return _haar_hits(m, size, dist.kind, trials, seed), "haar"
+        return _coordinate_hits(grid, dist.kind, trials, seed), "coordinate"
+    return _haar_hits(grid, size, dist.kind, trials, seed), "haar"

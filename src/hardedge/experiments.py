@@ -16,10 +16,12 @@ wegner's alone.
 
 Every experiment derives one sub-seed per matrix size and one seed per trial
 below that, and runs its trials in order; BLAS threads are the only
-parallelism.  Reports are reproducible bit for bit from (config, seed) on one
-machine, numpy/OpenBLAS build and OPENBLAS_NUM_THREADS: OpenBLAS picks its
-kernels per CPU and splits work per thread, so no summation rule could make
-the last bits portable; sums are numpy's.
+parallelism.  projmass derives one sub-seed for its whole m grid, from the
+grid's first m, since every m reads a prefix of one nested frame per trial.
+Reports are reproducible bit for bit from (config, seed) on one machine,
+numpy/OpenBLAS build and OPENBLAS_NUM_THREADS: OpenBLAS picks its kernels per
+CPU and splits work per thread, so no summation rule could make the last bits
+portable; sums are numpy's.
 
 Each config field's rule lives once, in the parser table `_FIELDS`, which
 `ExperimentConfig.__post_init__` runs: a config built in Python, read from
@@ -840,7 +842,9 @@ def run_projection_mass_experiment(
 
     The m grid must stay where the direct estimator resolves: the complex-
     gaussian probability is already 4e-7 at m=64, far beyond desk trial
-    counts, so the default stops at m=25.
+    counts, so the default stops at m=25.  The rows share one nested frame
+    per trial (common random numbers across m); each row's marginal law is
+    that of an independent frame.
     """
     size = _count("size", size)
     trials = _count("trials", trials)
@@ -851,9 +855,13 @@ def run_projection_mass_experiment(
     rows = []
     failures = []
     ratios = []
-    for m in m_grid:
-        m_seed = derive_trial_seed(seed, m)
-        hits, resolved = projection_mass_probe(m, size, dist, trials, m_seed)
+    # one probe serves the grid, keyed by its first m: that row is drawn as a
+    # one-entry grid would draw it, and each row depends only on the grid up
+    # to its own m
+    hits_grid, resolved = projection_mass_probe(
+        m_grid, size, dist, trials, derive_trial_seed(seed, m_grid[0])
+    )
+    for m, hits in zip(m_grid, hits_grid.tolist()):
         tail = _exceedance(hits, trials)
         rows.append({"m": m, "sqrt_m": math.sqrt(m), "family": resolved, **tail})
         if hits == 0:

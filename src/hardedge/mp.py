@@ -153,7 +153,9 @@ def _ldexp(z: complex, exp: int) -> complex:
 def mp_stieltjes(point: SpectralPoint) -> complex:
     """Stieltjes transform of the limiting law at theta = E + i*eta, eta > 0,
     in the rationalised form of the module docstring.  The result is verified
-    to lie in the upper half plane before returning.
+    to lie in the upper half plane before returning, except that an
+    imaginary part which underflows along with its lower bound is returned
+    as +0.0.
     """
     theta = point.theta
     # the denominator (about 2 theta) overflows beyond |theta| ~ 9e307, while
@@ -163,6 +165,13 @@ def mp_stieltjes(point: SpectralPoint) -> complex:
     scaled = _ldexp(theta, -shift)
     root = cmath.sqrt(scaled) * cmath.sqrt(scaled - math.ldexp(4.0, -shift))
     value = _ldexp(-2.0 / (scaled + root), -shift)
+    if value.imag == 0.0:
+        # on the support [0, 4], Im m >= eta / (|theta| + 4)^2; where that
+        # bound underflows too, a zero (of either sign) is the true value
+        # rounded, not a transform that left the half plane
+        reach = abs(scaled) + math.ldexp(4.0, -shift)
+        if math.ldexp(scaled.imag / reach / reach, -shift) == 0.0:
+            return complex(value.real, 0.0)
     if not value.imag > 0.0:
         raise ArithmeticError(
             f"Stieltjes transform left the upper half plane at theta={theta}: {value}"

@@ -145,6 +145,11 @@ def test_mp_stieltjes_at_subnormal_theta(capsys):
     assert run(capsys, ["mp", "--stieltjes", "0", "1e-310"])[:2] == (0, "7.07107e+154+7.07107e+154i\n")
 
 
+def test_mp_stieltjes_at_an_underflowing_imaginary_part(capsys):
+    # Im m is about 1e-916 there, and its lower bound eta / (|theta| + 4)^2 underflows too
+    assert run(capsys, ["mp", "--stieltjes", "-1e308", "1e-300"])[:2] == (0, "1e-308+0i\n")
+
+
 def test_mp_bounds_line(capsys):
     code, out, _ = run(capsys, ["mp", "--bounds", "2", "0.1"])
     assert code == 0

@@ -158,33 +158,35 @@ def test_hw_rejects_bad_arguments():
 
 
 def test_projmass_gaussian_gamma_oracle():
-    # coordinate mass is Gamma(m, 1); P(<= m/2) = gammainc(m, m/2)
+    # coordinate mass is Gamma(m, 1); P(<= m/2) = gammainc(m, m/2), row by row
+    # (the rows share their draws, and each has its own marginal law)
     trials = 20000
-    for m in (1, 4, 9):
-        hits, family = projection_mass_probe(m, 32, GAUSS, trials, seed=m)
-        assert family == "coordinate"
+    hits, family = projection_mass_probe((1, 4, 9), 32, GAUSS, trials, seed=1)
+    assert family == "coordinate"
+    for m, h in zip((1, 4, 9), hits):
         lo, hi = wide_interval(float(gammainc(m, m / 2)), trials)
-        assert lo <= hits / trials <= hi, (m, hits)
+        assert lo <= h / trials <= hi, (m, h)
 
 
 def test_projmass_haar_matches_gamma_for_gaussian():
-    # rotation invariance: a Haar family sees the same law
-    hits = _haar_hits(4, 16, GAUSS.kind, 4000, seed=1)
-    lo, hi = wide_interval(float(gammainc(4, 2.0)), 4000)
-    assert lo <= hits / 4000 <= hi
+    # rotation invariance: a Haar family sees the same law, at every m of the nested frame
+    hits = _haar_hits((4, 9), 16, GAUSS.kind, 4000, seed=1)
+    for m, h in zip((4, 9), hits):
+        lo, hi = wide_interval(float(gammainc(m, m / 2)), 4000)
+        assert lo <= h / 4000 <= hi, (m, h)
 
 
 def test_projmass_uniform_coordinate_m1():
     # P(a^2 + b^2 <= 1/2) for (a, b) uniform on [-sqrt(1.5), sqrt(1.5)]^2
     trials = 20000
-    hits = _coordinate_hits(1, UNIFORM.kind, trials, seed=6)
+    (hits,) = _coordinate_hits((1,), UNIFORM.kind, trials, seed=6)
     lo, hi = wide_interval(math.pi / 12, trials)
     assert lo <= hits / trials <= hi
 
 
 def test_projmass_rademacher_coordinate_is_zero():
     # coordinate mass equals m surely, never <= m/2
-    assert _coordinate_hits(5, RADEMACHER.kind, 300, seed=0) == 0
+    assert _coordinate_hits((1, 5), RADEMACHER.kind, 300, seed=0).tolist() == [0, 0]
     # a zero-hit row: P(Gamma(64, 1) <= 32) = 4e-7
     report = run_projection_mass_experiment("complex-gaussian", 300, 0, size=64, m_grid=(64,))
     assert report.rows[0]["statistic"] == 0.0
@@ -192,40 +194,66 @@ def test_projmass_rademacher_coordinate_is_zero():
 
 
 def test_projmass_auto_family_selection():
-    assert projection_mass_probe(2, 8, GAUSS, 50, seed=0)[1] == "coordinate"
-    assert projection_mass_probe(2, 8, RADEMACHER, 50, seed=0)[1] == "haar"
-    assert projection_mass_probe(2, 8, UNIFORM, 50, seed=0)[1] == "haar"
+    assert projection_mass_probe((2,), 8, GAUSS, 50, seed=0)[1] == "coordinate"
+    assert projection_mass_probe((2,), 8, RADEMACHER, 50, seed=0)[1] == "haar"
+    assert projection_mass_probe((2,), 8, UNIFORM, 50, seed=0)[1] == "haar"
 
 
 def test_projmass_deterministic():
-    a = projection_mass_probe(3, 12, UNIFORM, 500, seed=13)
-    b = projection_mass_probe(3, 12, UNIFORM, 500, seed=13)
-    assert a == b
+    a, family_a = projection_mass_probe((1, 3), 12, UNIFORM, 500, seed=13)
+    b, family_b = projection_mass_probe((1, 3), 12, UNIFORM, 500, seed=13)
+    assert a.tolist() == b.tolist() and family_a == family_b
 
 
-def _haar_hits_per_trial(m, size, dist, trials, seed):
-    """Haar hit count one trial at a time, projecting through a QR basis."""
-    hits = 0
+def _haar_hits_per_trial(m_grid, size, dist, trials, seed):
+    """Haar hit counts one trial at a time: x, then the frame's columns in grid
+    steps, each step's real then imaginary parts; each m projects through a QR
+    basis of the frame's first m columns."""
+    hits = [0] * len(m_grid)
     for trial in range(trials):
         rng = np.random.Generator(np.random.Philox(key=derive_trial_seed(seed, trial)))
         x = draw_entries(rng, dist.kind, (size,))
-        q, _ = np.linalg.qr(rng.standard_normal((size, m)) + 1j * rng.standard_normal((size, m)))
-        hits += float(np.sum(np.abs(q.conj().T @ x) ** 2)) <= m / 2
+        steps = []
+        for lo, hi in zip((0, *m_grid), m_grid):
+            parts = rng.standard_normal((2, size, hi - lo))
+            steps.append(parts[0] + 1j * parts[1])
+        frame = np.concatenate(steps, axis=1)
+        for j, m in enumerate(m_grid):
+            q, _ = np.linalg.qr(frame[:, :m])
+            hits[j] += float(np.sum(np.abs(q.conj().T @ x) ** 2)) <= m / 2
     return hits
 
 
+# ids read (last m)-size-trials; the cases take trial counts off the chunk
+# grid, a one-entry grid, and grids ending at m = size
 @pytest.mark.parametrize("dist", [UNIFORM, RADEMACHER], ids=lambda d: d.kind)
-@pytest.mark.parametrize("m, size, trials", [(1, 8, 33), (4, 16, 65), (8, 8, 40), (2, 2, 40)])
-def test_projmass_haar_chunks_match_per_trial_qr(dist, m, size, trials):
-    # trial counts off the chunk grid, m = 1 and m = size
-    hits, _ = projection_mass_probe(m, size, dist, trials, seed=size + m)
-    assert hits == _haar_hits_per_trial(m, size, dist, trials, size + m)
+@pytest.mark.parametrize(
+    "m_grid, size, trials",
+    [
+        pytest.param((1,), 8, 33, id="1-8-33"),
+        pytest.param((1, 2, 4), 16, 65, id="4-16-65"),
+        pytest.param((3, 8), 8, 40, id="8-8-40"),
+        pytest.param((1, 2), 2, 40, id="2-2-40"),
+    ],
+)
+def test_projmass_haar_chunks_match_per_trial_qr(dist, m_grid, size, trials):
+    seed = size + m_grid[-1]
+    hits, _ = projection_mass_probe(m_grid, size, dist, trials, seed=seed)
+    assert hits.tolist() == _haar_hits_per_trial(m_grid, size, dist, trials, seed)
+
+
+@pytest.mark.parametrize("dist", [UNIFORM, GAUSS], ids=lambda d: d.kind)
+def test_projmass_rows_depend_only_on_the_grid_up_to_their_m(dist):
+    # the frame is drawn in grid steps, so a shorter grid reads the same prefix
+    full = run_projection_mass_experiment(dist.kind, 2000, 5, size=32)
+    prefix = run_projection_mass_experiment(dist.kind, 2000, 5, size=32, m_grid=(4, 9))
+    assert [row["m"] for row in full.rows[:2]] == [4, 9]
+    assert list(prefix.rows) == list(full.rows[:2])
 
 
 def test_projmass_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="m must"):
-        projection_mass_probe(9, 8, GAUSS, 100, seed=0)
-    with pytest.raises(ValueError, match="m must"):
-        projection_mass_probe(0, 8, GAUSS, 100, seed=0)
+    for m_grid in [(9,), (0,), (), (4, 4), (4, 2), (2, 9)]:
+        with pytest.raises(ValueError, match="m_grid must"):
+            projection_mass_probe(m_grid, 8, GAUSS, 100, seed=0)
     with pytest.raises(ValueError, match="trials"):
-        projection_mass_probe(2, 8, GAUSS, 0, seed=0)
+        projection_mass_probe((2,), 8, GAUSS, 0, seed=0)

@@ -25,6 +25,7 @@ from hardedge import (
     mp_stieltjes,
     mp_window_mass,
 )
+import hardedge.mp as mp_module
 from hardedge.mp import MAX_MOMENT_ORDER
 from mp_oracle import density_quadrature, moment_quadrature, stieltjes_quadrature
 
@@ -176,6 +177,22 @@ def test_stieltjes_at_subnormal_theta_is_one_over_sqrt_minus_theta(energy, eta):
     reference = 1.0 / cmath.sqrt(-theta)
     assert value.imag > 0.0
     assert abs(value - reference) <= 1e-15 * abs(reference)
+
+
+@pytest.mark.parametrize("energy, eta", [(-1e308, 1e-300), (-1e300, 1e-300), (-1e150, 1e-300)])
+def test_stieltjes_returns_an_underflowed_imaginary_part_as_zero(energy, eta):
+    # Im m >= eta / (|theta| + 4)^2 underflows float64, and so does Im m itself
+    value = mp_stieltjes(SpectralPoint(energy, eta))
+    assert math.copysign(1.0, value.imag) == 1.0 and value.imag == 0.0
+    assert value.real == pytest.approx(-1.0 / energy, rel=1e-15)
+
+
+def test_stieltjes_still_refuses_a_zero_it_could_represent(monkeypatch):
+    # a broken root cancelling theta's imaginary part gives the real value -1
+    # at theta = 2 + 0.1i, where the bound 0.1 / 36 is representable
+    monkeypatch.setattr(mp_module.cmath, "sqrt", lambda z: 1.0 if z.real > 0 else complex(0.0, -z.imag))
+    with pytest.raises(ArithmeticError, match=r"upper half plane at theta=\(2\+0.1j\): \(-1"):
+        mp_stieltjes(SpectralPoint(2.0, 0.1))
 
 
 def test_bounds_refuse_an_underflowing_norm():
