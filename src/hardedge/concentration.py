@@ -5,7 +5,8 @@ Shapes and monotone trends are what gets verified; the inequalities' absolute
 constants are left alone.  The probes return raw hit counts; the experiments
 turn them into report rows with Wilson intervals.  Each probe serves its whole
 grid from one sample set: hw's deltas share the quadratic forms, and
-projmass's m grid shares one nested frame per trial, read a prefix per m.
+projmass's m grid shares one nested frame per trial, read a prefix per m
+(Haar: a Gaussian frame for the first m, the exact Dirichlet law past it).
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ __all__ = [
 ]
 
 _CHUNK = 2048
-# Haar trials per stacked Cholesky solve.  Kept small on purpose: each trial
-# holds a size x M frame (M the last m), so _CHUNK trials would draw 52 MB at
-# size 64 and M=25, while 32 keeps the frame near 0.8 MB and ran faster than
-# stacks of 64 or 256.
+# Haar trials per stacked Cholesky solve.  The per-trial draws dominate, so
+# the probe's time is flat from 8 to 4,000 per stack (size 64, m_1 = 4); 32
+# keeps a frame of m_1 = size = 64 columns at 2 MB, where _CHUNK takes 134 MB.
 _HAAR_CHUNK = 32
 _Z95 = 1.959963984540054
 
@@ -96,11 +96,6 @@ def hw_tail_curve(
     return np.array([int(np.sum(stats >= d)) for d in deltas]), norm
 
 
-def _steps(m_grid) -> list[tuple[int, int]]:
-    """The grid's steps (0, m_1), (m_1, m_2), ...: the columns each one adds."""
-    return list(zip((0, *m_grid), m_grid))
-
-
 def _coordinate_hits(m_grid, kind: str, trials: int, seed: int) -> np.ndarray:
     """Hits of the mass on the first m coordinate vectors, sum_{a<=m} |x_a|^2
     <= m/2, for every m of the grid.  Each block draws x's coordinates in grid
@@ -108,38 +103,43 @@ def _coordinate_hits(m_grid, kind: str, trials: int, seed: int) -> np.ndarray:
     hits = np.zeros(len(m_grid), dtype=np.int64)
     for rng, rows in _chunks(trials, seed):
         mass = np.zeros(rows)
-        for j, (lo, hi) in enumerate(_steps(m_grid)):
+        for j, (lo, hi) in enumerate(zip((0, *m_grid), m_grid)):
             mass += np.sum(np.abs(draw_entries(rng, kind, (rows, hi - lo))) ** 2, axis=1)
             hits[j] += int(np.sum(mass <= hi / 2.0))
     return hits
 
 
-def _haar_hits(m_grid, size: int, kind: str, trials: int, seed: int) -> np.ndarray:
-    """Hits of the mass on span(G_m), the first m columns of a complex Gaussian
-    G redrawn each trial, for every m of the grid; G_m spans a Haar
-    m-subspace.  Each trial keeps its own stream: x, then G's columns in grid
-    steps, each step's real and imaginary parts in one call into a real block.
-
-    With G^H G = L L^H (Cholesky) and w = L^-1 G^H x, the leading m x m block
-    of L is the factor of G_m^H G_m, so |P_m x|^2 = sum_{a<=m} |w_a|^2: one
-    stacked factor and solve per chunk serve the whole grid."""
+def _haar_masses(m_grid, size: int, kind: str, trials: int, seed: int) -> np.ndarray:
+    """|P_m x|^2 on the first m vectors of a nested Haar frame, per trial (rows)
+    and m of the grid (columns).  Each trial's own stream draws x, a complex
+    Gaussian G_1 of m_1 columns (real and imaginary parts in one call into a
+    real block), then size - m_1 Exp(1) values e.  With G_1^H G_1 = L L^H and
+    w = L^-1 G_1^H x, mass_1 = |w|^2, one stacked solve per chunk.  Given
+    (x, G_1), the rest of a Haar flag is a Haar basis of span(G_1)'s
+    complement, where a fixed vector's squared coordinates are Dirichlet(1,
+    ..., 1) = e / sum(e); so later m have exactly an independent frame's law:
+    mass_1 + (|x|^2 - mass_1) * cumsum(e)[m - m_1 - 1] / sum(e)."""
     grid = np.asarray(m_grid)
-    hits = np.zeros(len(grid), dtype=np.int64)
+    masses = np.empty((trials, len(grid)))
     x = np.empty((_HAAR_CHUNK, size, 1), dtype=complex)
-    blocks = [np.empty((_HAAR_CHUNK, 2, size, hi - lo)) for lo, hi in _steps(m_grid)]
+    parts = np.empty((_HAAR_CHUNK, 2, size, grid[0]))
+    e = np.empty((_HAAR_CHUNK, size - grid[0]))
     for start in range(0, trials, _HAAR_CHUNK):
         take = min(_HAAR_CHUNK, trials - start)
         for i in range(take):
             rng = stream(seed, start + i)
             x[i, :, 0] = draw_entries(rng, kind, (size,))
-            for block in blocks:
-                rng.standard_normal(out=block[i])
-        g = np.concatenate([b[:take, 0] + 1j * b[:take, 1] for b in blocks], axis=2)
+            rng.standard_normal(out=parts[i])
+            rng.standard_exponential(out=e[i])
+        g = parts[:take, 0] + 1j * parts[:take, 1]
         gh = g.conj().transpose(0, 2, 1)
         w = np.linalg.solve(np.linalg.cholesky(gh @ g), gh @ x[:take])[..., 0]
-        mass = np.cumsum(np.abs(w) ** 2, axis=1)[:, grid - 1]
-        hits += np.sum(mass <= grid / 2.0, axis=0)
-    return hits
+        mass = np.sum(np.abs(w) ** 2, axis=1, keepdims=True)
+        rest = np.sum(np.abs(x[:take]) ** 2, axis=1) - mass
+        cumulative = np.cumsum(e[:take], axis=1)
+        share = cumulative[:, grid[1:] - grid[0] - 1] / cumulative[:, -1:]
+        masses[start:start + take] = np.hstack([mass, mass + rest * share])
+    return masses
 
 
 def projection_mass_probe(
@@ -149,15 +149,15 @@ def projection_mass_probe(
     increasing m_grid, where v_1..v_M (M the last m) is an orthonormal family
     independent of x, and the family used.
 
-    The families are nested: each trial draws one x and one M-frame, and every
-    m reads its first m vectors, so the rows share their random numbers, and
-    each row depends only on the grid up to its own m.
+    The families are nested: each trial draws one x and the law of one
+    M-frame, and every m reads its first m vectors, so the rows share their
+    random numbers, and each row depends only on the grid up to its own m.
 
     complex-gaussian x is rotation invariant, so every such family sees the
     same law as the first m coordinate vectors, Gamma(m, 1); the probe takes
     that cheap family.  No other kind has that invariance (for rademacher-pair
     the coordinate mass is m surely), so the others redraw a Haar family
-    each trial.
+    each trial (`_haar_masses`).
     """
     grid = tuple(m_grid)
     if not (grid and 1 <= grid[0] and grid[-1] <= size and all(a < b for a, b in zip(grid, grid[1:]))):
@@ -168,4 +168,4 @@ def projection_mass_probe(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if dist.kind == "complex-gaussian":
         return _coordinate_hits(grid, dist.kind, trials, seed), "coordinate"
-    return _haar_hits(grid, size, dist.kind, trials, seed), "haar"
+    return np.sum(_haar_masses(grid, size, dist.kind, trials, seed) <= np.divide(grid, 2), axis=0), "haar"

@@ -11,17 +11,19 @@ import math
 import numpy as np
 import pytest
 from scipy.special import gammainc
+from scipy.stats import ks_2samp
 
 from hardedge import (
     EntryDistribution,
     derive_trial_seed,
+    experiments,
     hw_tail_curve,
     projection_mass_probe,
     run_hw_experiment,
     run_projection_mass_experiment,
     wilson_interval,
 )
-from hardedge.concentration import _coordinate_hits, _haar_hits
+from hardedge.concentration import _coordinate_hits, _haar_masses
 from hardedge.ensemble import draw_entries
 
 GAUSS = EntryDistribution("complex-gaussian")
@@ -170,7 +172,7 @@ def test_projmass_gaussian_gamma_oracle():
 
 def test_projmass_haar_matches_gamma_for_gaussian():
     # rotation invariance: a Haar family sees the same law, at every m of the nested frame
-    hits = _haar_hits((4, 9), 16, GAUSS.kind, 4000, seed=1)
+    hits = np.sum(_haar_masses((4, 9), 16, GAUSS.kind, 4000, seed=1) <= (2.0, 4.5), axis=0)
     for m, h in zip((4, 9), hits):
         lo, hi = wide_interval(float(gammainc(m, m / 2)), 4000)
         assert lo <= h / 4000 <= hi, (m, h)
@@ -206,26 +208,29 @@ def test_projmass_deterministic():
 
 
 def _haar_hits_per_trial(m_grid, size, dist, trials, seed):
-    """Haar hit counts one trial at a time: x, then the frame's columns in grid
-    steps, each step's real then imaginary parts; each m projects through a QR
-    basis of the frame's first m columns."""
+    """Haar hit counts one trial at a time: x, then a Gaussian frame of the
+    grid's first m columns (real then imaginary parts), projected through its
+    QR basis, then size - m_1 exponentials whose prefix shares of their total
+    give each later m its part of the rest of |x|^2."""
+    first = m_grid[0]
     hits = [0] * len(m_grid)
     for trial in range(trials):
         rng = np.random.Generator(np.random.Philox(key=derive_trial_seed(seed, trial)))
         x = draw_entries(rng, dist.kind, (size,))
-        steps = []
-        for lo, hi in zip((0, *m_grid), m_grid):
-            parts = rng.standard_normal((2, size, hi - lo))
-            steps.append(parts[0] + 1j * parts[1])
-        frame = np.concatenate(steps, axis=1)
+        parts = rng.standard_normal((2, size, first))
+        q, _ = np.linalg.qr(parts[0] + 1j * parts[1])
+        mass = float(np.sum(np.abs(q.conj().T @ x) ** 2))
+        rest = float(np.sum(np.abs(x) ** 2)) - mass
+        e = rng.standard_exponential(size - first)
         for j, m in enumerate(m_grid):
-            q, _ = np.linalg.qr(frame[:, :m])
-            hits[j] += float(np.sum(np.abs(q.conj().T @ x) ** 2)) <= m / 2
+            share = float(np.sum(e[: m - first]) / np.sum(e)) if m > first else 0.0
+            hits[j] += mass + rest * share <= m / 2
     return hits
 
 
 # ids read (last m)-size-trials; the cases take trial counts off the chunk
-# grid, a one-entry grid, and grids ending at m = size
+# grid, one-entry grids (the last with no exponentials), and grids ending at
+# m = size
 @pytest.mark.parametrize("dist", [UNIFORM, RADEMACHER], ids=lambda d: d.kind)
 @pytest.mark.parametrize(
     "m_grid, size, trials",
@@ -234,6 +239,7 @@ def _haar_hits_per_trial(m_grid, size, dist, trials, seed):
         pytest.param((1, 2, 4), 16, 65, id="4-16-65"),
         pytest.param((3, 8), 8, 40, id="8-8-40"),
         pytest.param((1, 2), 2, 40, id="2-2-40"),
+        pytest.param((8,), 8, 33, id="8-8-33"),
     ],
 )
 def test_projmass_haar_chunks_match_per_trial_qr(dist, m_grid, size, trials):
@@ -242,13 +248,42 @@ def test_projmass_haar_chunks_match_per_trial_qr(dist, m_grid, size, trials):
     assert hits.tolist() == _haar_hits_per_trial(m_grid, size, dist, trials, seed)
 
 
+@pytest.mark.parametrize("dist", [UNIFORM, RADEMACHER], ids=lambda d: d.kind)
+def test_projmass_nested_masses_have_the_law_of_independent_frames(dist):
+    # past the Gaussian first m, each m reads a Dirichlet prefix; two-sample KS
+    # against x's mass on an independent QR frame per trial and m
+    size, trials = 64, 2000
+    nested = _haar_masses((4, 9, 16), size, dist.kind, trials, seed=11)
+    rng = np.random.Generator(np.random.Philox(key=12))
+    x = draw_entries(rng, dist.kind, (trials, size, 1))
+    for j, m in [(1, 9), (2, 16)]:
+        q, _ = np.linalg.qr(rng.standard_normal((trials, size, m)) + 1j * rng.standard_normal((trials, size, m)))
+        independent = np.sum(np.abs(q.conj().transpose(0, 2, 1) @ x) ** 2, axis=(1, 2))
+        assert ks_2samp(nested[:, j], independent).pvalue > 1e-3, m
+
+
 @pytest.mark.parametrize("dist", [UNIFORM, GAUSS], ids=lambda d: d.kind)
 def test_projmass_rows_depend_only_on_the_grid_up_to_their_m(dist):
-    # the frame is drawn in grid steps, so a shorter grid reads the same prefix
+    # the draws of a trial do not depend on the last m, so a shorter grid reads the same prefix
     full = run_projection_mass_experiment(dist.kind, 2000, 5, size=32)
     prefix = run_projection_mass_experiment(dist.kind, 2000, 5, size=32, m_grid=(4, 9))
     assert [row["m"] for row in full.rows[:2]] == [4, 9]
     assert list(prefix.rows) == list(full.rows[:2])
+
+
+def test_projmass_reports_an_unresolved_m_once():
+    # one trial resolves no m: each row fails as zero hits, and no pair of them again as a trend
+    report = run_projection_mass_experiment("uniform-symmetric", 1, 1, size=64)
+    assert [row["statistic"] for row in report.rows] == [0.0] * 4
+    assert report.failures == tuple(
+        f"m={m}: zero hits at 1 trials; grid beyond the estimator's resolution" for m in (4, 9, 16, 25)
+    )
+
+
+def test_projmass_trend_rule_fails_a_zero_hit_row_before_a_resolved_one(monkeypatch):
+    monkeypatch.setattr(experiments, "projection_mass_probe", lambda *args: (np.array([0, 40]), "haar"))
+    report = run_projection_mass_experiment("uniform-symmetric", 100, 1, size=16, m_grid=(4, 9))
+    assert report.failures[-1].startswith("-log P / sqrt(m) did not increase from m=4 (inf) to m=9 (")
 
 
 def test_projmass_rejects_bad_arguments():
