@@ -52,8 +52,8 @@ _OUT_ENV = "HARDEDGE_OUT"
 
 # argparse reads an argument that starts with "-" as a negative number, not a
 # flag, only if it matches the parser's pattern; its default pattern has no
-# exponent, so "-1e-3" would be a flag.  The parsers whose flags take floats
-# use this one.
+# exponent, so "-1e-3" would be a flag.  `mp`, whose flags take floats, uses
+# this one.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
@@ -230,15 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(every)
     every.set_defaults(func=_cmd_all)
 
-    hw = _add_direct_parser(subs, "hw", "quadratic-form tail shape experiment")
-    hw.add_argument("--size", type=int)
-    hw.add_argument("--deltas", type=float, nargs="+")
-    hw.add_argument("--spectrum", type=float, nargs="+")
-    hw._negative_number_matcher = _NEGATIVE_NUMBER
-
-    projmass = _add_direct_parser(subs, "projmass", "projection mass lower-tail experiment")
-    projmass.add_argument("--size", type=int)
-    projmass.add_argument("--m-grid", type=int, nargs="+", dest="m_grid")
+    _add_direct_parser(subs, "hw", "quadratic-form tail shape on the identity")
+    _add_direct_parser(subs, "projmass", "projection mass lower-tail decay")
 
     identities = _add_direct_parser(subs, "identities", "exact finite-N identity suite")
     identities.add_argument("--n", type=int, nargs="+", dest="sizes", metavar="N")

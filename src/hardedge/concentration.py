@@ -1,10 +1,11 @@
 """Monte Carlo probes of the two concentration inequalities the lab leans on:
-quadratic-form (Hanson-Wright type) tails and projection-mass lower tails.
+quadratic-form (Hanson-Wright type) tails of the identity operator and
+projection-mass lower tails.
 
 Shapes and monotone trends are what gets verified; the inequalities' absolute
 constants are left alone.  The probes return raw hit counts; the experiments
 turn them into report rows with Wilson intervals.  Each probe serves its whole
-grid from one sample set: hw's deltas share the quadratic forms, and
+grid from one sample set: hw's deltas share the row sums of |x_i|^2 - 1, and
 projmass's m grid shares one nested frame per trial, read a prefix per m
 (Haar: a Gaussian frame for the first m, the exact Dirichlet law past it).
 """
@@ -55,34 +56,24 @@ def _chunks(trials: int, seed: int):
 
 
 def hw_tail_curve(
-    spectrum,
+    size: int,
     dist: EntryDistribution,
     trials: int,
     deltas,
     seed: int,
-) -> tuple[np.ndarray, float]:
-    """Hits of |sum_i lambda_i (|x_i|^2 - 1)| >= delta over a delta grid, and
-    the normalizer T = sum_i |lambda_i|^2 = Tr A*A.
+) -> np.ndarray:
+    """Hits of |sum_i (|x_i|^2 - 1)| >= delta over a delta grid, for x of
+    length size.
 
-    This is the centered quadratic form of the diagonal A = diag(spectrum).
-    The entries are unscaled (E|x|^2 = 1), so the centering term is exactly
-    Tr A.  One sample set serves the whole grid, which makes the hits
+    This is the centered quadratic form of the identity of that size.  The
+    entries are unscaled (E|x|^2 = 1), so the centering term is exactly
+    Tr A = size.  One sample set serves the whole grid, which makes the hits
     nonincreasing in delta by construction.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
-    lam = np.asarray(spectrum).astype(complex)
-    if lam.ndim != 1 or not np.all(np.isfinite(lam)):
-        raise ValueError(f"spectrum must be a 1-d array of finite values, got shape {lam.shape}")
-    with np.errstate(over="ignore"):
-        norm = float(np.sum(np.abs(lam) ** 2))
-    if norm == math.inf:
-        raise ValueError("spectrum must have a finite Tr A*A = sum |lambda_i|^2; it overflows")
-    if norm == 0.0:
-        raise ValueError(
-            "spectrum must have a nonzero Tr A*A = sum |lambda_i|^2 "
-            "(degenerate, or its squares underflow)"
-        )
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     deltas = np.asarray(deltas, dtype=float)
     # negated comparisons, so that nan fails them; inf can only come last
     if deltas.ndim != 1 or len(deltas) == 0 or not (
@@ -90,10 +81,10 @@ def hw_tail_curve(
     ):
         raise ValueError("deltas must be a nonempty, strictly increasing grid of finite reals >= 0")
     stats = np.concatenate([
-        np.abs((np.abs(draw_entries(rng, dist.kind, (rows, len(lam)))) ** 2 - 1.0) @ lam)
+        np.abs(np.sum(np.abs(draw_entries(rng, dist.kind, (rows, size))) ** 2 - 1.0, axis=1))
         for rng, rows in _chunks(trials, seed)
     ])
-    return np.array([int(np.sum(stats >= d)) for d in deltas]), norm
+    return np.array([int(np.sum(stats >= d)) for d in deltas])
 
 
 def _coordinate_hits(m_grid, kind: str, trials: int, seed: int) -> np.ndarray:

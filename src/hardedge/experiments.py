@@ -27,8 +27,9 @@ Each config field's rule lives once, in the parser table `_FIELDS`, which
 `ExperimentConfig.__post_init__` runs: a config built in Python, read from
 JSON or made by `dataclasses.replace` meets the same rules and is rejected
 with the same message, naming the field or entry (`sizes[0]`).  The direct
-runners (identities, hw, projmass) check their sizes, seed and grids with the
-same parsers.
+runners (identities, hw, projmass) check their trials, seed and (identities)
+sizes with the same parsers; hw and projmass run at a fixed size on fixed
+grids.
 
 Every matrix experiment is a reducer over one trial engine (`_per_trial`),
 which maps a per-sample function over the seeded draws of each size.  The
@@ -773,6 +774,8 @@ def run_identity_suite(
     )
 
 
+# the operator size both concentration experiments run at
+_PROBE_SIZE = 64
 _HW_DELTAS = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0)
 
 
@@ -780,20 +783,16 @@ def run_hw_experiment(
     distribution: str = "complex-gaussian",
     trials: int = 10_000,
     seed: int = 1,
-    size: int = 64,
-    deltas: tuple[float, ...] = _HW_DELTAS,
-    spectrum=None,
 ) -> TheoremReport:
-    """Quadratic-form tail shape on the identity (or a given spectrum, whose
-    length then replaces the unused size)."""
-    if spectrum is None:
-        _count("size", size)
+    """Quadratic-form tail shape on the identity of size _PROBE_SIZE, over the
+    delta grid _HW_DELTAS."""
     trials = _where(_integer, lambda n: n >= 100, ">= 100")("trials", trials)
     seed = _seed("seed", seed)
     dist = EntryDistribution(_kind("distribution", distribution))
-    operator = np.ones(size) if spectrum is None else np.asarray(spectrum, dtype=float)
-    hits, norm = hw_tail_curve(operator, dist, trials, deltas, seed)
-    grid = np.asarray(deltas, dtype=float)
+    hits = hw_tail_curve(_PROBE_SIZE, dist, trials, _HW_DELTAS, seed)
+    grid = np.asarray(_HW_DELTAS)
+    # the normalizer T = Tr A*A of the identity
+    norm = float(_PROBE_SIZE)
     # min(delta/sqrt(T), delta^2/T), the same array for the rows and the fit
     shapes = np.minimum(grid / math.sqrt(norm), grid**2 / norm)
     rows = [
@@ -818,9 +817,8 @@ def run_hw_experiment(
             "distribution": distribution,
             "trials": trials,
             "seed": seed,
-            "size": len(operator),
-            "deltas": [float(d) for d in deltas],
-            "spectrum": None if spectrum is None else [float(x) for x in operator],
+            "size": _PROBE_SIZE,
+            "deltas": list(_HW_DELTAS),
         },
         rows=tuple(rows),
         summary={"slope": slope, "normalizer": norm},
@@ -835,22 +833,18 @@ def run_projection_mass_experiment(
     distribution: str = "complex-gaussian",
     trials: int = 40_000,
     seed: int = 1,
-    size: int = 64,
-    m_grid: tuple[int, ...] = _MASS_M_GRID,
 ) -> TheoremReport:
-    """Superlinear-in-sqrt(m) decay of -log P(projection mass <= m/2).
+    """Superlinear-in-sqrt(m) decay of -log P(projection mass <= m/2) at size
+    _PROBE_SIZE, over the m grid _MASS_M_GRID.
 
-    The m grid must stay where the direct estimator resolves: the complex-
+    The m grid stays where the direct estimator resolves: the complex-
     gaussian probability is already 4e-7 at m=64, far beyond desk trial
-    counts, so the default stops at m=25.  The rows share one nested frame
+    counts, so the grid stops at m=25.  The rows share one nested frame
     per trial (common random numbers across m); each row has the law of an
     independent frame.  A zero-hit row fails once, not again as a trend.
     """
-    size = _count("size", size)
     trials = _count("trials", trials)
     seed = _seed("seed", seed)
-    m_entry = _where(_integer, lambda m: 1 <= m <= size, f"in [1, {size}]")
-    m_grid = _list_of(m_entry, increasing=True)("m_grid", m_grid)
     dist = EntryDistribution(_kind("distribution", distribution))
     rows = []
     failures = []
@@ -859,9 +853,9 @@ def run_projection_mass_experiment(
     # one-entry grid would draw it, and each row depends only on the grid up
     # to its own m
     hits_grid, resolved = projection_mass_probe(
-        m_grid, size, dist, trials, derive_trial_seed(seed, m_grid[0])
+        _MASS_M_GRID, _PROBE_SIZE, dist, trials, derive_trial_seed(seed, _MASS_M_GRID[0])
     )
-    for m, hits in zip(m_grid, hits_grid.tolist()):
+    for m, hits in zip(_MASS_M_GRID, hits_grid.tolist()):
         tail = _exceedance(hits, trials)
         rows.append({"m": m, "sqrt_m": math.sqrt(m), "family": resolved, **tail})
         if hits == 0:
@@ -871,7 +865,8 @@ def run_projection_mass_experiment(
             ratios.append(math.inf)
         else:
             ratios.append(-math.log(tail["statistic"]) / math.sqrt(m))
-    for (m1, r1), (m2, r2) in zip(zip(m_grid, ratios), list(zip(m_grid, ratios))[1:]):
+    pairs = list(zip(_MASS_M_GRID, ratios))
+    for (m1, r1), (m2, r2) in zip(pairs, pairs[1:]):
         if not (r2 > r1 or r1 == r2 == math.inf):
             failures.append(
                 f"-log P / sqrt(m) did not increase from m={m1} ({r1:.4g}) to m={m2} ({r2:.4g})"
@@ -882,8 +877,8 @@ def run_projection_mass_experiment(
             "distribution": distribution,
             "trials": trials,
             "seed": seed,
-            "size": size,
-            "m_grid": list(m_grid),
+            "size": _PROBE_SIZE,
+            "m_grid": list(_MASS_M_GRID),
         },
         rows=tuple(rows),
         summary={"ratios": ratios},

@@ -228,8 +228,8 @@ def test_criterion_11_wegner_decay():
 
 def test_criterion_12_concentration_shapes():
     with Timer() as t:
-        hw = run_hw_experiment(trials=10_000, seed=1, size=64)
-        mass = run_projection_mass_experiment(trials=40_000, seed=1, size=64)
+        hw = run_hw_experiment(trials=10_000, seed=1)
+        mass = run_projection_mass_experiment(trials=40_000, seed=1)
     assert hw.passed, hw.failures
     assert hw.summary["slope"] > 0
     assert mass.passed, mass.failures

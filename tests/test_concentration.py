@@ -76,7 +76,7 @@ def test_hw_exponential_oracle_1x1():
     # statistic is | |x|^2 - 1 | with |x|^2 ~ Exp(1):
     # P(>= d) = exp(-(1+d)) + max(0, 1 - exp(-(1-d)))
     trials = 20000
-    hits, _ = hw_tail_curve(np.array([1.0]), GAUSS, trials, [0.5, 2.0], seed=11)
+    hits = hw_tail_curve(1, GAUSS, trials, [0.5, 2.0], seed=11)
     for d, h in zip([0.5, 2.0], hits):
         est = h / trials
         exact = math.exp(-(1 + d)) + max(0.0, 1.0 - math.exp(-(1 - d)))
@@ -86,74 +86,74 @@ def test_hw_exponential_oracle_1x1():
 
 def test_hw_zero_delta_saturates():
     for dist in (GAUSS, RADEMACHER, UNIFORM):
-        hits, _ = hw_tail_curve(np.ones(4), dist, 200, [0.0], seed=3)
+        hits = hw_tail_curve(4, dist, 200, [0.0], seed=3)
         assert hits[0] == 200
 
 
 def test_hw_rademacher_identity_degenerates():
     # |x|^2 = 1 surely, so the diagonal statistic vanishes
     deltas = (0.0, 0.1, 1.0)
-    hits, _ = hw_tail_curve(np.ones(8), RADEMACHER, 500, deltas, seed=5)
+    hits = hw_tail_curve(8, RADEMACHER, 500, deltas, seed=5)
     assert list(hits) == [500, 0, 0]
-    report = run_hw_experiment("rademacher-pair", 500, 5, spectrum=np.ones(8), deltas=deltas)
+    report = run_hw_experiment("rademacher-pair", 500, 5)
+    assert [row["statistic"] for row in report.rows] == [0.0] * len(experiments._HW_DELTAS)
     assert math.isnan(report.summary["slope"])
 
 
 def test_hw_curve_shape():
     deltas = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-    hits, _ = hw_tail_curve(np.ones(16), GAUSS, 4000, deltas, seed=2)
-    assert np.all(np.diff(hits) <= 0)
-    report = run_hw_experiment("complex-gaussian", 4000, 2, spectrum=np.ones(16), deltas=deltas)
+    assert np.all(np.diff(hw_tail_curve(16, GAUSS, 4000, deltas, seed=2)) <= 0)
+    report = run_hw_experiment("complex-gaussian", 4000, 2)
+    hits = hw_tail_curve(experiments._PROBE_SIZE, GAUSS, 4000, experiments._HW_DELTAS, seed=2)
     assert [row["statistic"] for row in report.rows] == [h / 4000 for h in hits]
     assert all(row["ci_lo"] <= row["statistic"] <= row["ci_hi"] for row in report.rows)
     assert all(row["trials"] == 4000 for row in report.rows)
     assert report.summary["slope"] > 0
 
 
-def test_hw_slope_nan_when_degenerate():
+def test_hw_slope_nan_when_degenerate(monkeypatch):
     # one interior cell is not enough for a fit
     deltas = (0.0, 1.0, 50.0)
-    hits, _ = hw_tail_curve(np.ones(2), GAUSS, 400, deltas, seed=9)
+    hits = hw_tail_curve(2, GAUSS, 400, deltas, seed=9)
     assert hits[0] == 400
     assert hits[2] == 0
-    report = run_hw_experiment("complex-gaussian", 400, 9, spectrum=np.ones(2), deltas=deltas)
+    one_interior = np.array([400, 200] + [0] * (len(experiments._HW_DELTAS) - 2))
+    monkeypatch.setattr(experiments, "hw_tail_curve", lambda *args: one_interior)
+    report = run_hw_experiment("complex-gaussian", 400, 9)
     assert math.isnan(report.summary["slope"])
 
 
 def test_hw_deterministic():
-    lam = np.arange(1.0, 5.0)
-    a, norm = hw_tail_curve(lam, UNIFORM, 1500, [1.0, 3.0], seed=42)
-    b, _ = hw_tail_curve(lam, UNIFORM, 1500, [1.0, 3.0], seed=42)
+    a = hw_tail_curve(4, UNIFORM, 1500, [1.0, 3.0], seed=42)
+    b = hw_tail_curve(4, UNIFORM, 1500, [1.0, 3.0], seed=42)
     assert np.array_equal(a, b)
-    c, _ = hw_tail_curve(lam, UNIFORM, 1500, [1.0, 3.0], seed=43)
+    c = hw_tail_curve(4, UNIFORM, 1500, [1.0, 3.0], seed=43)
     assert not np.array_equal(a, c)
-    assert norm == pytest.approx(float(np.sum(lam**2)), rel=1e-12)
 
 
 def test_hw_chunking_invisible():
     # straddling the chunk boundary must not change the law of the estimate;
     # prefix property: the first 2048 draws are chunk 0 in both runs
     deltas = [2.0]
-    small, _ = hw_tail_curve(np.ones(4), GAUSS, 2048, deltas, seed=7)
-    big, _ = hw_tail_curve(np.ones(4), GAUSS, 2048 + 512, deltas, seed=7)
+    small = hw_tail_curve(4, GAUSS, 2048, deltas, seed=7)
+    big = hw_tail_curve(4, GAUSS, 2048 + 512, deltas, seed=7)
     assert abs(big[0] - small[0]) <= 512
 
 
 def test_hw_rejects_bad_arguments():
     with pytest.raises(ValueError, match="trials"):
-        hw_tail_curve(np.ones(4), GAUSS, 99, [1.0], seed=0)
-    with pytest.raises(ValueError, match="degenerate"):
-        hw_tail_curve(np.zeros(4), GAUSS, 200, [1.0], seed=0)
+        hw_tail_curve(4, GAUSS, 99, [1.0], seed=0)
+    # the identity of size 0 has no quadratic form to probe
+    with pytest.raises(ValueError, match="size"):
+        hw_tail_curve(0, GAUSS, 200, [1.0], seed=0)
     with pytest.raises(ValueError, match="deltas"):
-        hw_tail_curve(np.ones(4), GAUSS, 200, [-1.0], seed=0)
+        hw_tail_curve(4, GAUSS, 200, [-1.0], seed=0)
     with pytest.raises(ValueError, match="deltas"):
-        hw_tail_curve(np.ones(4), GAUSS, 200, [], seed=0)
+        hw_tail_curve(4, GAUSS, 200, [], seed=0)
     with pytest.raises(ValueError, match="deltas"):
-        hw_tail_curve(np.ones(4), GAUSS, 200, [8.0, 1.0, 2.0], seed=0)
+        hw_tail_curve(4, GAUSS, 200, [8.0, 1.0, 2.0], seed=0)
     with pytest.raises(ValueError, match="deltas"):
-        hw_tail_curve(np.ones(4), GAUSS, 200, [1.0, 1.0], seed=0)
-    with pytest.raises(ValueError, match="1-d"):
-        hw_tail_curve(np.eye(4), GAUSS, 200, [1.0], seed=0)
+        hw_tail_curve(4, GAUSS, 200, [1.0, 1.0], seed=0)
 
 
 # --- projection mass ---------------------------------------------------
@@ -190,9 +190,7 @@ def test_projmass_rademacher_coordinate_is_zero():
     # coordinate mass equals m surely, never <= m/2
     assert _coordinate_hits((1, 5), RADEMACHER.kind, 300, seed=0).tolist() == [0, 0]
     # a zero-hit row: P(Gamma(64, 1) <= 32) = 4e-7
-    report = run_projection_mass_experiment("complex-gaussian", 300, 0, size=64, m_grid=(64,))
-    assert report.rows[0]["statistic"] == 0.0
-    assert report.rows[0]["ci_lo"] == 0.0
+    assert projection_mass_probe((64,), 64, GAUSS, 300, seed=0)[0].tolist() == [0]
 
 
 def test_projmass_auto_family_selection():
@@ -265,24 +263,26 @@ def test_projmass_nested_masses_have_the_law_of_independent_frames(dist):
 @pytest.mark.parametrize("dist", [UNIFORM, GAUSS], ids=lambda d: d.kind)
 def test_projmass_rows_depend_only_on_the_grid_up_to_their_m(dist):
     # the draws of a trial do not depend on the last m, so a shorter grid reads the same prefix
-    full = run_projection_mass_experiment(dist.kind, 2000, 5, size=32)
-    prefix = run_projection_mass_experiment(dist.kind, 2000, 5, size=32, m_grid=(4, 9))
-    assert [row["m"] for row in full.rows[:2]] == [4, 9]
-    assert list(prefix.rows) == list(full.rows[:2])
+    full = projection_mass_probe((4, 9, 16, 25), 32, dist, 2000, seed=5)
+    prefix = projection_mass_probe((4, 9), 32, dist, 2000, seed=5)
+    assert prefix[0].tolist() == full[0][:2].tolist()
+    assert prefix[1] == full[1]
 
 
 def test_projmass_reports_an_unresolved_m_once():
     # one trial resolves no m: each row fails as zero hits, and no pair of them again as a trend
-    report = run_projection_mass_experiment("uniform-symmetric", 1, 1, size=64)
+    report = run_projection_mass_experiment("uniform-symmetric", 1, 1)
     assert [row["statistic"] for row in report.rows] == [0.0] * 4
+    assert [row["ci_lo"] for row in report.rows] == [0.0] * 4
     assert report.failures == tuple(
         f"m={m}: zero hits at 1 trials; grid beyond the estimator's resolution" for m in (4, 9, 16, 25)
     )
 
 
 def test_projmass_trend_rule_fails_a_zero_hit_row_before_a_resolved_one(monkeypatch):
-    monkeypatch.setattr(experiments, "projection_mass_probe", lambda *args: (np.array([0, 40]), "haar"))
-    report = run_projection_mass_experiment("uniform-symmetric", 100, 1, size=16, m_grid=(4, 9))
+    # m = 9, 16, 25 resolved with -log P / sqrt(m) increasing, so only the first pair fails the trend
+    monkeypatch.setattr(experiments, "projection_mass_probe", lambda *args: (np.array([0, 40, 10, 1]), "haar"))
+    report = run_projection_mass_experiment("uniform-symmetric", 100, 1)
     assert report.failures[-1].startswith("-log P / sqrt(m) did not increase from m=4 (inf) to m=9 (")
 
 

@@ -291,10 +291,8 @@ def test_apriori_verdict_can_fail_whatever_k_grid_says(monkeypatch):
         pytest.param(run_wegner, id="wegner"),
         pytest.param(run_hard_edge_scaling, id="hardedge"),
         pytest.param(lambda cfg: run_identity_suite(sizes=(8,), trials=2, seed=7), id="identities"),
-        pytest.param(lambda cfg: run_hw_experiment(trials=100, size=8, deltas=(1.0, 2.0)), id="hw"),
-        pytest.param(
-            lambda cfg: run_projection_mass_experiment(trials=100, size=8, m_grid=(2, 4)), id="projmass"
-        ),
+        pytest.param(lambda cfg: run_hw_experiment(trials=100), id="hw"),
+        pytest.param(lambda cfg: run_projection_mass_experiment(trials=100), id="projmass"),
     ],
 )
 def test_report_columns_come_from_rows(small_cfg, runner):
@@ -640,7 +638,7 @@ def test_identity_suite_rejects_zero_trials():
 def test_direct_runners_reject_bad_trials(runner, trials, message):
     # trials is parsed like every other field, and before any draw
     with pytest.raises(ConfigError, match=f"^trials: {message}"):
-        runner(trials=trials, size=8)
+        runner(trials=trials)
 
 
 @pytest.mark.parametrize(
@@ -658,8 +656,8 @@ def test_identity_suite_rejects_bad_sizes(sizes, path):
     "runner",
     [
         pytest.param(lambda: run_identity_suite(sizes=(8,), trials=2, distribution="nope"), id="identities"),
-        pytest.param(lambda: run_hw_experiment(distribution="nope", trials=100, size=8), id="hw"),
-        pytest.param(lambda: run_projection_mass_experiment(distribution="nope", trials=100, size=8, m_grid=(2, 4)), id="projmass"),
+        pytest.param(lambda: run_hw_experiment(distribution="nope", trials=100), id="hw"),
+        pytest.param(lambda: run_projection_mass_experiment(distribution="nope", trials=100), id="projmass"),
     ],
 )
 def test_direct_runners_name_a_bad_distribution(runner):
@@ -671,36 +669,27 @@ def test_direct_runners_name_a_bad_distribution(runner):
 
 
 def test_hw_experiment_small():
-    rep = run_hw_experiment(trials=400, seed=3, size=16, deltas=(1.0, 2.0, 4.0, 8.0))
+    rep = run_hw_experiment(trials=400, seed=3)
     assert rep.passed
     assert rep.summary["slope"] > 0
-    assert rep.summary["normalizer"] == pytest.approx(16.0)
+    assert rep.summary["normalizer"] == 64.0
     stats = [row["statistic"] for row in rep.rows]
     assert all(a >= b for a, b in zip(stats, stats[1:]))
 
 
 def test_hw_row_shape_is_the_fitted_shape():
-    # a non-integer delta whose scalar square differs in the last bit from
-    # the array square; each row must carry the shape the slope is fitted on
-    deltas = (12.428327649956394, 20.0)
-    rep = run_hw_experiment(size=256, trials=400, deltas=deltas)
-    grid = np.asarray(deltas)
+    # each row must carry the shape the slope is fitted on, min(delta/sqrt(T), delta^2/T)
+    rep = run_hw_experiment(trials=400)
+    grid = np.asarray(experiments._HW_DELTAS)
     norm = rep.summary["normalizer"]
     shapes = np.minimum(grid / math.sqrt(norm), grid**2 / norm)
-    assert shapes[0] == (grid**2 / norm)[0]  # T = 256: the first row takes the delta^2/T branch
+    assert shapes[0] == (grid**2 / norm)[0]  # T = 64: the first row takes the delta^2/T branch
+    assert [row["delta"] for row in rep.rows] == grid.tolist()
     assert [row["shape"] for row in rep.rows] == shapes.tolist()
 
 
-@pytest.mark.parametrize("m_grid", [(), (9, 4), (4, 4)])
-def test_projection_mass_experiment_rejects_empty_or_unsorted_grid(m_grid):
-    # every entry lies in [1, size], so only the order is at fault
-    with pytest.raises(ConfigError, match="^m_grid: "):
-        run_projection_mass_experiment(trials=100, size=16, m_grid=m_grid)
-
-
-
 def test_projection_mass_experiment_small():
-    rep = run_projection_mass_experiment(trials=4000, seed=3, size=32, m_grid=(4, 9, 16))
+    rep = run_projection_mass_experiment(seed=3)
     assert rep.passed
     ratios = rep.summary["ratios"]
     assert all(a < b for a, b in zip(ratios, ratios[1:]))

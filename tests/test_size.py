@@ -8,12 +8,14 @@ xfail naming the ROADMAP item that mends the rule; widening a band until the
 rate passes would also cut the power `test_power.py` measures.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import betainc
 
 from hardedge.ensemble import draw_entries
-from hardedge.experiments import HARDEDGE_MEDIAN_FACTOR
+from hardedge.experiments import HARDEDGE_MEDIAN_FACTOR, _MASS_M_GRID, _PROBE_SIZE, ExperimentConfig
 
 # the family-wise false-FAIL rate a verdict may have at a shipped config
 ALPHA = 0.05
@@ -43,9 +45,23 @@ def test_projmass_zero_hits_at_the_exact_config():
     # with B ~ Beta(25, 39) independent of x, so given |x|^2 the hit
     # probability is the regularized incomplete beta at 12.5 / |x|^2; the
     # rule FAILs when all trials miss
-    size, m, trials = 64, 25, 4000
+    size, m, trials = _PROBE_SIZE, _MASS_M_GRID[-1], 4000
     rng = np.random.Generator(np.random.Philox(key=18))
     norms = np.sum(np.abs(draw_entries(rng, "uniform-symmetric", (20_000, size))) ** 2, axis=1)
     p = float(np.mean(betainc(m, size - m, np.minimum(m / 2 / norms, 1.0))))
     rate = (1.0 - p) ** trials
     assert rate <= ALPHA, (p, rate)
+
+
+def test_wegner_first_level_at_the_eigen_suite_config():
+    # complex-gaussian, sizes (256, 512), 30 trials, the default k_grid.  The
+    # windows [0, K/N^2] are nested, so a size FAILs the first-level rule
+    # exactly when its smallest window is empty in every trial; N^2*s_1 is
+    # exactly Exp(1), so one trial's window is empty with probability e^-K.
+    # The strict-decay rule reads the joint law of the smallest eigenvalues,
+    # which waits for item 2's exact count law
+    sizes, trials = 2, 30
+    cfg = ExperimentConfig()
+    assert cfg.l_grid[0] == 1
+    rate = 1.0 - (1.0 - math.exp(-min(cfg.k_grid) * trials)) ** sizes
+    assert rate <= ALPHA, rate
