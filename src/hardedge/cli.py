@@ -188,7 +188,6 @@ def _add_direct_parser(subs, name: str, help: str) -> argparse.ArgumentParser:
     """Subcommand whose flags are named after the runner's parameters; an unset
     flag stays out of the namespace, so the runner's signature holds the defaults."""
     sub = subs.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-    sub.add_argument("--dist", dest="distribution", choices=KINDS)
     sub.add_argument("--trials", type=int)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--out", default=_default_out(), metavar="DIR")
@@ -230,8 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(every)
     every.set_defaults(func=_cmd_all)
 
-    _add_direct_parser(subs, "hw", "quadratic-form tail shape on the identity")
-    _add_direct_parser(subs, "projmass", "projection mass lower-tail decay")
+    for name, help in (("hw", "quadratic-form tail shape on the identity"),
+                       ("projmass", "projection mass lower-tail decay")):
+        _add_direct_parser(subs, name, help).add_argument("--dist", dest="distribution", choices=KINDS)
 
     identities = _add_direct_parser(subs, "identities", "exact finite-N identity suite")
     identities.add_argument("--n", type=int, nargs="+", dest="sizes", metavar="N")

@@ -10,9 +10,9 @@ host windows ...", before any draw.  deloc takes every eigenvector in
 pass/fail bands are the module constants below: desk-calibrated, not claims
 about the theory's constants, and not configurable; the calibration
 provenance is complex-gaussian pilot runs at N <= 1024, seeds O(1), 2026-08.
-The grids the verdicts read (apriori's K thresholds, locallaw's deviation
-levels, the number of derived windows) are constants too; `k_grid` is
-wegner's alone.
+The grids the verdicts read (apriori's K thresholds, wegner's K widths and
+L levels, locallaw's deviation levels, the number of derived windows) are
+constants too.
 
 Every experiment derives one sub-seed per matrix size and one seed per trial
 below that, and runs its trials in order; BLAS threads are the only
@@ -28,8 +28,8 @@ Each config field's rule lives once, in the parser table `_FIELDS`, which
 JSON or made by `dataclasses.replace` meets the same rules and is rejected
 with the same message, naming the field or entry (`sizes[0]`).  The direct
 runners (identities, hw, projmass) check their trials, seed and (identities)
-sizes with the same parsers; hw and projmass run at a fixed size on fixed
-grids.
+sizes with the same parsers; identities draws complex-gaussian entries, and
+hw and projmass run at a fixed size on fixed grids.
 
 Every matrix experiment is a reducer over one trial engine (`_per_trial`),
 which maps a per-sample function over the seeded draws of each size.  The
@@ -113,6 +113,10 @@ SPACING_HI = 2.0
 
 # apriori: the K of the thresholds K * N*eta/sqrt(E); holds APRIORI_REFERENCE_K
 APRIORI_K_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+# wegner: the K of the near-zero windows [0, K/N^2]; equals APRIORI_K_GRID in value only
+WEGNER_K_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+# wegner: the count levels L whose tails P(count >= L) are reported
+WEGNER_L_GRID = (1, 2, 3, 4, 5)
 # locallaw: the sqrt(E)-scaled deviations whose tails are reported; holds LOCALLAW_EPSILON
 LOCALLAW_EPSILON_GRID = (0.05, 0.1, 0.15, 0.2, 0.3)
 # windows per size on the derived energy ladder
@@ -146,23 +150,21 @@ def _where(parse, ok, need: str):
     return check
 
 
-def _list_of(item, increasing: bool = False):
+def _list_of(item):
     """A nonempty list (or tuple) of item-parsed entries, returned as a tuple."""
 
     def parse(path: str, value) -> tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
         values = tuple(item(f"{path}[{i}]", v) for i, v in enumerate(value))
-        if not values or (increasing and any(a >= b for a, b in zip(values, values[1:]))):
-            need = "a nonempty, strictly increasing list" if increasing else "a nonempty list"
-            raise ConfigError(f"{path}: need {need}, got {values!r}")
+        if not values:
+            raise ConfigError(f"{path}: need a nonempty list, got {values!r}")
         return values
 
     return parse
 
 
 _count = _where(_integer, lambda n: n >= 1, ">= 1")
-_positive = _where(_number, lambda x: x > 0, "> 0")
 _seed = _where(_integer, lambda s: 0 <= s < 2**64, "a u64")
 
 
@@ -209,10 +211,8 @@ _FIELDS = {
     "trials": _where(_integer, lambda n: n >= 30, ">= 30"),
     "distribution": _kind,
     "kappa": _where(_number, lambda x: 0 < x < 1, "in (0, 1)"),
-    "k_grid": _list_of(_positive, increasing=True),
-    "l_grid": _list_of(_count, increasing=True),
     "seed": _seed,
-    "scale_min": _positive,
+    "scale_min": _where(_number, lambda x: x > 0, "> 0"),
     "windows": lambda path, value: None if value is None else _list_of(_window)(path, value),
 }
 
@@ -225,8 +225,6 @@ class ExperimentConfig:
     trials: int = 100
     distribution: str = "complex-gaussian"
     kappa: float = 0.5
-    k_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
-    l_grid: tuple[int, ...] = (1, 2, 3, 4, 5)
     seed: int = 1
     scale_min: float = 50.0
     windows: tuple[Window, ...] | None = None
@@ -572,7 +570,7 @@ def run_delocalization(cfg: ExperimentConfig) -> TheoremReport:
 
 
 def run_wegner(cfg: ExperimentConfig) -> TheoremReport:
-    """Tails of the near-zero eigenvalue count in [0, K/N^2] over the L grid.
+    """Tails of the near-zero count in [0, K/N^2] over WEGNER_K_GRID x WEGNER_L_GRID.
 
     Hard-edge repulsion makes levels beyond the first one or two unobservable
     at desk trial counts (P(count >= 3) is about 8e-9 at N=256, K=1), so a
@@ -585,9 +583,9 @@ def run_wegner(cfg: ExperimentConfig) -> TheoremReport:
     rows = []
     failures = []
     slopes = {}
-    levels = cfg.l_grid
+    levels = WEGNER_L_GRID
     for size in cfg.sizes:
-        for k in cfg.k_grid:
+        for k in WEGNER_K_GRID:
             counts = eigenvalue_count(spectra[size], Window(0.0, k / size**2))
             hit_list = [int(np.sum(counts >= level)) for level in levels]
             for level, hits in zip(levels, hit_list):
@@ -687,14 +685,12 @@ def run_identity_suite(
     sizes: tuple[int, ...] = (16, 32),
     trials: int = 20,
     seed: int = 1,
-    distribution: str = "complex-gaussian",
 ) -> TheoremReport:
-    """Exact finite-N identities: leave-one-out diagonals vs dense inversion,
-    eigenvector identity, interlacing, counting inequality, trace identity."""
+    """Exact finite-N identities on complex-gaussian draws: leave-one-out diagonals vs
+    dense inversion, eigenvector identity, interlacing, counting inequality, trace identity."""
     trials = _count("trials", trials)
     sizes = _sizes("sizes", sizes)
     seed = _seed("seed", seed)
-    distribution = _kind("distribution", distribution)
     points = [SpectralPoint(e, h) for e, h in _IDENTITY_THETA_GRID]
     thetas = np.array([p.theta for p in points])[:, None, None]
 
@@ -725,7 +721,7 @@ def run_identity_suite(
         trace_dev = abs(float(np.sum(d.eigenvalues)) - float(np.sum(np.abs(sample.entries) ** 2)))
         return loo_dev, schur_dev, mean_dev, inter, resid, covered, count_ok, trace_dev
 
-    per_trial = _per_trial(one_trial, distribution, seed, sizes, trials)
+    per_trial = _per_trial(one_trial, "complex-gaussian", seed, sizes, trials)
     rows = []
     failures = []
     for size in sizes:
@@ -765,7 +761,7 @@ def run_identity_suite(
             "sizes": list(sizes),
             "trials": trials,
             "seed": seed,
-            "distribution": distribution,
+            "distribution": "complex-gaussian",
             "theta_grid": [list(p) for p in _IDENTITY_THETA_GRID],
         },
         rows=tuple(rows),

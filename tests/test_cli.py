@@ -4,8 +4,9 @@ Everything drives hardedge.cli.main directly with argv lists; exit code 0 is
 success, 1 a failed experiment verdict, 2 a usage or config error.
 """
 
+import argparse
+import inspect
 import json
-import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import hardedge
-from hardedge import EnsembleSpec, EntryDistribution, experiments, file_digest, sample_matrix
+from hardedge import EnsembleSpec, EntryDistribution, cli, experiments, file_digest, sample_matrix
 from hardedge.cli import main
 from hardedge.ensemble import read_sample
 
@@ -322,12 +323,11 @@ def test_config_error_exits_2_and_names_field(tmp_path, capsys):
         ("scale_min", "50", "scale_min"),
         ("windows", [{"energy": "2", "eta": 0.1}], "windows[0].energy"),
         ("thresholds", {"deloc_cap": 15.0}, "thresholds"),
-        pytest.param("k_grid", [1.0, math.inf], "k_grid[1]", id="k_grid-value7-k_grid[1]"),
         # like thresholds, the log-power exponent b is no config key: no report reads it
         ("b", 4, "b"),
         # nor are the verdict grids: apriori's K, locallaw's epsilon, the window count
         ("n_windows", 4, "n_windows"),
-        ("epsilon_grid", [0.15], "epsilon_grid"),
+        pytest.param("epsilon_grid", [0.15], "epsilon_grid", id="epsilon_grid-value9-epsilon_grid"),
     ],
 )
 def test_config_of_wrong_json_type_exits_2_and_names_field(tmp_path, capsys, key, value, path):
@@ -373,6 +373,9 @@ _REFUSED = "hardedge: error: unrecognized arguments: "
                      id="argv15-config error: trials: must be >= 100"),
         pytest.param(["projmass", "--trials", "0"], "config error: trials: must be >= 1",
                      id="argv16-config error: trials: must be >= 1"),
+        # identities draws complex-gaussian entries only
+        pytest.param(["identities", "--dist", "uniform-symmetric"], _REFUSED + "--dist uniform-symmetric",
+                     id="argv17-identities --dist"),
     ],
 )
 def test_direct_command_bad_grid_exits_2_and_names_it(tmp_path, capsys, argv, prefix):
@@ -383,6 +386,17 @@ def test_direct_command_bad_grid_exits_2_and_names_it(tmp_path, capsys, argv, pr
     assert code == 2
     assert err.splitlines()[-1].startswith(prefix)
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["hw", "projmass", "identities"])
+def test_direct_flags_are_the_runner_parameters(command):
+    # a flag without a parameter, or a parameter without a flag, is an option
+    # only one side of the command line can reach
+    parser = cli._build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest for a in subs.choices[command]._actions if not isinstance(a, argparse._HelpAction)}
+    runner = cli._direct_experiments()[command]
+    assert flags == set(inspect.signature(runner).parameters) | {"out"}
 
 
 def test_all_matches_single_commands_and_merges_manifest(tmp_path, capsys):

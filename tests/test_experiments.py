@@ -19,6 +19,7 @@ import pytest
 from hardedge import experiments
 from hardedge import (
     ConfigError,
+    EntryDistribution,
     ExperimentConfig,
     Window,
     derived_windows,
@@ -72,10 +73,6 @@ def test_config_round_trip_with_windows():
         ("scale_min", math.inf),
         ("kappa", 0.0),
         ("kappa", 1.0),
-        pytest.param("k_grid[0]", (0.0,), id="k_grid-value10"),
-        pytest.param("l_grid", (2, 1), id="l_grid-value11"),
-        pytest.param("l_grid", (1, 1), id="l_grid-value12"),
-        pytest.param("l_grid[0]", (0, 1), id="l_grid-value13"),
         ("seed", -1),
         ("seed", 2**64),
         ("scale_min", 0.0),
@@ -84,13 +81,7 @@ def test_config_round_trip_with_windows():
         pytest.param("sizes[2]", (64, 96, 64), id="sizes[2]-value20"),
         pytest.param("sizes[0]", (64.0,), id="sizes[0]-value21"),
         ("trials", 30.5),
-        pytest.param("k_grid", (4.0, 0.25), id="k_grid-value23"),
-        pytest.param("k_grid", (1.0, 1.0), id="k_grid-value24"),
-        pytest.param("l_grid[1]", (1, 2.5), id="l_grid[1]-value25"),
         ("seed", 1.5),
-        pytest.param("k_grid[1]", (1.0, math.inf), id="k_grid-value30"),
-        pytest.param("k_grid[0]", (math.nan, 1.0), id="k_grid-value31"),
-        pytest.param("k_grid[1]", (1.0, math.nan, 2.0), id="k_grid-value32"),
         ("scale_min", False),
         ("scale_min", True),
     ],
@@ -98,7 +89,7 @@ def test_config_round_trip_with_windows():
 def test_config_rejects_and_names_the_field(field, value):
     # field is the path the message starts with: a config field, or one entry
     # of it; an entry's own rule (type, finiteness, range) names the entry,
-    # a rule over the whole list (nonempty, increasing) names the field.  A
+    # a rule over the whole list (nonempty) names the field.  A
     # case whose path names an entry may keep an id that names only the field.
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(**{field.split("[")[0]: value})
@@ -119,18 +110,27 @@ def test_from_dict_rejects_unknown_key():
         ExperimentConfig.from_dict({"n_windows": 4})
     with pytest.raises(ConfigError, match="^epsilon_grid: unknown config key"):
         ExperimentConfig.from_dict({"epsilon_grid": [0.15]})
+    # wegner's K and L grids are module constants as well
+    with pytest.raises(ConfigError, match="^k_grid: unknown config key"):
+        ExperimentConfig.from_dict({"k_grid": [1.0]})
+    with pytest.raises(ConfigError, match="^l_grid: unknown config key"):
+        ExperimentConfig.from_dict({"l_grid": [2, 3, 4, 5]})
 
 
 def test_verdict_grids_are_no_config_fields():
-    # apriori's K grid, locallaw's epsilon grid and the window count are
-    # module constants; k_grid is wegner's window widths alone
+    # apriori's K grid, wegner's K and L grids, locallaw's epsilon grid and
+    # the window count are module constants
     assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
-        "sizes", "trials", "distribution", "kappa", "k_grid", "l_grid", "seed", "scale_min", "windows",
+        "sizes", "trials", "distribution", "kappa", "seed", "scale_min", "windows",
     ]
     with pytest.raises(TypeError):
         ExperimentConfig(n_windows=4)
     with pytest.raises(TypeError):
         ExperimentConfig(epsilon_grid=(0.15,))
+    with pytest.raises(TypeError):
+        ExperimentConfig(k_grid=(1.0,))
+    with pytest.raises(TypeError):
+        ExperimentConfig(l_grid=(2, 3, 4, 5))
 
 
 def test_from_dict_rejects_non_object():
@@ -162,11 +162,8 @@ def test_from_dict_parses_every_field():
         # Python counts a bool as an int; JSON does not
         ({"seed": True}, "seed"),
         ({"trials": 30.0}, "trials"),
-        ({"l_grid": [1, 2.5]}, "l_grid[1]"),
-        ({"k_grid": [1.0, False]}, "k_grid[1]"),
-        ({"windows": [{"energy": 2.0, "eta": None}]}, "windows[0].eta"),
+        pytest.param({"windows": [{"energy": 2.0, "eta": None}]}, "windows[0].eta", id="data4-windows[0].eta"),
         # Python's json reads NaN and Infinity as floats
-        pytest.param({"k_grid": [1.0, math.inf]}, "k_grid[1]", id="data6-k_grid[1]"),
         pytest.param({"scale_min": -math.inf}, "scale_min", id="data7-scale_min"),
         pytest.param({"windows": [{"energy": 2.0, "eta": math.nan}]}, "windows[0].eta", id="data8-windows[0].eta"),
         pytest.param({"scale_min": 10**400}, "scale_min", id="data9-scale_min"),
@@ -179,21 +176,23 @@ def test_from_dict_accepts_only_json_numbers(data, path):
 
 
 def test_from_dict_coerces_lists():
-    cfg = ExperimentConfig.from_dict({"sizes": [64, 96], "k_grid": [0.1, 0.2]})
+    cfg = ExperimentConfig.from_dict({"sizes": [64, 96], "windows": [{"energy": 0.1, "eta": 0.2}]})
     assert cfg.sizes == (64, 96)
-    assert cfg.k_grid == (0.1, 0.2)
+    assert cfg.windows == (Window(0.1, 0.2),)
 
 
 def test_every_construction_path_normalises():
     # lists become tuples and ints in number fields floats, however the config is built
-    canonical = ExperimentConfig(sizes=(64, 96), k_grid=(1.0, 2.0), scale_min=20.0)
+    windows = [{"energy": 1, "eta": 2}]
+    canonical = ExperimentConfig(sizes=(64, 96), windows=(Window(1.0, 2.0),), scale_min=20.0)
     for cfg in (
-        ExperimentConfig(sizes=[64, 96], k_grid=[1, 2], scale_min=20),
-        ExperimentConfig.from_dict({"sizes": [64, 96], "k_grid": [1, 2], "scale_min": 20}),
-        dataclasses.replace(ExperimentConfig(), sizes=[64, 96], k_grid=[1, 2], scale_min=20),
+        ExperimentConfig(sizes=[64, 96], windows=windows, scale_min=20),
+        ExperimentConfig.from_dict({"sizes": [64, 96], "windows": windows, "scale_min": 20}),
+        dataclasses.replace(ExperimentConfig(), sizes=[64, 96], windows=windows, scale_min=20),
     ):
         assert cfg == canonical and hash(cfg) == hash(canonical)
-        assert type(cfg.scale_min) is float and {type(k) for k in cfg.k_grid} == {float}
+        assert type(cfg.scale_min) is float
+        assert {type(x) for w in cfg.windows for x in (w.energy, w.eta)} == {float}
 
 
 def test_direct_windows_from_objects():
@@ -271,9 +270,10 @@ def test_apriori_small(small_cfg):
 
 
 def test_apriori_verdict_can_fail_whatever_k_grid_says(monkeypatch):
-    # criterion 11's config sets wegner's k_grid to (1.0,); apriori keeps its
-    # own K grid, so its reference cells exist and its tail bound is judged
-    cfg = ExperimentConfig(sizes=(256,), trials=30, seed=105, k_grid=(1.0,), l_grid=(2, 3, 4, 5))
+    # apriori reads its own K grid, not wegner's, so its reference cells exist
+    # and its tail bound is judged even when wegner's grid holds one K
+    monkeypatch.setattr(experiments, "WEGNER_K_GRID", (1.0,))
+    cfg = ExperimentConfig(sizes=(256,), trials=30, seed=105)
     rep = run_apriori(cfg)
     assert sorted({row["K"] for row in rep.rows}) == list(experiments.APRIORI_K_GRID)
     assert rep.summary["cells"] == experiments.N_WINDOWS * len(experiments.APRIORI_K_GRID)
@@ -502,7 +502,7 @@ def test_wegner_small():
     cfg = ExperimentConfig(sizes=(128,), trials=120, seed=5, scale_min=20.0)
     rep = run_wegner(cfg)
     assert rep.passed
-    assert len(rep.rows) == len(cfg.k_grid) * len(cfg.l_grid)
+    assert len(rep.rows) == len(experiments.WEGNER_K_GRID) * len(experiments.WEGNER_L_GRID)
     by_cell = {}
     for row in rep.rows:
         by_cell.setdefault(row["K"], []).append(row["statistic"])
@@ -518,7 +518,8 @@ def test_wegner_equal_hits_fail_on_strict_decay_alone(monkeypatch):
     monkeypatch.setattr(
         experiments, "eigenvalue_count", lambda eigenvalues, window: np.full(len(eigenvalues), 2)
     )
-    cfg = ExperimentConfig(sizes=(16,), trials=30, seed=5, k_grid=(1.0,))
+    monkeypatch.setattr(experiments, "WEGNER_K_GRID", (1.0,))
+    cfg = ExperimentConfig(sizes=(16,), trials=30, seed=5)
     rep = run_wegner(cfg)
     assert rep.failures == ("N=16, K=1: no strict decay from L=1 to L=2",)
     assert rep.summary["decay_slopes"] == {"N=16, K=1": 0.0}
@@ -533,7 +534,8 @@ def test_wegner_single_hit_at_the_last_positive_level_passes(monkeypatch):
         "eigenvalue_count",
         lambda eigenvalues, window: np.where(np.arange(len(eigenvalues)) == 0, 2, 1),
     )
-    cfg = ExperimentConfig(sizes=(16,), trials=30, seed=5, k_grid=(1.0,))
+    monkeypatch.setattr(experiments, "WEGNER_K_GRID", (1.0,))
+    cfg = ExperimentConfig(sizes=(16,), trials=30, seed=5)
     rep = run_wegner(cfg)
     assert [round(row["statistic"] * row["trials"]) for row in rep.rows] == [30, 1, 0, 0, 0]
     assert rep.failures == ()
@@ -608,15 +610,24 @@ def test_identity_suite_one_minor_svd_per_column(monkeypatch):
     assert calls.count(False) == 0
 
 
-def test_identity_suite_pools_coverage():
+def test_identity_suite_pools_coverage(monkeypatch):
     # coverage counts every (trial, alpha, k) pair: one near-degenerate pair
     # at N=3 no longer fails the size on its own
     rep = run_identity_suite(sizes=(3,), trials=20, seed=1)
     assert rep.passed
     (row,) = [r for r in rep.rows if r["check"] == "coverage_fraction"]
     assert row["statistic"] == 179 / 180
-    # atomic entries make exact full/minor degeneracies at N=2: still a FAIL
-    rep = run_identity_suite(sizes=(2,), trials=20, seed=1, distribution="rademacher-pair")
+    # atomic entries make exact full/minor degeneracies at N=2: still a FAIL.
+    # identities draws complex-gaussian only, so the rademacher draws of the
+    # same (seed, size, trial) keys come in through sample_matrix
+    rademacher = EntryDistribution("rademacher-pair")
+    draw = experiments.sample_matrix
+    monkeypatch.setattr(
+        experiments,
+        "sample_matrix",
+        lambda spec, trial: draw(dataclasses.replace(spec, distribution=rademacher), trial),
+    )
+    rep = run_identity_suite(sizes=(2,), trials=20, seed=1)
     assert [f.split(" = ")[0] for f in rep.failures] == ["N=2: coverage_fraction"]
 
 
@@ -655,7 +666,6 @@ def test_identity_suite_rejects_bad_sizes(sizes, path):
 @pytest.mark.parametrize(
     "runner",
     [
-        pytest.param(lambda: run_identity_suite(sizes=(8,), trials=2, distribution="nope"), id="identities"),
         pytest.param(lambda: run_hw_experiment(distribution="nope", trials=100), id="hw"),
         pytest.param(lambda: run_projection_mass_experiment(distribution="nope", trials=100), id="projmass"),
     ],

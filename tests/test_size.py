@@ -15,7 +15,13 @@ import pytest
 from scipy.special import betainc
 
 from hardedge.ensemble import draw_entries
-from hardedge.experiments import HARDEDGE_MEDIAN_FACTOR, _MASS_M_GRID, _PROBE_SIZE, ExperimentConfig
+from hardedge.experiments import (
+    HARDEDGE_MEDIAN_FACTOR,
+    WEGNER_K_GRID,
+    WEGNER_L_GRID,
+    _MASS_M_GRID,
+    _PROBE_SIZE,
+)
 
 # the family-wise false-FAIL rate a verdict may have at a shipped config
 ALPHA = 0.05
@@ -54,14 +60,13 @@ def test_projmass_zero_hits_at_the_exact_config():
 
 
 def test_wegner_first_level_at_the_eigen_suite_config():
-    # complex-gaussian, sizes (256, 512), 30 trials, the default k_grid.  The
+    # complex-gaussian, sizes (256, 512), 30 trials, WEGNER_K_GRID.  The
     # windows [0, K/N^2] are nested, so a size FAILs the first-level rule
     # exactly when its smallest window is empty in every trial; N^2*s_1 is
     # exactly Exp(1), so one trial's window is empty with probability e^-K.
     # The strict-decay rule reads the joint law of the smallest eigenvalues,
     # which waits for item 2's exact count law
     sizes, trials = 2, 30
-    cfg = ExperimentConfig()
-    assert cfg.l_grid[0] == 1
-    rate = 1.0 - (1.0 - math.exp(-min(cfg.k_grid) * trials)) ** sizes
+    assert WEGNER_L_GRID[0] == 1
+    rate = 1.0 - (1.0 - math.exp(-WEGNER_K_GRID[0] * trials)) ** sizes
     assert rate <= ALPHA, rate
