@@ -57,7 +57,6 @@ from .spectral import (
     eigenvalue_count,
     eigenvalues_only,
     eigenvector_identity_scan,
-    gram_decompose,
     interlacing_check,
     minor_basis,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "write_sample", "read_sample",
     # spectral
     "SpectralDecomposition", "DecompositionError", "MinorBasis",
-    "decompose", "gram_decompose", "eigenvalues_only", "minor_basis", "eigenvalue_count",
+    "decompose", "eigenvalues_only", "minor_basis", "eigenvalue_count",
     "counting_bound", "interlacing_check",
     "eigenvector_identity_scan",
     # resolvent

@@ -66,7 +66,6 @@ from .spectral import (
     eigenvalue_count,
     eigenvalues_only,
     eigenvector_identity_scan,
-    gram_decompose,
     interlacing_check,
     minor_basis,
 )
@@ -494,7 +493,7 @@ def run_delocalization(cfg: ExperimentConfig) -> TheoremReport:
 
     def max_supsq(sample) -> float:
         # the Gram eigensolve's vectors hold to the SVD's down to the hard edge
-        d = gram_decompose(sample)
+        d = decompose(sample)
         # ascending eigenvalues: the band [0, upper] is the leading columns
         hi = np.searchsorted(d.eigenvalues, upper, side="right")
         if hi == 0:
@@ -696,8 +695,8 @@ def run_identity_suite(
 
     def one_trial(sample):
         d = decompose(sample)
-        # one stacked SVD of all N minors serves every theta, both resolvent
-        # identities, interlacing and the eigenvector identity
+        # one stacked eigensolve of all N minors serves every theta, both
+        # resolvent identities, interlacing and the eigenvector identity
         minors = minor_basis(sample)
         loo = resolvent_diag_leave_one_out(minors, points)
         schur = resolvent_diag_schur(minors, points)

@@ -8,10 +8,10 @@ resolvent sees exactly: diagonal entries obey
 
 with W_k the matrix minus column k and w_k the removed (scaled) column.
 
-Both forms are evaluated from the minors' complete left singular bases
-(`spectral.minor_basis`, one stacked SVD over all N minors, shared by every
-spectral point); each takes a sequence of points and evaluates every
-(point, column) pair in one pass.
+Both forms are evaluated from the complete eigenbases of the minor Grams
+W_k W_k* (`spectral.minor_basis`, one stacked eigensolve over all N minors,
+shared by every spectral point); each takes a sequence of points and
+evaluates every (point, column) pair in one pass.
 The two Gram orderings of the minor share a spectrum except for one null
 direction, so the second form runs over the N-1 range directions with the
 minor eigenvalues and the one extra (null) direction with eigenvalue 0, whose
@@ -51,7 +51,7 @@ def resolvent_diag_leave_one_out(
     """G_kk at each point and column, shape (points, N), through the
     removed-column identity, never touching the full matrix.
 
-    The quadratic form runs over the complete left basis of each minor,
+    The quadratic form runs over the complete eigenbasis of each minor Gram,
     null direction included.
     """
     theta = np.array([p.theta for p in points])[:, None]

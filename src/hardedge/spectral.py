@@ -1,32 +1,23 @@
 """Spectral decompositions of X*X and the exact finite-N facts about them.
 
-Two routes, split between exact identities and Monte Carlo statistics:
+Every decomposition is a Hermitian eigensolve of a formed Gram matrix:
+`decompose` and `eigenvalues_only` solve X*X, and `minor_basis` solves the N
+column-minor Grams W_k W_k* = X X* - w_k w_k* in one stacked call.  Their
+eigenvalues carry an absolute error of order machine epsilon times ||X*X||
+(about 1e-14), so a relative error of 1e-11 to 1e-9 at a typical
+lambda_1 ~ 1/N^2 for N <= 1024 (more at a rare lambda_1 far below it).  That
+is far below the sampling error (1e-2 and more) of the window counts, the
+near-zero counts in [0, K/N^2] and the median of N^2 lambda_1, and far below
+the 1e-8 and tighter tolerances of the exact identities.  The eigenvectors
+hold to the SVD's down to the hard edge (squared entries within 4e-13 at
+N <= 512), as delocalization's band [0, 4 - kappa] needs.
+`eigenvalues_only` clips at 0, so a zero mode never drops out of a window
+that starts at 0.
 
-- `decompose` and `minor_basis` take the SVD of X itself (or of its
-  column-minors) and square it, so even the hard-edge values (of order 1/N^2)
-  keep full relative precision, about 1e-14.  The exact finite-N identities,
-  interlacing among them, use this route: their residuals are checked at
-  1e-8 and below.
-- `gram_decompose` and `eigenvalues_only` run a Hermitian eigensolve of the
-  formed Gram matrix X*X, and cost less.  Their eigenvalues carry an
-  absolute error of order machine epsilon times ||X*X|| (about 1e-14), so a
-  relative error of 1e-11 to 1e-9 at a typical lambda_1 ~ 1/N^2 for
-  N <= 1024 (more at a rare lambda_1 far below it).  That is far below the
-  sampling error (1e-2 and more) of the window counts, the near-zero counts
-  in [0, K/N^2] and the median of N^2 lambda_1.  Their eigenvectors hold to
-  the SVD's down to the hard edge (squared entries within 4e-13 at N <= 512),
-  as delocalization's band [0, 4 - kappa] needs.
-  `eigenvalues_only` clips at 0, so a zero mode never drops out of a window
-  that starts at 0.
+`interlacing_check` and `eigenvector_identity_scan` read a MinorBasis and
+evaluate every removed column in one call, row k for column k.
 
-`minor_basis` stacks all N column-minors of X into one (N, N, N-1) array
-and runs one full SVD over it; LAPACK takes the stack a minor at a time, so
-every minor gets the bits of its own SVD.  `interlacing_check` and
-`eigenvector_identity_scan` read that MinorBasis and evaluate every removed
-column in one call, row k for column k.
-
-Decompositions are in ascending order; a MinorBasis keeps LAPACK's
-descending order.  Eigenvectors of X*X are the right singular vectors of X.
+Eigenvalues are in ascending order throughout.
 """
 
 from __future__ import annotations
@@ -44,7 +35,6 @@ __all__ = [
     "SpectralDecomposition",
     "MinorBasis",
     "decompose",
-    "gram_decompose",
     "eigenvalues_only",
     "minor_basis",
     "eigenvalue_count",
@@ -57,8 +47,8 @@ DEFAULT_GAP_TOL = 1e-6
 
 
 class DecompositionError(RuntimeError):
-    """SVD or eigensolver non-convergence, tagged with the trial that produced
-    it: the family's spec and the trial index, which redraw it with
+    """Eigensolver non-convergence, tagged with the trial that produced it:
+    the family's spec and the trial index, which redraw it with
     sample_matrix.  The sample itself is not kept, since eigenvalues_only lets
     it go before its solve."""
 
@@ -71,12 +61,11 @@ class DecompositionError(RuntimeError):
         self.trial_index = trial_index
 
 
-def _lapack(spec: EnsembleSpec, trial_index: int, routine, matrix: np.ndarray, **kwargs):
-    """routine(matrix) (np.linalg.svd, eigh or eigvalsh) for a matrix made from
-    one trial's draw, failures tagged with that trial."""
+def _lapack(spec: EnsembleSpec, trial_index: int, routine, matrix: np.ndarray):
+    """routine(matrix) (np.linalg.eigh or eigvalsh) for a matrix made from one
+    trial's draw, failures tagged with that trial."""
     try:
-        # matrix goes positionally: the benchmark's SVD tracer reads args[0]
-        return routine(matrix, **kwargs)
+        return routine(matrix)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(spec, trial_index, exc) from exc
 
@@ -96,13 +85,14 @@ class SpectralDecomposition:
 @dataclass(frozen=True)
 class MinorBasis:
     """Left spectral data of every column-minor W_k (X with column k removed),
-    from one stacked full SVD, shared by every spectral point and identity,
+    from one stacked eigensolve, shared by every spectral point and identity,
     interlacing included.  Row k of each array belongs to column k.
 
-    eigenvalues holds each minor's N-1 eigenvalues in LAPACK's descending
-    order; weights and null_weights are |<v_b, w_k>|^2 over the minor's
-    complete left basis (range vectors in that order, then the null vector),
-    w_k = columns[k] the removed scaled column.
+    eigenvalues holds each minor's N-1 range eigenvalues, ascending; weights
+    and null_weights are |<v_b, w_k>|^2 over the complete eigenbasis of
+    W_k W_k* (range vectors in that order, then the null vector, the
+    eigenvector of its smallest eigenvalue), w_k = columns[k] the removed
+    scaled column.
     """
 
     eigenvalues: np.ndarray
@@ -112,14 +102,6 @@ class MinorBasis:
 
 
 def decompose(sample: MatrixSample) -> SpectralDecomposition:
-    """Full decomposition of X*X via the SVD of X (eigenvalues ascending)."""
-    _, sing, vh = _lapack(sample.spec, sample.trial_index, np.linalg.svd, sample.entries)
-    eigenvalues = (sing[::-1] ** 2).copy()
-    eigenvectors = vh[::-1].conj().T.copy()
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def gram_decompose(sample: MatrixSample) -> SpectralDecomposition:
     """Full decomposition of X*X by a Hermitian eigensolve of the formed Gram
     matrix (eigenvalues ascending, absolute accuracy only; see the module
     docstring)."""
@@ -148,25 +130,18 @@ def eigenvalues_only(sample: MatrixSample) -> np.ndarray:
 
 def minor_basis(sample: MatrixSample) -> MinorBasis:
     """Every column-minor's eigenvalues, removed column and the column's basis
-    weights, from one full SVD of the (N, N, N-1) stack of minors."""
-    n = sample.size
+    weights, from one eigensolve of the (N, N, N) stack of minor Grams."""
     x = sample.entries
-    # row k of kept lists every column index but k, in order
-    kept = np.broadcast_to(np.arange(n), (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    u, sing, _ = _lapack(
-        sample.spec, sample.trial_index, np.linalg.svd, x[:, kept].transpose(1, 0, 2), full_matrices=True
-    )
     columns = x.T.copy()
-    # row k makes the same BLAS product and strided dot as minor k decomposed
-    # alone, so it keeps those bits; the null weight takes hypot's modulus,
-    # the one the exact-identities reports are computed with
-    range_proj = u[:, :, : n - 1].conj().transpose(0, 2, 1) @ columns[:, :, None]
-    null_proj = np.vecdot(u[:, :, n - 1], columns)
+    grams = x @ x.conj().T - columns[:, :, None] * columns[:, None, :].conj()
+    eigenvalues, vectors = _lapack(sample.spec, sample.trial_index, np.linalg.eigh, grams)
+    # W_k W_k* has rank N-1: its smallest eigenpair is the null direction
+    weights = np.abs(vectors.conj().transpose(0, 2, 1) @ columns[:, :, None])[:, :, 0] ** 2
     return MinorBasis(
-        eigenvalues=sing**2,
+        eigenvalues=eigenvalues[:, 1:],
         columns=columns,
-        weights=np.abs(range_proj[:, :, 0]) ** 2,
-        null_weights=np.hypot(null_proj.real, null_proj.imag) ** 2,
+        weights=weights[:, 1:],
+        null_weights=weights[:, 0],
     )
 
 
@@ -197,7 +172,7 @@ def interlacing_check(decomposition: SpectralDecomposition, minors: MinorBasis) 
     a broken decomposition.
     """
     s = decomposition.eigenvalues
-    t = minors.eigenvalues[:, ::-1]
+    t = minors.eigenvalues
     below = np.max(s[:-1] - t, axis=-1, initial=0.0)
     above = np.max(t - s[1:], axis=-1, initial=0.0)
     return np.maximum(below, above)

@@ -19,6 +19,7 @@ from hardedge.experiments import (
     HARDEDGE_MEDIAN_FACTOR,
     WEGNER_K_GRID,
     WEGNER_L_GRID,
+    ExperimentConfig,
     _MASS_M_GRID,
     _PROBE_SIZE,
 )
@@ -31,17 +32,55 @@ def _until_item(item, why):
     return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"{why}; ROADMAP item {item} mends it")
 
 
+def _hardedge_spread_rate(sizes, trials, key):
+    """The rate at which the N^2*s_1 medians of `sizes` independent sizes
+    spread by more than HARDEDGE_MEDIAN_FACTOR, over 10^5 simulated runs.
+
+    For the square complex-gaussian ensemble N^2*s_1 is exactly Exp(1) at
+    every N, and the order statistics of n Exp(1) draws are
+    X_(k) = sum_{j<=k} E_j / (n - j + 1) (Renyi): the median is X_(m) for odd
+    n = 2m - 1 and (X_(m) + X_(m+1)) / 2 for even n = 2m.
+    """
+    rng = np.random.Generator(np.random.Philox(key=key))
+    order = np.zeros((100_000, sizes))
+    for j in range(trials // 2 + 1):
+        step = rng.standard_exponential(order.shape) / (trials - j)
+        order += step
+    # order holds X_(m) for odd n, X_(m+1) = X_(m) + step for even n
+    medians = order if trials % 2 else order - step / 2
+    return float(np.mean(medians.max(axis=1) / medians.min(axis=1) > HARDEDGE_MEDIAN_FACTOR))
+
+
+def _wegner_first_level_rate(sizes, trials):
+    """The exact rate at which wegner's first-level rule FAILs some size.
+
+    The windows [0, K/N^2] are nested, so a size FAILs the rule exactly when
+    its smallest window is empty in every trial; N^2*s_1 is exactly Exp(1),
+    so one trial's window is empty with probability e^-K.  The strict-decay
+    rule reads the joint law of the smallest eigenvalues, which waits for
+    item 2's exact count law.
+    """
+    assert WEGNER_L_GRID[0] == 1
+    return 1.0 - (1.0 - math.exp(-WEGNER_K_GRID[0] * trials)) ** sizes
+
+
 @_until_item(4, "the N^2*s_1 median-spread band FAILs about 6% of honest runs")
 def test_hardedge_median_spread_at_the_eigen_suite_config():
-    # complex-gaussian, sizes (256, 512), 30 trials.  For the square complex
-    # ensemble N^2*s_1 is exactly Exp(1) at every N, and the order statistics
-    # of n Exp(1) draws are X_(k) = sum_{j<=k} E_j / (n - j + 1) (Renyi), so
-    # each size's median is (X_(15) + X_(16)) / 2
-    runs, sizes, trials = 100_000, 2, 30
-    rng = np.random.Generator(np.random.Philox(key=4))
-    order = np.cumsum(rng.standard_exponential((runs, sizes, 16)) / (trials - np.arange(16)), axis=2)
-    medians = (order[..., 14] + order[..., 15]) / 2
-    rate = float(np.mean(medians.max(axis=1) / medians.min(axis=1) > HARDEDGE_MEDIAN_FACTOR))
+    # complex-gaussian, sizes (256, 512), 30 trials
+    rate = _hardedge_spread_rate(sizes=2, trials=30, key=4)
+    assert rate <= ALPHA, rate
+
+
+def test_hardedge_median_spread_at_the_default_config():
+    # sizes (128, 256, 512), 100 trials: about 0.2%
+    cfg = ExperimentConfig()
+    rate = _hardedge_spread_rate(sizes=len(cfg.sizes), trials=cfg.trials, key=5)
+    assert rate <= ALPHA, rate
+
+
+def test_hardedge_median_spread_at_the_criterion_10_config():
+    # sizes (128, 256, 512), 200 trials: no spread seen in 10^5 runs
+    rate = _hardedge_spread_rate(sizes=3, trials=200, key=10)
     assert rate <= ALPHA, rate
 
 
@@ -60,13 +99,19 @@ def test_projmass_zero_hits_at_the_exact_config():
 
 
 def test_wegner_first_level_at_the_eigen_suite_config():
-    # complex-gaussian, sizes (256, 512), 30 trials, WEGNER_K_GRID.  The
-    # windows [0, K/N^2] are nested, so a size FAILs the first-level rule
-    # exactly when its smallest window is empty in every trial; N^2*s_1 is
-    # exactly Exp(1), so one trial's window is empty with probability e^-K.
-    # The strict-decay rule reads the joint law of the smallest eigenvalues,
-    # which waits for item 2's exact count law
-    sizes, trials = 2, 30
-    assert WEGNER_L_GRID[0] == 1
-    rate = 1.0 - (1.0 - math.exp(-WEGNER_K_GRID[0] * trials)) ** sizes
+    # complex-gaussian, sizes (256, 512), 30 trials: about 1.1e-3
+    rate = _wegner_first_level_rate(sizes=2, trials=30)
+    assert rate <= ALPHA, rate
+
+
+def test_wegner_first_level_at_the_default_config():
+    # sizes (128, 256, 512), 100 trials: about 4e-11
+    cfg = ExperimentConfig()
+    rate = _wegner_first_level_rate(sizes=len(cfg.sizes), trials=cfg.trials)
+    assert rate <= ALPHA, rate
+
+
+def test_wegner_first_level_at_the_criterion_11_config():
+    # size 256, 2000 trials: e^-500, zero in double precision
+    rate = _wegner_first_level_rate(sizes=1, trials=2000)
     assert rate <= ALPHA, rate

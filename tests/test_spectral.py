@@ -1,9 +1,9 @@
 """Decomposition accuracy, counting, interlacing, eigenvector identity.
 
-The dense Hermitian eigensolver (numpy.linalg.eigh on the explicitly formed
-gram matrix) serves as the independent oracle for the SVD route; the Gram
-route (gram_decompose, eigenvalues_only) is held to the SVD route where deloc
-and the spectra pass read it.
+Every decomposition is a Hermitian eigensolve of a formed Gram matrix.  The
+SVD of X (or of one column-minor), taken inline with numpy.linalg.svd, is the
+independent reference they are held to, where deloc, the spectra pass and
+the identity suite read them; the dense eigensolver of X*X is a second one.
 """
 
 import math
@@ -16,20 +16,22 @@ from hardedge import (
     KINDS,
     EnsembleSpec,
     EntryDistribution,
+    SpectralPoint,
     Window,
     counting_bound,
     decompose,
     eigenvalue_count,
     eigenvalues_only,
     eigenvector_identity_scan,
-    gram_decompose,
     interlacing_check,
     minor_basis,
+    resolvent_diag_leave_one_out,
+    resolvent_diag_schur,
     sample_matrix,
     spectral,
 )
 from hardedge.ensemble import MatrixSample
-from hardedge.spectral import DecompositionError
+from hardedge.spectral import DecompositionError, SpectralDecomposition
 
 GAUSS = EntryDistribution("complex-gaussian")
 
@@ -38,13 +40,19 @@ def make_sample(n, seed=1, trial=0, dist=GAUSS):
     return sample_matrix(EnsembleSpec(size=n, distribution=dist, master_seed=seed), trial)
 
 
+def svd_reference(sample):
+    """The decomposition of X*X squared from the SVD of X, ascending."""
+    _, sing, vh = np.linalg.svd(sample.entries)
+    return SpectralDecomposition(eigenvalues=sing[::-1] ** 2, eigenvectors=vh[::-1].conj().T)
+
+
 @pytest.mark.parametrize("n", [16, 64])
 def test_decompose_matches_dense_eigensolver(n):
     s = make_sample(n)
     d = decompose(s)
     gram = s.entries.conj().T @ s.entries
-    reference = np.linalg.eigvalsh(gram)
-    assert np.max(np.abs(d.eigenvalues - reference)) < 1e-9
+    for reference in (np.linalg.eigvalsh(gram), svd_reference(s).eigenvalues):
+        assert np.max(np.abs(d.eigenvalues - reference)) < 1e-9
 
 
 def test_decompose_invariants():
@@ -77,9 +85,9 @@ def test_eigenvalues_only_agrees_with_decompose():
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [16, 128])
-def test_gram_decompose_agrees_with_decompose(kind, n):
+def test_decompose_agrees_with_the_svd(kind, n):
     s = make_sample(n, seed=11, dist=EntryDistribution(kind))
-    svd, gram = decompose(s), gram_decompose(s)
+    svd, gram = svd_reference(s), decompose(s)
     assert np.max(np.abs(gram.eigenvalues - svd.eigenvalues)) <= 1e-12 * (1.0 + svd.top)
     # deloc's statistic over its band [0, 3.5], which reaches the hard edge
     hi = [np.searchsorted(d.eigenvalues, 3.5, side="right") for d in (svd, gram)]
@@ -94,9 +102,9 @@ def test_gram_decompose_agrees_with_decompose(kind, n):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [128, 512])
 def test_eigenvalues_only_holds_to_the_svd(kind, n):
-    # the spectra pass reads eigenvalues_only; the SVD route is the reference
+    # the spectra pass reads eigenvalues_only; the SVD of X is the reference
     s = make_sample(n, seed=13, dist=EntryDistribution(kind))
-    gram, svd = eigenvalues_only(s), decompose(s).eigenvalues
+    gram, svd = eigenvalues_only(s), np.linalg.svd(s.entries, compute_uv=False)[::-1] ** 2
     assert np.max(np.abs(gram - svd)) <= 1e-12 * (1.0 + svd[-1])
     # lambda_1 ~ 1/N^2 is what the hard-edge median reads
     assert abs(gram[0] - svd[0]) <= 1e-7 * svd[0]
@@ -143,23 +151,57 @@ def test_interlacing_all_columns():
     assert np.all(violations <= tol)
 
 
+def _minor_eigh(sample, k):
+    """Eigenpairs of the k-minor's Gram W_k W_k* = X X* - w_k w_k*, formed as
+    minor_basis forms it, and |<v_b, w_k>|^2 over its eigenbasis."""
+    x, w = sample.entries, sample.entries[:, k]
+    t, v = np.linalg.eigh(x @ x.conj().T - np.outer(w, w.conj()))
+    return t, np.abs(v.conj().T @ w) ** 2
+
+
 @pytest.mark.parametrize("n", [8, 16, 32])
-def test_minor_basis_reuses_thin_svd_bits(n):
-    # the identity suite's report rows rely on the stacked full SVD repeating
-    # each column's own thin SVD: eigenvalues and range weights bit for bit
+def test_minor_basis_is_the_per_minor_eigensolve(n):
+    # the stacked solve repeats each minor's own eigh bit for bit, its
+    # smallest eigenpair the null direction, and holds to the minor's SVD
     for trial in range(2):
         s = make_sample(n, seed=n, trial=trial)
         minors = minor_basis(s)
         assert minors.eigenvalues.shape == minors.weights.shape == (n, n - 1)
         for k in range(n):
             w = s.entries[:, k]
-            u, sing, _ = np.linalg.svd(np.delete(s.entries, k, axis=1), full_matrices=False)
-            assert np.array_equal(minors.eigenvalues[k], sing**2)
-            assert np.array_equal(minors.weights[k], np.abs(u.conj().T @ w) ** 2)
+            t, weights = _minor_eigh(s, k)
+            assert np.array_equal(minors.eigenvalues[k], t[1:])
+            assert np.array_equal(minors.weights[k], weights[1:])
+            assert minors.null_weights[k] == weights[0]
             assert np.array_equal(minors.columns[k], w)
+            u, sing, _ = np.linalg.svd(np.delete(s.entries, k, axis=1), full_matrices=False)
+            top = sing[0] ** 2
+            assert np.max(np.abs(minors.eigenvalues[k] - sing[::-1] ** 2)) <= 1e-12 * (1.0 + top)
+            assert np.max(np.abs(minors.weights[k] - np.abs(u[:, ::-1].conj().T @ w) ** 2)) <= 1e-11
             # the range and null weights split the column's squared norm
             norm_sq = float(np.sum(np.abs(w) ** 2))
             assert abs(minors.null_weights[k] + math.fsum(minors.weights[k]) - norm_sq) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 16, 32])
+def test_singular_x_keeps_every_identity(n):
+    # a duplicated column makes X singular: every minor that keeps both
+    # copies has two zero eigenvalues, so its null direction is not unique
+    s = make_sample(n, seed=n + 3)
+    x = s.entries.copy()
+    x[:, 1] = x[:, 0]
+    singular = MatrixSample(entries=x, spec=s.spec, trial_index=s.trial_index)
+    d, minors = decompose(singular), minor_basis(singular)
+    assert np.count_nonzero(np.abs(minors.eigenvalues[:, 0]) <= 1e-12) == n - 2
+    assert np.all(interlacing_check(d, minors) <= 1e-10)
+    points = [SpectralPoint(e, h) for e, h in ((0.04, 0.02), (0.5, 0.05), (2.0, 0.1), (5.0, 0.7))]
+    gram = x.conj().T @ x
+    dense = np.array([np.diag(np.linalg.inv(gram - p.theta * np.eye(n))) for p in points])
+    assert np.max(np.abs(resolvent_diag_leave_one_out(minors, points) - dense)) <= 1e-9
+    assert np.max(np.abs(resolvent_diag_schur(minors, points) - dense)) <= 1e-9
+    scan = eigenvector_identity_scan(minors, d)
+    covered = np.isfinite(scan)
+    assert np.any(covered) and np.all(scan[covered] < 1e-8)
 
 
 def test_eigenvector_identity_full_scan():
@@ -182,11 +224,11 @@ def test_eigenvector_identity_size_one():
 
 def _per_alpha_scan(sample, k, gap_tol, d):
     """The identity scan one eigenvalue index at a time (inf for uncovered),
-    from its own full SVD of the k-minor."""
+    from its own eigensolve of the k-minor's Gram."""
     n = len(d.eigenvalues)
-    u, sing, _ = np.linalg.svd(np.delete(sample.entries, k, axis=1), full_matrices=True)
-    t = sing**2
-    weights = t * np.abs(u[:, : n - 1].conj().T @ sample.entries[:, k]) ** 2
+    t, weights = _minor_eigh(sample, k)
+    t = t[1:]
+    weights = t * weights[1:]
     cutoff = gap_tol * (1.0 + d.top)
     out = []
     for alpha in range(n):
@@ -251,12 +293,11 @@ def test_decomposition_error_carries_trial_identity():
 @pytest.mark.parametrize(
     "decomposer, routine",
     [
-        (decompose, "svd"),
+        (decompose, "eigh"),
         (eigenvalues_only, "eigvalsh"),
-        (minor_basis, "svd"),
-        (gram_decompose, "eigh"),
+        (minor_basis, "eigh"),
     ],
-    ids=["decompose", "eigenvalues_only", "minor_basis", "gram_decompose"],
+    ids=["decompose", "eigenvalues_only", "minor_basis"],
 )
 def test_svd_failure_names_seed_and_trial(decomposer, routine, monkeypatch):
     def failing(*args, **kwargs):
