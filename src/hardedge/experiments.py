@@ -32,7 +32,7 @@ sizes with the same parsers; identities draws complex-gaussian entries, and
 hw and projmass run at a fixed size on fixed grids.
 
 Every matrix experiment is a reducer over one trial engine (`_per_trial`),
-which maps a per-sample function over the seeded draws of each size.  The
+which draws, solves and reduces the seeded trials of each size.  The
 apriori, local-law, near-zero and hard-edge experiments share one memoised
 spectra pass (`_spectra`): each trial is drawn and decomposed once per
 process, however many of them run on the same config.
@@ -266,20 +266,20 @@ class TheoremReport:
         return not self.failures
 
 
-def _per_trial(fn, distribution: str, seed: int, sizes, trials: int) -> dict[int, list]:
-    """{size: [fn(sample) for each trial]} over the seeded draws of each size.
+def _per_trial(solve, distribution: str, seed: int, sizes, trials: int, reduce=lambda r: r) -> dict:
+    """{size: [reduce(solve(sample)) for each trial]} over each size's seeded draws.
 
     The one place a size's ensemble is built: a sub-master seed per size, so
     streams never overlap across sizes, and a seed per trial below it.  Each
-    draw is passed to fn as a temporary, so fn holds its only reference
+    draw is passed to solve as a temporary, so solve holds its only reference
     (CPython 3.11+ moves a temporary argument into the callee's frame) and
-    may free X before it returns, as eigenvalues_only does.
+    may free X before its eigensolve, as decompose and eigenvalues_only do.
     """
     dist = EntryDistribution(distribution)
     out = {}
     for size in sizes:
         spec = EnsembleSpec(size=size, distribution=dist, master_seed=derive_trial_seed(seed, size))
-        out[size] = [fn(sample_matrix(spec, t)) for t in range(trials)]
+        out[size] = [reduce(solve(sample_matrix(spec, t))) for t in range(trials)]
     return out
 
 
@@ -491,16 +491,17 @@ def run_delocalization(cfg: ExperimentConfig) -> TheoremReport:
     _require_two_or_more(cfg, "the statistic is divided by ln N, which is 0 at N=1")
     upper = 4.0 - cfg.kappa
 
-    def max_supsq(sample) -> float:
-        # the Gram eigensolve's vectors hold to the SVD's down to the hard edge
-        d = decompose(sample)
+    def max_supsq(d) -> float:
         # ascending eigenvalues: the band [0, upper] is the leading columns
         hi = np.searchsorted(d.eigenvalues, upper, side="right")
         if hi == 0:
             return math.nan
-        return float(sample.size * np.max(np.abs(d.eigenvectors[:, :hi]) ** 2))
+        # max, then square by a multiply (scalar ** 2 calls pow): the max of the squares, bit for bit
+        top = np.max(np.abs(d.eigenvectors[:, :hi]))
+        return float(d.eigenvalues.size * (top * top))
 
-    per_trial = _per_trial(max_supsq, cfg.distribution, cfg.seed, cfg.sizes, cfg.trials)
+    # the Gram eigensolve's vectors hold to the SVD's down to the hard edge
+    per_trial = _per_trial(decompose, cfg.distribution, cfg.seed, cfg.sizes, cfg.trials, reduce=max_supsq)
     rows = []
     failures = []
     medians_over_ln = {}

@@ -14,6 +14,16 @@ N <= 512), as delocalization's band [0, 4 - kappa] needs.
 `eigenvalues_only` clips at 0, so a zero mode never drops out of a window
 that starts at 0.
 
+The eigensolves read only the lower triangle (UPLO='L'), so `decompose` and
+`eigenvalues_only` form only that, in row blocks X[:, j0:j1]* X[:, :j1] that
+start at multiples of 64, the last taking the remainder (at most 127
+columns): no conjugate copy of all of X, half the multiplications.  Each
+entry keeps its place modulo 64 in its GEMM's output, and OpenBLAS sums an
+edge tile in another order, so for the complex X every kind draws the
+triangle is bit for bit that of X*X (blocks of near-equal width are not).
+Both let go of the sample once the Gram is formed, so a caller that hands
+over its only reference frees X before the solve.
+
 `interlacing_check` and `eigenvector_identity_scan` read a MinorBasis and
 evaluate every removed column in one call, row k for column k.
 
@@ -49,8 +59,8 @@ DEFAULT_GAP_TOL = 1e-6
 class DecompositionError(RuntimeError):
     """Eigensolver non-convergence, tagged with the trial that produced it:
     the family's spec and the trial index, which redraw it with
-    sample_matrix.  The sample itself is not kept, since eigenvalues_only lets
-    it go before its solve."""
+    sample_matrix.  The sample itself is not kept, since decompose and
+    eigenvalues_only let it go before their solve."""
 
     def __init__(self, spec: EnsembleSpec, trial_index: int, original: Exception):
         super().__init__(
@@ -68,6 +78,17 @@ def _lapack(spec: EnsembleSpec, trial_index: int, routine, matrix: np.ndarray):
         return routine(matrix)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(spec, trial_index, exc) from exc
+
+
+def _gram_lower(x: np.ndarray) -> np.ndarray:
+    """Lower triangle of X*X, strict upper triangle 0 (blocks: module docstring)."""
+    n = x.shape[1]
+    gram = np.zeros((n, n), dtype=x.dtype)
+    starts = range(0, max(n // 64, 1) * 64, 64)
+    for j0, j1 in zip(starts, [*starts[1:], n]):
+        np.matmul(x[:, j0:j1].conj().T, x[:, :j1], out=gram[j0:j1, :j1])
+        gram[j0:j1, j0:j1][np.triu_indices(j1 - j0, 1)] = 0
+    return gram
 
 
 @dataclass(frozen=True)
@@ -105,8 +126,9 @@ def decompose(sample: MatrixSample) -> SpectralDecomposition:
     """Full decomposition of X*X by a Hermitian eigensolve of the formed Gram
     matrix (eigenvalues ascending, absolute accuracy only; see the module
     docstring)."""
-    x = sample.entries
-    eigenvalues, eigenvectors = _lapack(sample.spec, sample.trial_index, np.linalg.eigh, x.conj().T @ x)
+    spec, trial_index, gram = sample.spec, sample.trial_index, _gram_lower(sample.entries)
+    del sample
+    eigenvalues, eigenvectors = _lapack(spec, trial_index, np.linalg.eigh, gram)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
@@ -114,16 +136,9 @@ def eigenvalues_only(sample: MatrixSample) -> np.ndarray:
     """Ascending eigenvalues of X*X without vectors, by a Hermitian eigensolve
     of the formed Gram matrix (absolute accuracy only; see the module
     docstring), clipped at 0: X*X is positive semidefinite, and the solve
-    returns a zero mode as a value of either sign near 1e-15.
-
-    The sample is let go before the Gram is formed, so when the caller hands
-    over its only reference, as the spectra pass does, X is freed before the
-    solve: the solve holds the Gram and its working copy, not X as well.
-    """
-    spec, trial_index, x = sample.spec, sample.trial_index, sample.entries
+    returns a zero mode as a value of either sign near 1e-15."""
+    spec, trial_index, gram = sample.spec, sample.trial_index, _gram_lower(sample.entries)
     del sample
-    gram = x.conj().T @ x
-    del x
     eigenvalues = _lapack(spec, trial_index, np.linalg.eigvalsh, gram)
     return np.maximum(eigenvalues, 0.0, out=eigenvalues)
 

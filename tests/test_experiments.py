@@ -333,9 +333,11 @@ def test_spectra_drawn_once_per_config(small_cfg, draw_counter):
     assert len(draw_counter) == len(small_cfg.sizes) * small_cfg.trials
 
 
-def test_spectra_pass_frees_each_draw_before_its_eigensolve(small_cfg, monkeypatch):
+def _record_draws_freed_before(routine, monkeypatch):
+    """Weak references to every X drawn; np.linalg.<routine> asserts that the
+    trial's X is gone when it is called."""
     drawn = []
-    real_draw, real_solve = experiments.sample_matrix, np.linalg.eigvalsh
+    real_draw, real_solve = experiments.sample_matrix, getattr(np.linalg, routine)
 
     def recording(spec, t):
         sample = real_draw(spec, t)
@@ -348,9 +350,20 @@ def test_spectra_pass_frees_each_draw_before_its_eigensolve(small_cfg, monkeypat
         return real_solve(gram)
 
     monkeypatch.setattr(experiments, "sample_matrix", recording)
-    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    monkeypatch.setattr(np.linalg, routine, solve)
+    return drawn
+
+
+def test_spectra_pass_frees_each_draw_before_its_eigensolve(small_cfg, monkeypatch):
+    drawn = _record_draws_freed_before("eigvalsh", monkeypatch)
     monkeypatch.setattr(experiments, "_SPECTRA", {})
     experiments._spectra(small_cfg)
+    assert len(drawn) == len(small_cfg.sizes) * small_cfg.trials
+
+
+def test_deloc_frees_each_draw_before_its_eigensolve(small_cfg, monkeypatch):
+    drawn = _record_draws_freed_before("eigh", monkeypatch)
+    run_delocalization(small_cfg)
     assert len(drawn) == len(small_cfg.sizes) * small_cfg.trials
 
 

@@ -7,6 +7,7 @@ the identity suite read them; the dense eigensolver of X*X is a second one.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -76,6 +77,43 @@ def test_eigenvectors_diagonalize_gram():
     for alpha in (0, 7, 19):
         v = d.eigenvectors[:, alpha]
         assert np.linalg.norm(gram @ v - d.eigenvalues[alpha] * v) < 1e-12 * (1 + d.top)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 130, 256, 512])
+def test_gram_lower_is_the_full_products_triangle(kind, n):
+    x = make_sample(n, seed=17, dist=EntryDistribution(kind)).entries
+    gram, full = spectral._gram_lower(x), x.conj().T @ x
+    lower = np.tril_indices(n)
+    assert np.array_equal(gram[lower], full[lower])
+    assert not np.any(np.triu(gram, 1))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [16, 100, 256])
+def test_solvers_equal_the_full_products_eigensolve(kind, n):
+    s = make_sample(n, seed=19, dist=EntryDistribution(kind))
+    full = s.entries.conj().T @ s.entries
+    assert np.array_equal(eigenvalues_only(s), np.maximum(np.linalg.eigvalsh(full), 0.0))
+    d, (eigenvalues, eigenvectors) = decompose(s), np.linalg.eigh(full)
+    assert np.array_equal(d.eigenvalues, eigenvalues)
+    assert np.array_equal(d.eigenvectors, eigenvectors)
+
+
+@pytest.mark.parametrize("solver", [eigenvalues_only, decompose], ids=["eigenvalues_only", "decompose"])
+def test_one_trial_peaks_below_two_and_a_half_n_squared_blocks(solver):
+    # X is freed before the solve and no full conjugate copy is made: X, the
+    # Gram and one block's conjugate columns, about 2.16 blocks of 16 N^2
+    # bytes at N = 512 (3.00 with the full product beside X)
+    n = 512
+    spec = EnsembleSpec(size=n, distribution=GAUSS, master_seed=1)
+    tracemalloc.start()
+    try:
+        solver(sample_matrix(spec, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 16 * n * n
 
 
 def test_eigenvalues_only_agrees_with_decompose():
