@@ -16,9 +16,7 @@ from .ensemble import (
     MatrixSample,
     check_entry_statistics,
     derive_trial_seed,
-    read_sample,
     sample_matrix,
-    write_sample,
 )
 from .experiments import (
     ConfigError,
@@ -70,7 +68,6 @@ __all__ = [
     # ensemble
     "KINDS", "EntryDistribution", "EnsembleSpec", "MatrixSample",
     "derive_trial_seed", "sample_matrix", "check_entry_statistics",
-    "write_sample", "read_sample",
     # spectral
     "SpectralDecomposition", "DecompositionError", "MinorBasis",
     "decompose", "eigenvalues_only", "minor_basis", "eigenvalue_count",

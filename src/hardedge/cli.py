@@ -17,14 +17,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .ensemble import KINDS, EnsembleSpec, EntryDistribution, sample_matrix, write_sample
+from .ensemble import KINDS
 from .experiments import (
     ConfigError,
     ExperimentConfig,
     _count,
-    _integer,
-    _seed,
-    _where,
     run_apriori,
     run_delocalization,
     run_hard_edge_scaling,
@@ -174,16 +171,6 @@ def _cmd_mp(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
-    n = _count("n", args.n)
-    trial = _where(_integer, lambda i: i >= 0, ">= 0")("trial", args.trial)
-    seed = _seed("seed", args.seed)
-    spec = EnsembleSpec(size=n, distribution=EntryDistribution(args.dist), master_seed=seed)
-    write_sample(sample_matrix(spec, trial), args.out)
-    print(f"wrote {args.out} (N={n}, kind={args.dist}, seed={seed}, trial={trial})")
-    return 0
-
-
 def _add_direct_parser(subs, name: str, help: str) -> argparse.ArgumentParser:
     """Subcommand whose flags are named after the runner's parameters; an unset
     flag stays out of the namespace, so the runner's signature holds the defaults."""
@@ -212,14 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--moment", type=int, metavar="K")
     mp.set_defaults(func=_cmd_mp)
     mp._negative_number_matcher = _NEGATIVE_NUMBER
-
-    sample = subs.add_parser("sample", help="draw one matrix and write a binary dump")
-    sample.add_argument("--n", type=int, required=True)
-    sample.add_argument("--dist", choices=KINDS, default="complex-gaussian")
-    sample.add_argument("--seed", type=int, default=1)
-    sample.add_argument("--trial", type=int, default=0)
-    sample.add_argument("--out", required=True, metavar="PATH")
-    sample.set_defaults(func=_cmd_sample)
 
     for name, runner in (*_spectra_experiments(), ("deloc", run_delocalization)):
         sub = subs.add_parser(name, help=f"run the {name} experiment")

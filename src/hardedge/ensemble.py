@@ -21,26 +21,12 @@ stream.
 `stream` hands out these keyed streams: each thread keeps one Philox and
 resets its whole state to the key, which draws the same bits as a freshly
 built generator without seeding an unused SeedSequence from OS entropy.
-
-Binary dump layout (documented external interface, little endian):
-
-    offset  size  field
-    0       8     magic b"HESAMP01"
-    8       8     u64 matrix size N
-    16      4     u32 distribution kind code (0 complex-gaussian,
-                  1 rademacher-pair, 2 uniform-symmetric)
-    20      4     u32 reserved, zero
-    24      8     u64 master seed
-    32      8     u64 trial index
-    40      16*N^2  row-major entries of the scaled matrix, each as
-                  interleaved (re, im) float64 pairs
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import struct
 import threading
 from dataclasses import dataclass
 
@@ -56,8 +42,6 @@ __all__ = [
     "draw_entries",
     "sample_matrix",
     "check_entry_statistics",
-    "write_sample",
-    "read_sample",
 ]
 
 logger = logging.getLogger(__name__)
@@ -67,14 +51,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-_MAGIC = b"HESAMP01"
-_HEADER = struct.Struct("<8sQIIQQ")
-
-# kind -> (code, bounded part density)
+# kind -> bounded part density
 _KIND_TABLE = {
-    "complex-gaussian": (0, True),
-    "rademacher-pair": (1, False),
-    "uniform-symmetric": (2, True),
+    "complex-gaussian": True,
+    "rademacher-pair": False,
+    "uniform-symmetric": True,
 }
 KINDS = tuple(_KIND_TABLE)
 
@@ -99,12 +80,8 @@ class EntryDistribution:
             raise ValueError(f"unknown distribution kind {self.kind!r}; choose from {KINDS}")
 
     @property
-    def code(self) -> int:
-        return _KIND_TABLE[self.kind][0]
-
-    @property
     def density_bounded(self) -> bool:
-        return _KIND_TABLE[self.kind][1]
+        return _KIND_TABLE[self.kind]
 
 
 @dataclass(frozen=True)
@@ -239,43 +216,3 @@ def check_entry_statistics(sample: MatrixSample) -> tuple[float, float]:
             raise ValueError(msg)
         logger.warning(msg)
     return mean_dev, modsq_dev
-
-
-def write_sample(sample: MatrixSample, path) -> None:
-    """Dump one sample in the documented little-endian binary layout."""
-    n = sample.size
-    header = _HEADER.pack(
-        _MAGIC,
-        n,
-        sample.spec.distribution.code,
-        0,
-        sample.spec.master_seed,
-        sample.trial_index,
-    )
-    # a little-endian complex128 is the (re, im) float64 pair, bit for bit
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(sample.entries.astype("<c16", copy=False).tobytes())
-
-
-def read_sample(path) -> MatrixSample:
-    """Inverse of write_sample; validates magic and payload length."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size or raw[:8] != _MAGIC:
-        raise ValueError(f"{path}: not a sample dump (bad magic)")
-    magic, n, code, _reserved, master_seed, trial_index = _HEADER.unpack_from(raw)
-    expected = _HEADER.size + 16 * n * n
-    if len(raw) != expected:
-        raise ValueError(f"{path}: truncated payload ({len(raw)} bytes, expected {expected})")
-    kinds_by_code = {info[0]: kind for kind, info in _KIND_TABLE.items()}
-    if code not in kinds_by_code:
-        raise ValueError(f"{path}: unknown distribution code {code}")
-    # the same view the writer used: no arithmetic, so -0.0 and inf parts survive
-    entries = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(n, n).astype(np.complex128)
-    spec = EnsembleSpec(
-        size=n,
-        distribution=EntryDistribution(kinds_by_code[code]),
-        master_seed=master_seed,
-    )
-    return MatrixSample(entries=entries, spec=spec, trial_index=trial_index)

@@ -12,13 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import hardedge
-from hardedge import EnsembleSpec, EntryDistribution, cli, experiments, file_digest, sample_matrix
+from hardedge import cli, experiments, file_digest
 from hardedge.cli import main
-from hardedge.ensemble import read_sample
 
 
 def run(capsys, argv):
@@ -174,45 +172,34 @@ def test_mp_moment_prints_the_catalan_number(capsys):
         (["mp", "--moment", str(10**30)], "error: moment: "),
         (["mp", "--mass", "2", "0"], "error: mass: "),
         (["mp", "--density", "nan"], "error: density: "),
-        (["sample", "--n", "0"], "config error: n: "),
-        (["sample", "--n", "4", "--trial", "-1"], "config error: trial: "),
-        (["sample", "--n", "4", "--seed", "-1"], "config error: seed: "),
-        (["sample", "--n", "4", "--seed", str(2**64)], "config error: seed: "),
-        (["mp", "--bounds", "1e-170", "1e-170"], "error: bounds: "),
+        # a fixed id, so adding or removing a row above leaves it named
+        pytest.param(["mp", "--bounds", "1e-170", "1e-170"], "error: bounds: ", id="argv11-error: bounds: "),
     ],
 )
-def test_mp_and_sample_bad_input_exits_2_and_names_the_flag(tmp_path, capsys, argv, prefix):
-    if argv[0] == "sample":
-        argv = [*argv, "--out", str(tmp_path / "draw.bin")]
+def test_mp_and_sample_bad_input_exits_2_and_names_the_flag(capsys, argv, prefix):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith(prefix)
-    assert not (tmp_path / "draw.bin").exists()
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(capsys, [])[0] == 2
     assert run(capsys, ["mp", "--nope"])[0] == 2
     assert run(capsys, ["not-a-command"])[0] == 2
-
-
-# --- sample ------------------------------------------------------------
-
-
-def test_sample_round_trip(tmp_path, capsys):
     out = tmp_path / "draw.bin"
-    code, text, _ = run(
-        capsys,
-        ["sample", "--n", "8", "--dist", "uniform-symmetric",
-         "--seed", "9", "--trial", "1", "--out", str(out)],
-    )
-    assert code == 0
-    assert str(out) in text
-    loaded = read_sample(out)
-    spec = EnsembleSpec(8, EntryDistribution("uniform-symmetric"), 9)
-    direct = sample_matrix(spec, 1)
-    assert np.array_equal(loaded.entries, direct.entries)
-    assert loaded.trial_index == 1
+    code, _, err = run(capsys, ["sample", "--n", "4", "--out", str(out)])
+    assert code == 2
+    assert "invalid choice: 'sample'" in err
+    assert not out.exists()
+
+
+def test_readme_command_table_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    table = section.split("```text\n", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in table.splitlines()]
+    (subs,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(listed) == sorted(subs.choices)
 
 
 # --- experiments -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Entry distributions, seed derivation, sampling determinism, binary dumps."""
+"""Entry distributions, seed derivation, sampling determinism."""
 
 import logging
 import math
@@ -15,9 +15,7 @@ from hardedge import (
     MatrixSample,
     check_entry_statistics,
     derive_trial_seed,
-    read_sample,
     sample_matrix,
-    write_sample,
 )
 from hardedge.ensemble import draw_entries, stream
 
@@ -173,49 +171,6 @@ def test_entry_statistics_warn_below_threshold(caplog):
     with caplog.at_level(logging.WARNING):
         check_entry_statistics(doctored)
     assert any("entry statistics" in r.message for r in caplog.records)
-
-
-def test_dump_roundtrip(tmp_path):
-    path = tmp_path / "sample.bin"
-    s = sample_matrix(spec_of(12, UNIF, seed=99), 7)
-    write_sample(s, path)
-    # 40-byte header (magic, N, kind, reserved, seed, trial) + interleaved doubles
-    assert path.stat().st_size == 40 + 16 * 12 * 12
-    back = read_sample(path)
-    assert np.array_equal(back.entries, s.entries)
-    assert back.spec == s.spec
-    assert back.trial_index == 7
-
-
-def test_dump_roundtrip_keeps_signed_zeros_and_infinities(tmp_path):
-    # the payload is read back through the writer's own complex128 view:
-    # rebuilding re + 1j*im would turn 3+inf*j into nan+inf*j and drop -0.0
-    entries = np.zeros((2, 2), dtype=np.complex128)
-    parts = entries.reshape(-1).view(np.float64)
-    parts[:] = [-0.0, 0.0, 3.0, math.inf, -math.inf, -0.0, 0.0, -math.inf]
-    s = MatrixSample(entries=entries, spec=spec_of(2), trial_index=0)
-    path = tmp_path / "sample.bin"
-    write_sample(s, path)
-    assert path.read_bytes()[40:] == parts.astype("<f8").tobytes()
-    back = read_sample(path)
-    assert back.entries.tobytes() == entries.tobytes()
-    assert back.entries.flags.writeable
-
-
-def test_dump_rejects_corruption(tmp_path):
-    path = tmp_path / "sample.bin"
-    s = sample_matrix(spec_of(6), 0)
-    write_sample(s, path)
-    raw = bytearray(path.read_bytes())
-    raw[:4] = b"XXXX"
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
-        read_sample(bad)
-    trunc = tmp_path / "trunc.bin"
-    trunc.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError):
-        read_sample(trunc)
 
 
 def test_kinds_differ_for_same_seed():
