@@ -12,7 +12,6 @@ from .concentration import hw_tail_curve, projection_mass_probe, wilson_interval
 from .ensemble import (
     KINDS,
     EnsembleSpec,
-    EntryDistribution,
     MatrixSample,
     check_entry_statistics,
     derive_trial_seed,
@@ -49,7 +48,6 @@ from .resolvent import empirical_stieltjes, resolvent_diag_leave_one_out, resolv
 from .spectral import (
     DecompositionError,
     MinorBasis,
-    SpectralDecomposition,
     counting_bound,
     decompose,
     eigenvalue_count,
@@ -66,10 +64,10 @@ __all__ = [
     "mp_density", "mp_cdf", "mp_window_mass", "mp_stieltjes",
     "fixed_point_residual", "check_delta_bounds", "mp_moment_quadrature",
     # ensemble
-    "KINDS", "EntryDistribution", "EnsembleSpec", "MatrixSample",
+    "KINDS", "EnsembleSpec", "MatrixSample",
     "derive_trial_seed", "sample_matrix", "check_entry_statistics",
     # spectral
-    "SpectralDecomposition", "DecompositionError", "MinorBasis",
+    "DecompositionError", "MinorBasis",
     "decompose", "eigenvalues_only", "minor_basis", "eigenvalue_count",
     "counting_bound", "interlacing_check",
     "eigenvector_identity_scan",

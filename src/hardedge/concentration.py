@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .ensemble import EntryDistribution, draw_entries, stream
+from .ensemble import draw_entries, stream
 
 __all__ = [
     "wilson_interval",
@@ -57,13 +57,13 @@ def _chunks(trials: int, seed: int):
 
 def hw_tail_curve(
     size: int,
-    dist: EntryDistribution,
+    kind: str,
     trials: int,
     deltas,
     seed: int,
 ) -> np.ndarray:
     """Hits of |sum_i (|x_i|^2 - 1)| >= delta over a delta grid, for x of
-    length size.
+    length size with iid entries of the given kind.
 
     This is the centered quadratic form of the identity of that size.  The
     entries are unscaled (E|x|^2 = 1), so the centering term is exactly
@@ -81,7 +81,7 @@ def hw_tail_curve(
     ):
         raise ValueError("deltas must be a nonempty, strictly increasing grid of finite reals >= 0")
     stats = np.concatenate([
-        np.abs(np.sum(np.abs(draw_entries(rng, dist.kind, (rows, size))) ** 2 - 1.0, axis=1))
+        np.abs(np.sum(np.abs(draw_entries(rng, kind, (rows, size))) ** 2 - 1.0, axis=1))
         for rng, rows in _chunks(trials, seed)
     ])
     return np.array([int(np.sum(stats >= d)) for d in deltas])
@@ -134,7 +134,7 @@ def _haar_masses(m_grid, size: int, kind: str, trials: int, seed: int) -> np.nda
 
 
 def projection_mass_probe(
-    m_grid, size: int, dist: EntryDistribution, trials: int, seed: int
+    m_grid, size: int, kind: str, trials: int, seed: int
 ) -> tuple[np.ndarray, str]:
     """Hits of sum_{a<=m} |<x, v_a>|^2 <= m/2 for each m of the strictly
     increasing m_grid, where v_1..v_M (M the last m) is an orthonormal family
@@ -157,6 +157,6 @@ def projection_mass_probe(
         )
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if dist.kind == "complex-gaussian":
-        return _coordinate_hits(grid, dist.kind, trials, seed), "coordinate"
-    return np.sum(_haar_masses(grid, size, dist.kind, trials, seed) <= np.divide(grid, 2), axis=0), "haar"
+    if kind == "complex-gaussian":
+        return _coordinate_hits(grid, kind, trials, seed), "coordinate"
+    return np.sum(_haar_masses(grid, size, kind, trials, seed) <= np.divide(grid, 2), axis=0), "haar"

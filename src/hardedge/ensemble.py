@@ -3,7 +3,11 @@
 Entry normalisation: each of the three distribution kinds draws real and
 imaginary parts independently with mean 0 and variance 1/2, so E|x|^2 = 1 per
 unscaled entry; the stored matrix is X/sqrt(N) and (1/N) Tr of its Gram
-matrix concentrates at 1.
+matrix concentrates at 1.  A kind is a plain string, one of KINDS:
+EnsembleSpec checks it, so every matrix draw meets that check, and
+draw_entries checks the kind it is handed.  BOUNDED_DENSITY_KINDS lists the
+kinds whose part density is bounded; rademacher-pair (|x| = 1 exactly) is
+the one that is not.
 
 Seed derivation is counter-based so trials can run in any order, on any
 number of workers, and still reproduce bit for bit:
@@ -34,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "KINDS",
-    "EntryDistribution",
     "EnsembleSpec",
     "MatrixSample",
     "derive_trial_seed",
@@ -51,48 +54,26 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# kind -> bounded part density
-_KIND_TABLE = {
-    "complex-gaussian": True,
-    "rademacher-pair": False,
-    "uniform-symmetric": True,
-}
-KINDS = tuple(_KIND_TABLE)
+KINDS = ("complex-gaussian", "rademacher-pair", "uniform-symmetric")
+# kinds with a bounded part density: the ones the hard-edge statements admit
+BOUNDED_DENSITY_KINDS = ("complex-gaussian", "uniform-symmetric")
 
 # half-width of the uniform part: variance a^2/3 = 1/2
 _UNIFORM_HALF_WIDTH = math.sqrt(1.5)
 
 
 @dataclass(frozen=True)
-class EntryDistribution:
-    """One of the three admissible entry laws.
-
-    All kinds are symmetric per part with variance 1/2 per part.
-    rademacher-pair has |x| = 1 exactly, hence an unbounded (atomic) part
-    density: it is excluded by default from experiments whose statements
-    need a bounded density near the hard edge.
-    """
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_TABLE:
-            raise ValueError(f"unknown distribution kind {self.kind!r}; choose from {KINDS}")
-
-    @property
-    def density_bounded(self) -> bool:
-        return _KIND_TABLE[self.kind]
-
-
-@dataclass(frozen=True)
 class EnsembleSpec:
-    """Matrix size, entry law, and the 64-bit master seed of a trial family."""
+    """Matrix size, entry kind (one of KINDS), and the 64-bit master seed of a
+    trial family."""
 
     size: int
-    distribution: EntryDistribution
+    distribution: str
     master_seed: int
 
     def __post_init__(self) -> None:
+        if self.distribution not in KINDS:
+            raise ValueError(f"unknown distribution kind {self.distribution!r}; choose from {KINDS}")
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
         if not (0 <= self.master_seed <= _MASK64):
@@ -181,7 +162,7 @@ def sample_matrix(spec: EnsembleSpec, trial_index: int) -> MatrixSample:
     rng = stream(spec.master_seed, trial_index)
     # scaling the real block is bit for bit a complex division by sqrt(N):
     # numpy divides a complex by a real as a multiply by its reciprocal
-    entries = draw_entries(rng, spec.distribution.kind, (n, n), 1.0 / math.sqrt(n))
+    entries = draw_entries(rng, spec.distribution, (n, n), 1.0 / math.sqrt(n))
     sample = MatrixSample(entries=entries, spec=spec, trial_index=trial_index)
     check_entry_statistics(sample)
     return sample
@@ -207,7 +188,7 @@ def check_entry_statistics(sample: MatrixSample) -> tuple[float, float]:
     modsq_band = 10.0 / n
     if mean_dev > mean_band or modsq_dev > modsq_band:
         msg = (
-            f"entry statistics out of band for N={n}, kind={sample.spec.distribution.kind}, "
+            f"entry statistics out of band for N={n}, kind={sample.spec.distribution}, "
             f"seed={sample.spec.master_seed}, trial={sample.trial_index}: "
             f"|mean|={mean_dev:.3e} (band {mean_band:.3e}), "
             f"|mean|x|^2 - 1|={modsq_dev:.3e} (band {modsq_band:.3e})"

@@ -48,9 +48,9 @@ import numpy as np
 
 from .concentration import hw_tail_curve, projection_mass_probe, wilson_interval
 from .ensemble import (
+    BOUNDED_DENSITY_KINDS,
     KINDS,
     EnsembleSpec,
-    EntryDistribution,
     derive_trial_seed,
     sample_matrix,
 )
@@ -275,10 +275,9 @@ def _per_trial(solve, distribution: str, seed: int, sizes, trials: int, reduce=l
     (CPython 3.11+ moves a temporary argument into the callee's frame) and
     may free X before its eigensolve, as decompose and eigenvalues_only do.
     """
-    dist = EntryDistribution(distribution)
     out = {}
     for size in sizes:
-        spec = EnsembleSpec(size=size, distribution=dist, master_seed=derive_trial_seed(seed, size))
+        spec = EnsembleSpec(size=size, distribution=distribution, master_seed=derive_trial_seed(seed, size))
         out[size] = [reduce(solve(sample_matrix(spec, t))) for t in range(trials)]
     return out
 
@@ -350,7 +349,7 @@ def _windows_for(cfg: ExperimentConfig, size: int, enforce_scale: bool) -> tuple
 
 
 def _require_bounded_density(cfg: ExperimentConfig, theorem: str) -> None:
-    if not EntryDistribution(cfg.distribution).density_bounded:
+    if cfg.distribution not in BOUNDED_DENSITY_KINDS:
         raise ConfigError(
             f"distribution: {cfg.distribution!r} has an atomic part density and is "
             f"excluded from the {theorem} experiment"
@@ -784,8 +783,8 @@ def run_hw_experiment(
     delta grid _HW_DELTAS."""
     trials = _where(_integer, lambda n: n >= 100, ">= 100")("trials", trials)
     seed = _seed("seed", seed)
-    dist = EntryDistribution(_kind("distribution", distribution))
-    hits = hw_tail_curve(_PROBE_SIZE, dist, trials, _HW_DELTAS, seed)
+    distribution = _kind("distribution", distribution)
+    hits = hw_tail_curve(_PROBE_SIZE, distribution, trials, _HW_DELTAS, seed)
     grid = np.asarray(_HW_DELTAS)
     # the normalizer T = Tr A*A of the identity
     norm = float(_PROBE_SIZE)
@@ -841,7 +840,7 @@ def run_projection_mass_experiment(
     """
     trials = _count("trials", trials)
     seed = _seed("seed", seed)
-    dist = EntryDistribution(_kind("distribution", distribution))
+    distribution = _kind("distribution", distribution)
     rows = []
     failures = []
     ratios = []
@@ -849,7 +848,7 @@ def run_projection_mass_experiment(
     # one-entry grid would draw it, and each row depends only on the grid up
     # to its own m
     hits_grid, resolved = projection_mass_probe(
-        _MASS_M_GRID, _PROBE_SIZE, dist, trials, derive_trial_seed(seed, _MASS_M_GRID[0])
+        _MASS_M_GRID, _PROBE_SIZE, distribution, trials, derive_trial_seed(seed, _MASS_M_GRID[0])
     )
     for m, hits in zip(_MASS_M_GRID, hits_grid.tolist()):
         tail = _exceedance(hits, trials)

@@ -42,7 +42,6 @@ from .mp import Window
 
 __all__ = [
     "DecompositionError",
-    "SpectralDecomposition",
     "MinorBasis",
     "decompose",
     "eigenvalues_only",
@@ -64,7 +63,7 @@ class DecompositionError(RuntimeError):
 
     def __init__(self, spec: EnsembleSpec, trial_index: int, original: Exception):
         super().__init__(
-            f"decomposition failed for size={spec.size}, kind={spec.distribution.kind}, "
+            f"decomposition failed for size={spec.size}, kind={spec.distribution}, "
             f"seed={spec.master_seed}, trial={trial_index}: {original}"
         )
         self.spec = spec
@@ -92,18 +91,6 @@ def _gram_lower(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and eigenvectors (columns) of X*X."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def top(self) -> float:
-        return float(self.eigenvalues[-1])
-
-
-@dataclass(frozen=True)
 class MinorBasis:
     """Left spectral data of every column-minor W_k (X with column k removed),
     from one stacked eigensolve, shared by every spectral point and identity,
@@ -122,14 +109,13 @@ class MinorBasis:
     null_weights: np.ndarray
 
 
-def decompose(sample: MatrixSample) -> SpectralDecomposition:
+def decompose(sample: MatrixSample):
     """Full decomposition of X*X by a Hermitian eigensolve of the formed Gram
-    matrix (eigenvalues ascending, absolute accuracy only; see the module
-    docstring)."""
+    matrix: numpy's eigh result unchanged, eigenvalues ascending (absolute
+    accuracy only; see the module docstring) and eigenvectors as columns."""
     spec, trial_index, gram = sample.spec, sample.trial_index, _gram_lower(sample.entries)
     del sample
-    eigenvalues, eigenvectors = _lapack(spec, trial_index, np.linalg.eigh, gram)
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return _lapack(spec, trial_index, np.linalg.eigh, gram)
 
 
 def eigenvalues_only(sample: MatrixSample) -> np.ndarray:
@@ -179,9 +165,10 @@ def counting_bound(eigenvalues: np.ndarray, window: Window) -> float:
     return 2.0 * window.eta * float(np.sum((1.0 / (eigenvalues - theta)).imag))
 
 
-def interlacing_check(decomposition: SpectralDecomposition, minors: MinorBasis) -> np.ndarray:
+def interlacing_check(decomposition, minors: MinorBasis) -> np.ndarray:
     """Largest violation of s_a <= t_a <= s_(a+1) between X*X and each
-    column-minor, one value per removed column.
+    column-minor, one value per removed column.  decomposition is what
+    decompose returns; only its eigenvalues are read.
 
     Exact zero in exact arithmetic; anything above rounding noise indicates
     a broken decomposition.
@@ -193,8 +180,9 @@ def interlacing_check(decomposition: SpectralDecomposition, minors: MinorBasis) 
     return np.maximum(below, above)
 
 
-def eigenvector_identity_scan(minors: MinorBasis, decomposition: SpectralDecomposition) -> np.ndarray:
-    """Identity residual of every eigenvector at every removed column.
+def eigenvector_identity_scan(minors: MinorBasis, decomposition) -> np.ndarray:
+    """Identity residual of every eigenvector at every removed column, with
+    decomposition what decompose returns (numpy's eigh result).
 
     |u_a(k)|^2 must equal 1/(1 + sum_b t_b |<v_b, w_k>|^2 / (s_a - t_b)^2)
     where t_b are the k-minor's eigenvalues and |<v_b, w_k>|^2 its weights.
@@ -207,7 +195,7 @@ def eigenvector_identity_scan(minors: MinorBasis, decomposition: SpectralDecompo
     lhs = np.abs(d.eigenvectors) ** 2
     t = minors.eigenvalues[:, None, :]
     gaps = d.eigenvalues[None, :, None] - t
-    covered = np.min(np.abs(gaps), axis=-1, initial=math.inf) >= DEFAULT_GAP_TOL * (1.0 + d.top)
+    covered = np.min(np.abs(gaps), axis=-1, initial=math.inf) >= DEFAULT_GAP_TOL * (1.0 + d.eigenvalues[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         # rows that divide by a zero gap are the uncovered ones, masked below
         rhs = 1.0 / (1.0 + np.sum(t * minors.weights[:, None, :] / gaps**2, axis=-1))

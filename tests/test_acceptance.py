@@ -32,7 +32,6 @@ import pytest
 
 from hardedge import (
     EnsembleSpec,
-    EntryDistribution,
     ExperimentConfig,
     SpectralPoint,
     Window,
@@ -153,7 +152,7 @@ def test_criterion_06_counting_inequality(n64_suite):
 def test_criterion_07_global_mp_convergence():
     with Timer() as t:
         n = 1024
-        spec = EnsembleSpec(size=n, distribution=EntryDistribution("complex-gaussian"), master_seed=101)
+        spec = EnsembleSpec(size=n, distribution="complex-gaussian", master_seed=101)
         grid = np.arange(1, n + 1) / n
         for trial in range(10):
             eigs = eigenvalues_only(sample_matrix(spec, trial))

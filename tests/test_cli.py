@@ -176,7 +176,7 @@ def test_mp_moment_prints_the_catalan_number(capsys):
         pytest.param(["mp", "--bounds", "1e-170", "1e-170"], "error: bounds: ", id="argv11-error: bounds: "),
     ],
 )
-def test_mp_and_sample_bad_input_exits_2_and_names_the_flag(capsys, argv, prefix):
+def test_mp_bad_input_exits_2_and_names_the_flag(capsys, argv, prefix):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith(prefix)

@@ -14,7 +14,6 @@ from scipy.special import gammainc
 from scipy.stats import ks_2samp
 
 from hardedge import (
-    EntryDistribution,
     derive_trial_seed,
     experiments,
     hw_tail_curve,
@@ -26,9 +25,9 @@ from hardedge import (
 from hardedge.concentration import _coordinate_hits, _haar_masses
 from hardedge.ensemble import draw_entries
 
-GAUSS = EntryDistribution("complex-gaussian")
-RADEMACHER = EntryDistribution("rademacher-pair")
-UNIFORM = EntryDistribution("uniform-symmetric")
+GAUSS = "complex-gaussian"
+RADEMACHER = "rademacher-pair"
+UNIFORM = "uniform-symmetric"
 
 
 def wide_interval(prob: float, trials: int) -> tuple[float, float]:
@@ -172,7 +171,7 @@ def test_projmass_gaussian_gamma_oracle():
 
 def test_projmass_haar_matches_gamma_for_gaussian():
     # rotation invariance: a Haar family sees the same law, at every m of the nested frame
-    hits = np.sum(_haar_masses((4, 9), 16, GAUSS.kind, 4000, seed=1) <= (2.0, 4.5), axis=0)
+    hits = np.sum(_haar_masses((4, 9), 16, GAUSS, 4000, seed=1) <= (2.0, 4.5), axis=0)
     for m, h in zip((4, 9), hits):
         lo, hi = wide_interval(float(gammainc(m, m / 2)), 4000)
         assert lo <= h / 4000 <= hi, (m, h)
@@ -181,14 +180,14 @@ def test_projmass_haar_matches_gamma_for_gaussian():
 def test_projmass_uniform_coordinate_m1():
     # P(a^2 + b^2 <= 1/2) for (a, b) uniform on [-sqrt(1.5), sqrt(1.5)]^2
     trials = 20000
-    (hits,) = _coordinate_hits((1,), UNIFORM.kind, trials, seed=6)
+    (hits,) = _coordinate_hits((1,), UNIFORM, trials, seed=6)
     lo, hi = wide_interval(math.pi / 12, trials)
     assert lo <= hits / trials <= hi
 
 
 def test_projmass_rademacher_coordinate_is_zero():
     # coordinate mass equals m surely, never <= m/2
-    assert _coordinate_hits((1, 5), RADEMACHER.kind, 300, seed=0).tolist() == [0, 0]
+    assert _coordinate_hits((1, 5), RADEMACHER, 300, seed=0).tolist() == [0, 0]
     # a zero-hit row: P(Gamma(64, 1) <= 32) = 4e-7
     assert projection_mass_probe((64,), 64, GAUSS, 300, seed=0)[0].tolist() == [0]
 
@@ -214,7 +213,7 @@ def _haar_hits_per_trial(m_grid, size, dist, trials, seed):
     hits = [0] * len(m_grid)
     for trial in range(trials):
         rng = np.random.Generator(np.random.Philox(key=derive_trial_seed(seed, trial)))
-        x = draw_entries(rng, dist.kind, (size,))
+        x = draw_entries(rng, dist, (size,))
         parts = rng.standard_normal((2, size, first))
         q, _ = np.linalg.qr(parts[0] + 1j * parts[1])
         mass = float(np.sum(np.abs(q.conj().T @ x) ** 2))
@@ -229,7 +228,7 @@ def _haar_hits_per_trial(m_grid, size, dist, trials, seed):
 # ids read (last m)-size-trials; the cases take trial counts off the chunk
 # grid, one-entry grids (the last with no exponentials), and grids ending at
 # m = size
-@pytest.mark.parametrize("dist", [UNIFORM, RADEMACHER], ids=lambda d: d.kind)
+@pytest.mark.parametrize("dist", [UNIFORM, RADEMACHER])
 @pytest.mark.parametrize(
     "m_grid, size, trials",
     [
@@ -246,21 +245,21 @@ def test_projmass_haar_chunks_match_per_trial_qr(dist, m_grid, size, trials):
     assert hits.tolist() == _haar_hits_per_trial(m_grid, size, dist, trials, seed)
 
 
-@pytest.mark.parametrize("dist", [UNIFORM, RADEMACHER], ids=lambda d: d.kind)
+@pytest.mark.parametrize("dist", [UNIFORM, RADEMACHER])
 def test_projmass_nested_masses_have_the_law_of_independent_frames(dist):
     # past the Gaussian first m, each m reads a Dirichlet prefix; two-sample KS
     # against x's mass on an independent QR frame per trial and m
     size, trials = 64, 2000
-    nested = _haar_masses((4, 9, 16), size, dist.kind, trials, seed=11)
+    nested = _haar_masses((4, 9, 16), size, dist, trials, seed=11)
     rng = np.random.Generator(np.random.Philox(key=12))
-    x = draw_entries(rng, dist.kind, (trials, size, 1))
+    x = draw_entries(rng, dist, (trials, size, 1))
     for j, m in [(1, 9), (2, 16)]:
         q, _ = np.linalg.qr(rng.standard_normal((trials, size, m)) + 1j * rng.standard_normal((trials, size, m)))
         independent = np.sum(np.abs(q.conj().transpose(0, 2, 1) @ x) ** 2, axis=(1, 2))
         assert ks_2samp(nested[:, j], independent).pvalue > 1e-3, m
 
 
-@pytest.mark.parametrize("dist", [UNIFORM, GAUSS], ids=lambda d: d.kind)
+@pytest.mark.parametrize("dist", [UNIFORM, GAUSS])
 def test_projmass_rows_depend_only_on_the_grid_up_to_their_m(dist):
     # the draws of a trial do not depend on the last m, so a shorter grid reads the same prefix
     full = projection_mass_probe((4, 9, 16, 25), 32, dist, 2000, seed=5)

@@ -11,17 +11,16 @@ import pytest
 from hardedge import (
     KINDS,
     EnsembleSpec,
-    EntryDistribution,
     MatrixSample,
     check_entry_statistics,
     derive_trial_seed,
     sample_matrix,
 )
-from hardedge.ensemble import draw_entries, stream
+from hardedge.ensemble import BOUNDED_DENSITY_KINDS, draw_entries, stream
 
-GAUSS = EntryDistribution("complex-gaussian")
-RAD = EntryDistribution("rademacher-pair")
-UNIF = EntryDistribution("uniform-symmetric")
+GAUSS = "complex-gaussian"
+RAD = "rademacher-pair"
+UNIF = "uniform-symmetric"
 
 
 def spec_of(n, dist=GAUSS, seed=1):
@@ -113,10 +112,7 @@ def test_trace_statistic_near_one():
 
 def test_kind_table():
     assert set(KINDS) == {"complex-gaussian", "rademacher-pair", "uniform-symmetric"}
-    assert GAUSS.density_bounded and UNIF.density_bounded
-    assert not RAD.density_bounded
-    with pytest.raises(ValueError):
-        EntryDistribution("real-gaussian")
+    assert BOUNDED_DENSITY_KINDS == (GAUSS, UNIF)
 
 
 def test_spec_validation():
@@ -126,6 +122,10 @@ def test_spec_validation():
         EnsembleSpec(size=4, distribution=GAUSS, master_seed=-1)
     with pytest.raises(ValueError):
         EnsembleSpec(size=4, distribution=GAUSS, master_seed=2**64)
+    with pytest.raises(ValueError):
+        EnsembleSpec(size=4, distribution="real-gaussian", master_seed=1)
+    with pytest.raises(ValueError):
+        draw_entries(stream(1, 0), "real-gaussian", (2,))
 
 
 def test_entry_statistics_pass_for_honest_samples():
@@ -244,7 +244,7 @@ def test_draw_layout_matches_the_documented_scheme(kind, shape, cached_half):
 def test_sample_matrix_layout_matches_the_documented_scheme(kind, n):
     # a stream left with a cached half word must not leak into the next sample
     stream(6, 0).integers(0, 2, size=3)
-    spec = spec_of(n, EntryDistribution(kind), seed=6)
+    spec = spec_of(n, kind, seed=6)
     re, im = _reference_parts(_keyed(6, 4, cached_half=False), kind, (n, n))
     # the stored matrix is X / sqrt(N), signed zeros included
     assert _same_bits(sample_matrix(spec, 4).entries, (re + 1j * im) / math.sqrt(n))

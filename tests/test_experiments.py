@@ -19,7 +19,6 @@ import pytest
 from hardedge import experiments
 from hardedge import (
     ConfigError,
-    EntryDistribution,
     ExperimentConfig,
     Window,
     derived_windows,
@@ -218,6 +217,17 @@ def test_readme_constants_table_matches_the_module():
     assert rows
     for name, value in rows:
         assert getattr(experiments, name) == ast.literal_eval(value.strip()), name
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    ns = {}
+    exec(block, ns)
+    # the two facts the block's comments state
+    assert ns["fixed_point_residual"](ns["delta"], ns["point"]) < 1e-12
+    assert ns["eigenvalue_count"](ns["eigs"], ns["w"]) <= ns["counting_bound"](ns["eigs"], ns["w"])
 
 
 # --- window ladder ------------------------------------------------------
@@ -643,7 +653,7 @@ def test_identity_suite_pools_coverage(monkeypatch):
     # atomic entries make exact full/minor degeneracies at N=2: still a FAIL.
     # identities draws complex-gaussian only, so the rademacher draws of the
     # same (seed, size, trial) keys come in through sample_matrix
-    rademacher = EntryDistribution("rademacher-pair")
+    rademacher = "rademacher-pair"
     draw = experiments.sample_matrix
     monkeypatch.setattr(
         experiments,

@@ -1,8 +1,9 @@
 """Power panel: each verdict must be able to fail on a corrupted ensemble.
 
-Every cell wraps `experiments.sample_matrix` to corrupt each draw and runs a
-shipped runner on it.  The spectra cache is swapped for an empty one per
-cell, so corrupted spectra never reach another test.  An honest-draw cell
+Every matrix cell wraps `experiments.sample_matrix` to corrupt each draw and
+runs a shipped runner on it.  The spectra cache is swapped for an empty one
+per cell, so corrupted spectra never reach another test.  The concentration
+cells wrap `concentration.draw_entries` instead.  An honest-draw cell
 (no corruption) pins a verdict that must pass.  A cell the math says must
 fail, on a runner whose band passes it today, is a strict xfail naming the
 ROADMAP item that flips it.
@@ -18,11 +19,14 @@ import pytest
 
 from hardedge import (
     ExperimentConfig,
+    concentration,
     experiments,
     run_apriori,
     run_delocalization,
     run_hard_edge_scaling,
+    run_hw_experiment,
     run_local_law,
+    run_projection_mass_experiment,
     run_wegner,
 )
 from hardedge.cli import main
@@ -213,3 +217,34 @@ def _until_item(item, why):
 def test_cells_the_math_says_must_fail(monkeypatch, runner, mutate):
     _corrupt_draws(monkeypatch, mutate)
     assert not runner(PANEL).passed
+
+
+@pytest.mark.parametrize(
+    "runner, distribution, trials",
+    [
+        # fails today only through "fitted decay rate nan": every row reads
+        # 1.0, so no grid point lies strictly inside (0, 1)
+        pytest.param(run_hw_experiment, "uniform-symmetric", 10_000, id="hw-uniform-symmetric-variance-2"),
+        # fails today only through "zero hits" at m = 16 and m = 25
+        pytest.param(
+            run_projection_mass_experiment, "uniform-symmetric", 4_000, id="projmass-uniform-symmetric-variance-2"
+        ),
+        pytest.param(
+            run_hw_experiment,
+            "complex-gaussian",
+            10_000,
+            marks=_until_item(18, "rows read 0.9966-1.0 and the fitted decay rate stays positive (0.0015)"),
+            id="hw-complex-gaussian-variance-2",
+        ),
+    ],
+)
+def test_concentration_cells_the_math_says_must_fail(monkeypatch, runner, distribution, trials):
+    # every entry the probes draw gets variance 2 in place of 1; the Haar
+    # frame of projmass is drawn apart from draw_entries and stays honest
+    real = concentration.draw_entries
+    monkeypatch.setattr(
+        concentration,
+        "draw_entries",
+        lambda rng, kind, shape, scale=1.0: real(rng, kind, shape, math.sqrt(2.0) * scale),
+    )
+    assert not runner(distribution=distribution, trials=trials, seed=1).passed
