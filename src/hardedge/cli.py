@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 experiment ran but a threshold failed, 2 usage or
 config error.  Reports land in --out, defaulting to $HARDEDGE_OUT and then
-./reports.  Reports are byte-identical for a fixed config, seed, machine,
-numpy/OpenBLAS build and BLAS thread count (OPENBLAS_NUM_THREADS).  --threads
-(>= 1) is accepted so that existing command lines keep running; no effect.
+./reports.  The config commands take only --config, --out and --threads: the
+seed, trial count and every other parameter come from the config file alone.
+Reports are byte-identical for a fixed config, machine, numpy/OpenBLAS build
+and BLAS thread count (OPENBLAS_NUM_THREADS).  --threads (>= 1) is accepted so
+that existing command lines keep running; no effect.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .ensemble import KINDS
@@ -73,20 +74,13 @@ def _default_out() -> str:
 
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="JSON experiment config")
-    sub.add_argument("--seed", type=int, help="override the master seed")
-    sub.add_argument("--trials", type=int, help="override trials per size")
     sub.add_argument("--out", default=_default_out(), metavar="DIR", help="report directory")
     sub.add_argument("--threads", type=int, default=1, help="accepted so existing command lines keep running; no effect")
 
 
 def _config_from(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
     _count("threads", args.threads)
-    return cfg
+    return load_config(args.config) if args.config else ExperimentConfig()
 
 
 def _emit(report, out) -> int:

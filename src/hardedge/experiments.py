@@ -764,7 +764,7 @@ def run_identity_suite(
             "theta_grid": [list(p) for p in _IDENTITY_THETA_GRID],
         },
         rows=tuple(rows),
-        summary={"checks_per_size": 8},
+        summary={"checks_per_size": len(checks)},
         failures=tuple(failures),
     )
 

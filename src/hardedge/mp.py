@@ -193,25 +193,24 @@ def fixed_point_residual(delta: complex, point: SpectralPoint) -> float:
 
 @dataclass(frozen=True)
 class DeltaBoundsReport:
-    """Deterministic envelope checks on the transform at one spectral point.
-
-    margins are (bound satisfied) - (threshold), nonnegative iff the check
+    """Margins of the deterministic envelope checks on the transform at one
+    spectral point: (bound satisfied) - (threshold), nonnegative iff the check
     holds.  The imaginary-part lower bound only applies inside the circle
-    E^2 + eta^2 <= 4E; outside, im_ok/im_margin are None.
+    E^2 + eta^2 <= 4E; outside, im_margin is None.
     """
 
-    point: SpectralPoint
-    modulus_ok: bool
     modulus_margin: float
-    shifted_ok: bool
     shifted_margin: float
-    inside_circle: bool
-    im_ok: bool | None
     im_margin: float | None
 
     @property
+    def inside_circle(self) -> bool:
+        return self.im_margin is not None
+
+    @property
     def all_ok(self) -> bool:
-        return self.modulus_ok and self.shifted_ok and (self.im_ok is not False)
+        return (self.modulus_margin >= 0.0 and self.shifted_margin >= 0.0
+                and (self.im_margin is None or self.im_margin >= 0.0))
 
 
 def check_delta_bounds(point: SpectralPoint) -> DeltaBoundsReport:
@@ -231,28 +230,15 @@ def check_delta_bounds(point: SpectralPoint) -> DeltaBoundsReport:
         raise ArithmeticError(f"E^2 + eta^2 {way} at theta={point.theta}")
     shifted_floor = max(energy / norm_sq, 0.25)
     shifted_margin = shifted - shifted_floor
-    inside = norm_sq <= 4.0 * energy
-    if inside:
+    im_margin = None
+    if norm_sq <= 4.0 * energy:
         floor = (
             IM_BOUND_CONSTANT
             * (math.sqrt(abs(energy - 4.0)) + math.sqrt(eta))
             / norm_sq**0.25
         )
         im_margin = delta.imag - floor
-        im_ok = im_margin >= 0.0
-    else:
-        im_margin = None
-        im_ok = None
-    return DeltaBoundsReport(
-        point=point,
-        modulus_ok=modulus_margin >= 0.0,
-        modulus_margin=modulus_margin,
-        shifted_ok=shifted_margin >= 0.0,
-        shifted_margin=shifted_margin,
-        inside_circle=inside,
-        im_ok=im_ok,
-        im_margin=im_margin,
-    )
+    return DeltaBoundsReport(modulus_margin, shifted_margin, im_margin)
 
 
 def mp_moment_quadrature(order: int) -> float:

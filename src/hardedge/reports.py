@@ -40,12 +40,9 @@ def _plain(value):
 
 
 def _cell(value) -> str:
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
+    value = _plain(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return "%.17g" % value
     return str(value)

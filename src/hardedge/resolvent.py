@@ -42,7 +42,12 @@ def empirical_stieltjes(eigenvalues: np.ndarray, point: SpectralPoint):
     A 1-D spectrum gives one complex value; a (trials, N) block gives one
     value per row.  No order is assumed.
     """
-    return np.mean(1.0 / (eigenvalues - point.theta), axis=-1)
+    # where E + eta overflows (windows near float max, which mp_window_mass
+    # accepts) the complex divide overflows in an intermediate step; there
+    # 1/(s - theta) lies below 1e-307 and rounds to 0, so the warning is moot
+    with np.errstate(over="ignore"):
+        inverse = 1.0 / (eigenvalues - point.theta)
+    return np.mean(inverse, axis=-1)
 
 
 def resolvent_diag_leave_one_out(

@@ -227,17 +227,6 @@ def test_apriori_pass_writes_reports(tmp_path, capsys):
     assert (outdir / "manifest.json").exists()
 
 
-def test_seed_flag_overrides_config(tmp_path, capsys):
-    cfg = write_config(tmp_path, BASE)
-    outdir = tmp_path / "reports"
-    code, _, _ = run(
-        capsys, ["apriori", "--config", cfg, "--seed", "6", "--out", str(outdir)]
-    )
-    assert code == 0
-    data = json.loads((outdir / "apriori-counting.json").read_text())
-    assert data["config"]["seed"] == 6
-
-
 def test_failed_verdict_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(experiments, "DELOC_CAP", 0.0001)
     cfg = write_config(tmp_path, BASE)
@@ -386,6 +375,22 @@ def test_direct_flags_are_the_runner_parameters(command):
     assert flags == set(inspect.signature(runner).parameters) | {"out"}
 
 
+@pytest.mark.parametrize("command", ["apriori", "locallaw", "wegner", "hardedge", "deloc", "all"])
+def test_config_command_flags_are_config_out_and_threads(tmp_path, capsys, command):
+    # the seed, the trial count and every other parameter come from the
+    # config file alone, so a report's JSON config is its file's config
+    parser = cli._build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest for a in subs.choices[command]._actions if not isinstance(a, argparse._HelpAction)}
+    assert flags == {"config", "out", "threads"}
+    cfg = write_config(tmp_path, BASE)
+    for flag in ("--seed", "--trials"):
+        code, _, err = run(capsys, [command, "--config", cfg, flag, "6", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert flag in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_all_matches_single_commands_and_merges_manifest(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     code, out, _ = run(capsys, ["all", "--config", cfg, "--out", str(tmp_path / "all")])
@@ -419,7 +424,8 @@ def test_experiment_commands_call_the_current_module_attribute(tmp_path, capsys,
     monkeypatch.setattr(cli, "run_wegner", recording)
     cfg = write_config(tmp_path, BASE)
     run(capsys, ["wegner", "--config", cfg, "--out", str(tmp_path / "w")])
-    run(capsys, ["all", "--config", cfg, "--seed", "9", "--threads", "2", "--out", str(tmp_path / "a")])
+    cfg = write_config(tmp_path, {**BASE, "seed": 9})
+    run(capsys, ["all", "--config", cfg, "--threads", "2", "--out", str(tmp_path / "a")])
     assert seen == [BASE["seed"], 9]
 
 

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 import weakref
 from pathlib import Path
 
@@ -39,6 +40,26 @@ SMALL = dict(sizes=(96, 128), trials=30, seed=5, scale_min=20.0)
 @pytest.fixture(scope="module")
 def small_cfg():
     return ExperimentConfig(**SMALL)
+
+
+# the desk config on which each verdict rule is made to fire
+RULES = ExperimentConfig(sizes=(16, 32), trials=30, scale_min=2.0)
+
+
+@pytest.fixture
+def redraw(monkeypatch):
+    """redraw(f) makes f(spec, t, honest draw) each trial's draw, behind an empty spectra cache."""
+    real = experiments.sample_matrix
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
+
+    def install(f):
+        monkeypatch.setattr(experiments, "sample_matrix", lambda spec, t: f(spec, t, real(spec, t)))
+
+    return install
+
+
+def _two_identity(sample):
+    return dataclasses.replace(sample, entries=2.0 * np.eye(sample.size, dtype=complex))
 
 
 # --- config ------------------------------------------------------------
@@ -292,6 +313,13 @@ def test_apriori_verdict_can_fail_whatever_k_grid_says(monkeypatch):
     assert not run_apriori(cfg).passed
 
 
+def test_apriori_tail_rule_line(monkeypatch):
+    # no desk draw puts a count at K=4 times the scale, so only a negative bound shows the line
+    monkeypatch.setattr(experiments, "APRIORI_TAIL", -1.0)
+    rep = run_apriori(dataclasses.replace(RULES, sizes=(16,), windows=(Window(2.0, 0.5),)))
+    assert rep.failures == ("N=16, window E=2, eta=0.5: exceedance 0 at K=4.0 above -1.0",)
+
+
 @pytest.mark.parametrize(
     "runner",
     [
@@ -460,6 +488,29 @@ def test_local_law_rejects_atomic_entries(small_cfg):
         run_local_law(cfg)
 
 
+def test_local_law_size_trend_rule_line(redraw):
+    # twice the variance at the larger size only: the transform tail grows with N
+    def doubled(spec, t, sample):
+        if spec.size == 32:
+            return dataclasses.replace(sample, entries=math.sqrt(2.0) * sample.entries)
+        return sample
+
+    redraw(doubled)
+    rep = run_local_law(dataclasses.replace(RULES, windows=(Window(2.0, 0.5),)))
+    assert "window E=2: exceedance grew from N=16 (0.03333) to N=32 (1) beyond interval slack" in rep.failures
+
+
+def test_local_law_window_near_float_max_runs_without_warning():
+    # E + eta overflows, so each 1/(s - theta) rounds to 0 inside an overflowing complex divide
+    cfg = ExperimentConfig.from_dict(
+        {"sizes": [8, 16], "trials": 30, "windows": [{"energy": 1e308, "eta": 1e308}]}
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_local_law(cfg)
+    assert rep.passed
+
+
 # --- delocalization -----------------------------------------------------
 
 
@@ -510,6 +561,22 @@ def test_delocalization_empty_window_reports_nan_row(draws_above_the_band):
         assert math.isnan(row[column]), column
     assert rep.summary["medians_over_ln"] == {}
     assert rep.summary["empty_window_trials"] == {"2": 30}
+
+
+def test_delocalization_partly_empty_rule_line(redraw):
+    # X = 2 I on even trials: X*X = 4 I has no eigenvalue in the band [0, 3.5]
+    redraw(lambda spec, t, sample: _two_identity(sample) if t % 2 == 0 else sample)
+    rep = run_delocalization(RULES)
+    assert rep.failures == (
+        "N=16: 15 of 30 trials had no eigenvalues in the band",
+        "N=32: 15 of 30 trials had no eigenvalues in the band",
+    )
+
+
+def test_delocalization_spread_rule_line(monkeypatch):
+    monkeypatch.setattr(experiments, "DELOC_RATIO_BAND", 1.04)
+    rep = run_delocalization(RULES)
+    assert rep.failures == ("median(max N*||u||_inf^2)/ln N spread 1.05 across sizes exceeds band 1.04",)
 
 
 def test_delocalization_rejects_atomic_entries(small_cfg):
@@ -564,6 +631,17 @@ def test_wegner_single_hit_at_the_last_positive_level_passes(monkeypatch):
     assert rep.failures == ()
 
 
+def test_wegner_first_level_rule_line(redraw):
+    # X = 2 I: every eigenvalue is 4, so no near-zero window holds one
+    redraw(lambda spec, t, sample: _two_identity(sample))
+    rep = run_wegner(RULES)
+    assert rep.failures == tuple(
+        f"N={n}, K={k:.6g}: first level L=1 already has zero hits"
+        for n in RULES.sizes
+        for k in experiments.WEGNER_K_GRID
+    )
+
+
 def test_wegner_rejects_atomic_entries():
     cfg = ExperimentConfig(sizes=(128,), trials=30, distribution="rademacher-pair")
     with pytest.raises(ConfigError, match="excluded"):
@@ -580,6 +658,18 @@ def test_hard_edge_small(small_cfg):
     assert max(medians) <= 2.0 * min(medians)
     for row in rep.rows:
         assert 0.5 < row["spacing_median"] < 2.0
+
+
+def test_hard_edge_spacing_rule_line(monkeypatch):
+    monkeypatch.setattr(experiments, "SPACING_HI", 1.0)
+    rep = run_hard_edge_scaling(RULES)
+    assert rep.failures == ("N=32: central spacing ratio 1.096 outside (0.5, 1.0)",)
+
+
+def test_hard_edge_median_spread_rule_line(monkeypatch):
+    monkeypatch.setattr(experiments, "HARDEDGE_MEDIAN_FACTOR", 1.4)
+    rep = run_hard_edge_scaling(RULES)
+    assert rep.failures == ("N^2*s_1 medians spread by factor 1.44 > 1.4 across sizes",)
 
 
 def test_central_gaps_is_the_mean_of_the_slice_gaps():
@@ -662,6 +752,25 @@ def test_identity_suite_pools_coverage(monkeypatch):
     )
     rep = run_identity_suite(sizes=(2,), trials=20, seed=1)
     assert [f.split(" = ")[0] for f in rep.failures] == ["N=2: coverage_fraction"]
+
+
+def test_identity_suite_tolerance_rule_line(monkeypatch):
+    # eigenvalues shifted by 1e-6 move the trace by N * 1e-6 and break the
+    # two checks that read them beside the minors
+    decompose = experiments.decompose
+
+    def shifted(sample):
+        d = decompose(sample)
+        return d._replace(eigenvalues=d.eigenvalues + 1e-6)
+
+    monkeypatch.setattr(experiments, "decompose", shifted)
+    rep = run_identity_suite(sizes=(16, 32), trials=30)
+    assert [f.split(" = ")[0] for f in rep.failures] == [
+        f"N={n}: {check}"
+        for n in (16, 32)
+        for check in ("mean_diag_vs_transform", "eigenvector_identity_residual", "trace_identity")
+    ]
+    assert "N=16: trace_identity = 1.6e-05 vs tolerance 1.6e-09" in rep.failures
 
 
 def test_identity_suite_rejects_zero_trials():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hardedge import TheoremReport, file_digest, render_csv, render_json, write_report
-from hardedge.reports import run_id_for
+from hardedge.reports import _cell, run_id_for
 
 
 def toy_report(**overrides):
@@ -36,6 +36,11 @@ def test_csv_cells():
     assert lines[2] == "16,0.25,false"
     assert text.endswith("\n")
     assert float(lines[1].split(",")[1]) == 0.1 + 0.2
+
+
+def test_csv_numpy_bool_cell():
+    # a numpy scalar is written as the Python scalar it holds
+    assert _cell(np.bool_(True)) == "true"
 
 
 def test_json_is_sorted_and_nan_free():
