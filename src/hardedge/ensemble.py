@@ -139,7 +139,8 @@ def draw_entries(
     """iid entries of the given kind times scale (E|x|^2 = scale^2).
 
     One RNG call fills a real (2, *shape) block, real parts first, then
-    imaginary parts; the block is scaled before the complex array is built.
+    imaginary parts; the scaled block is copied into the .real and .imag
+    views of the complex result, with no complex arithmetic.
     """
     size = (2, *shape)
     if kind == "complex-gaussian":
@@ -153,7 +154,9 @@ def draw_entries(
     else:
         raise ValueError(f"unknown distribution kind {kind!r}; choose from {KINDS}")
     parts *= scale
-    return parts[0] + 1j * parts[1]
+    entries = np.empty(shape, dtype=complex)
+    entries.real, entries.imag = parts
+    return entries
 
 
 def sample_matrix(spec: EnsembleSpec, trial_index: int) -> MatrixSample:

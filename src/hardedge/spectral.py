@@ -21,8 +21,9 @@ columns): no conjugate copy of all of X, half the multiplications.  Each
 entry keeps its place modulo 64 in its GEMM's output, and OpenBLAS sums an
 edge tile in another order, so for the complex X every kind draws the
 triangle is bit for bit that of X*X (blocks of near-equal width are not).
-Both let go of the sample once the Gram is formed, so a caller that hands
-over its only reference frees X before the solve.
+Above it the formed matrix holds the diagonal blocks' true entries and zeros
+past them, which no solver reads.  Both let go of the sample once the Gram
+is formed, so a caller that hands over its only reference frees X first.
 
 `interlacing_check` and `eigenvector_identity_scan` read a MinorBasis and
 evaluate every removed column in one call, row k for column k.
@@ -80,13 +81,12 @@ def _lapack(spec: EnsembleSpec, trial_index: int, routine, matrix: np.ndarray):
 
 
 def _gram_lower(x: np.ndarray) -> np.ndarray:
-    """Lower triangle of X*X, strict upper triangle 0 (blocks: module docstring)."""
+    """Lower triangle of X*X; no solver reads what is above it (module docstring)."""
     n = x.shape[1]
     gram = np.zeros((n, n), dtype=x.dtype)
     starts = range(0, max(n // 64, 1) * 64, 64)
     for j0, j1 in zip(starts, [*starts[1:], n]):
         np.matmul(x[:, j0:j1].conj().T, x[:, :j1], out=gram[j0:j1, :j1])
-        gram[j0:j1, j0:j1][np.triu_indices(j1 - j0, 1)] = 0
     return gram
 
 
